@@ -213,7 +213,8 @@ def build_parser():
     p.add_argument("--ops", default="all", help="comma-separated op names or 'all'")
     p.set_defaults(fn=cmd_gradcheck)
 
-    p = sub.add_parser("selftest", parents=[common], help="run the built-in sanity checks")
+    p = sub.add_parser("selftest", parents=[common],
+                       help="end-to-end smoke run on a tiny synthetic scene")
     p.set_defaults(fn=cmd_selftest)
 
     p = sub.add_parser("default-config", parents=[common],

@@ -22,23 +22,6 @@ class PairwiseCorrelation:
     valid: np.ndarray  # (D, H, W); invalid warps contribute exact zeros
 
 
-@dataclass
-class CostVolume:
-    """Aggregated correlation volume plus its stage and hypothesis metadata."""
-
-    data: Tensor  # (G, D, H, W) or (G + guidance, D, H, W) once updated
-    stage: int
-    hypotheses: object
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-
-def _unwrap(volume):
-    return volume.data if isinstance(volume, CostVolume) else volume
-
-
 def reference_volume(feats, num_depths):
     """Broadcast reference features (C, H, W) to (C, D, H, W)."""
     return T.expand_axis(feats, 1, num_depths)
@@ -121,21 +104,19 @@ class VolumeGuidance(Module):
     def extra_channels(self):
         return self.num_coarse + self.num_fine
 
-    def forward(self, prev_volume, curr_volume):
-        """Updated volume; accepts CostVolume or raw tensors.
+    def forward(self, prev, curr):
+        """Updated volume (G + extra_channels, D, H, W).
 
         When both channel counts are zero the current volume passes through
         untouched (bit-identical to bypassing the module).
         """
-        curr = _unwrap(curr_volume)
         if self.extra_channels == 0:
-            return curr_volume
+            return curr
         g, d, h, w = curr.shape
         parts = [curr]
         if self.num_coarse:
-            if prev_volume is None:
+            if prev is None:
                 raise UsageError("guidance requires the previous-stage cost volume")
-            prev = _unwrap(prev_volume)
             pg, pd, ph, pw = prev.shape
             flat_prev = T.reshape(prev, (pg * pd, ph, pw))
             coarse = self.conv_coarse.forward(flat_prev)
@@ -145,7 +126,4 @@ class VolumeGuidance(Module):
             flat_curr = T.reshape(curr, (g * d, h, w))
             fine = self.conv_fine.forward(flat_curr)
             parts.append(T.expand_axis(fine, 1, d))
-        updated = T.concat_axis(parts, 0)
-        if isinstance(curr_volume, CostVolume):
-            return CostVolume(updated, curr_volume.stage, curr_volume.hypotheses)
-        return updated
+        return T.concat_axis(parts, 0)

@@ -105,40 +105,3 @@ class FeatureExtractor(Module):
             running = gated_fuse(self.lateral[step].forward(running), fine, a_h, a_w)
             pyramid[step + 1] = self.heads[step + 1].forward(running)
         return pyramid
-
-
-def box_blur(image, k):
-    """Separable box filter of window 2k (reflect edges) over (C, H, W)."""
-    out = np.asarray(image, dtype=np.float64).copy()
-    for axis in (1, 2):
-        pads = [(0, 0)] * 3
-        pads[axis] = (k, k)
-        padded = np.pad(out, pads, mode="reflect")
-        csum = np.cumsum(padded, axis=axis)
-        n = out.shape[axis]
-        out = (np.take(csum, range(2 * k, 2 * k + n), axis=axis)
-               - np.take(csum, range(0, n), axis=axis)) / (2 * k)
-    return out
-
-
-def photometric_features(image, factor, role, blur=None):
-    """Untrained matching features whose product correlation scores photo-consistency.
-
-    Channels are the blurred, subsampled image colors plus one extra channel:
-    a constant 1 on the reference side and -|color|^2 / 2 on the source side.
-    The channel-mean product of a (ref, src) pair then equals
-    ``f_ref . f_src - |f_src|^2 / 2``, which is the blurred-image SSD score up
-    to a depth-independent offset, so its argmax over hypotheses is classic
-    plane-sweep photometric matching. No parameters are involved.
-    """
-    if role not in ("ref", "src"):
-        raise ParameterError(f"role must be 'ref' or 'src', got {role!r}")
-    image = np.asarray(image, dtype=np.float64)
-    blur = max(factor // 2, 1) if blur is None else blur
-    smooth = box_blur(image, blur) if blur else image
-    sub = smooth[:, ::factor, ::factor]
-    if role == "ref":
-        extra = np.ones((1, *sub.shape[1:]))
-    else:
-        extra = -0.5 * (sub * sub).sum(axis=0, keepdims=True)
-    return Tensor(np.concatenate([sub, extra], axis=0))

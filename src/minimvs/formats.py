@@ -56,6 +56,8 @@ def read_pfm(path):
         w, h = int(dims[0]), int(dims[1])
     except (IndexError, ValueError) as exc:
         raise ParseError(f"{path}: bad dimensions line at byte {dims_at}") from exc
+    if w < 0 or h < 0:
+        raise ParseError(f"{path}: negative dimensions {w} x {h} at byte {dims_at}")
     scale_at = offset
     try:
         scale = float(next_line())

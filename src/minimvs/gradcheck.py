@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
+from .errors import ParameterError
 from .tensor import ConvParams, Parameter, Tensor
 
 
@@ -214,8 +215,6 @@ def run_op_checks(op_names=None, seed=0, tol=1e-3, max_entries=None):
     if op_names:
         unknown = [n for n in op_names if n not in cases]
         if unknown:
-            from .errors import ParameterError
-
             raise ParameterError(f"unknown ops {unknown}; valid: {sorted(cases)}")
         cases = {n: cases[n] for n in op_names}
     results = []
@@ -226,18 +225,8 @@ def run_op_checks(op_names=None, seed=0, tol=1e-3, max_entries=None):
     return results
 
 
-def random_instance_check(op_builder, n_instances=20, seed=0, tol=1e-3):
-    """Repeat an FD check over freshly seeded random instances."""
-    worst = 0.0
-    for i in range(n_instances):
-        loss_fn, params = op_builder(np.random.default_rng(seed + i))
-        worst = max(worst, max_relative_error(loss_fn, params))
-    return worst <= tol, worst
-
-
 __all__ = [
     "numeric_gradient",
     "max_relative_error",
     "run_op_checks",
-    "random_instance_check",
 ]

@@ -62,10 +62,6 @@ class Module:
     def eval(self):
         return self.train(False)
 
-    def zero_grad(self):
-        for p in self.parameters():
-            p.grad = None
-
     def state_dict(self):
         state = {name: p.data.copy() for name, p in self.named_parameters()}
         for name, b in self.named_buffers():
@@ -114,17 +110,6 @@ class ModuleList(Module):
 
     def __iter__(self):
         return iter(self._items)
-
-
-class Sequential(Module):
-    def __init__(self, *layers):
-        super().__init__()
-        self.layers = ModuleList(layers)
-
-    def forward(self, x):
-        for layer in self.layers:
-            x = layer.forward(x)
-        return x
 
 
 def _uniform_init(rng, shape, fan_in):
@@ -202,20 +187,11 @@ class BatchNorm(Module):
         self.eval_stats = eval_stats
 
     def forward(self, x):
-        if self.training:
-            return T.batch_norm(
-                x, self.gamma, self.beta, self.running_mean, self.running_var,
-                training=True, momentum=self.momentum, eps=self.eps,
-            )
-        if self.eval_stats == "instance":
-            return T.batch_norm(
-                x, self.gamma, self.beta, self.running_mean, self.running_var,
-                training=True, momentum=self.momentum, eps=self.eps,
-                update_running=False,
-            )
+        batch_stats = self.training or self.eval_stats == "instance"
         return T.batch_norm(
             x, self.gamma, self.beta, self.running_mean, self.running_var,
-            training=False, momentum=self.momentum, eps=self.eps,
+            training=batch_stats, momentum=self.momentum, eps=self.eps,
+            update_running=self.training,
         )
 
 

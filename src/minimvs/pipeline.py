@@ -11,8 +11,8 @@ from . import formats
 from . import tensor as T
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import PipelineConfig
-from .cost import CostVolume, VolumeGuidance, aggregate, view_weights, warp_and_correlate
-from .errors import DatasetError
+from .cost import VolumeGuidance, aggregate, view_weights, warp_and_correlate
+from .errors import DatasetError, ParseError
 from .features import FeatureExtractor
 from .geometry import initial_hypotheses, read_camera, refine_hypotheses
 from .nn import BatchNorm, Module, ModuleList
@@ -39,18 +39,21 @@ def read_pair_file(path):
     if not tokens:
         raise DatasetError(f"{path}: empty pair file")
     pos = 0
-    n = int(tokens[pos]); pos += 1
-    pairs = [None] * n
-    for _ in range(n):
-        ref = int(tokens[pos]); pos += 1
-        count = int(tokens[pos]); pos += 1
-        ranked = []
-        for _ in range(count):
-            ranked.append((int(tokens[pos]), float(tokens[pos + 1])))
-            pos += 2
-        if ref < 0 or ref >= n:
-            raise DatasetError(f"{path}: reference id {ref} out of range")
-        pairs[ref] = ranked
+    try:
+        n = int(tokens[pos]); pos += 1
+        pairs = [None] * n
+        for _ in range(n):
+            ref = int(tokens[pos]); pos += 1
+            count = int(tokens[pos]); pos += 1
+            ranked = []
+            for _ in range(count):
+                ranked.append((int(tokens[pos]), float(tokens[pos + 1])))
+                pos += 2
+            if ref < 0 or ref >= n:
+                raise DatasetError(f"{path}: reference id {ref} out of range")
+            pairs[ref] = ranked
+    except (IndexError, ValueError) as exc:
+        raise ParseError(f"{path}: truncated or malformed at token {pos}") from exc
     if any(p is None for p in pairs):
         raise DatasetError(f"{path}: missing reference entries")
     return pairs
@@ -133,8 +136,7 @@ class CascadeNetwork(Module):
     def forward_views(self, images, cameras, use_guidance=True):
         """Run the full cascade for one reference view (images[0]) and its sources."""
         cfg = self.cfg
-        pyramids = [self.features.forward(Tensor(img) if not isinstance(img, Tensor) else img)
-                    for img in images]
+        pyramids = [self.features.forward(img) for img in images]
         ref_cam_full = cameras[0]
         outputs = []
         hyp = None
@@ -159,7 +161,7 @@ class CascadeNetwork(Module):
                 )
                 correlations.append(pair.data)
                 weight_fields.append(view_weights(pair.data, cfg.temperature))
-            volume = CostVolume(aggregate(correlations, weight_fields), stage, hyp)
+            volume = aggregate(correlations, weight_fields)
             if stage > 0 and use_guidance:
                 reg_input = self.guidance[stage - 1].forward(prev_volume, volume)
             else:
@@ -188,23 +190,20 @@ def select_sources(pairs, ref_id, n_views):
     return ranked[:wanted]
 
 
-def infer_view(network, scene, ref_id, n_views, use_guidance=True):
+def infer_view(network, scene, ref_id, n_views):
     sources = select_sources(scene.pairs, ref_id, n_views)
     images = [scene.images[ref_id]] + [scene.images[s] for s in sources]
     cams = [scene.cameras[ref_id]] + [scene.cameras[s] for s in sources]
-    return network.forward_views(images, cams, use_guidance=use_guidance)
+    return network.forward_views(images, cams)
 
 
-def run_inference(cfg, dataset_dir, checkpoint_path, out_dir, network=None,
-                  scene_filter=None, collect=False):
+def run_inference(cfg, dataset_dir, checkpoint_path, out_dir, network=None, collect=False):
     """Write final-stage depth and confidence PFMs for every reference view.
 
     Outputs land in <out_dir>/<scene>/<view>_depth.pfm and _conf.pfm. Returns
     a record per view (and the stage outputs when `collect` is set).
     """
     scenes = load_dataset(dataset_dir, with_gt=False)
-    if scene_filter is not None:
-        scenes = [s for s in scenes if s.name in scene_filter]
     if network is None:
         network = build_network(cfg)
         if checkpoint_path:

@@ -58,8 +58,6 @@ class VolumeRegularizer(Module):
                            bias=True, rng=rng)
 
     def forward(self, volume):
-        if hasattr(volume, "data") and not isinstance(volume, Tensor):
-            volume = volume.data  # accept a CostVolume wrapper
         c, d, h, w = volume.shape
         if c != self.in_channels:
             raise DimensionError(

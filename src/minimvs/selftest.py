@@ -1,327 +1,112 @@
-"""Fast built-in sanity checks for every basic operator and format contract.
+"""End-to-end smoke run behind `minimvs selftest`.
 
-`minimvs selftest` runs each check as a plain assertion and prints one line
-per check; the suite doubles as executable documentation of the elementary
-behaviors the rest of the pipeline assumes.
+One tiny synthetic scene goes through the whole pipeline: untrained
+inference, fusion, a PLY round trip and cloud scoring. Each step logs one
+line and checks the contracts the later steps rely on. The first failing
+step logs a FAIL line and ends the run; the pytest suite holds the unit
+checks.
+
+Untrained depth maps fuse to no points under the default thresholds, so the
+fusion step fuses the scene's ground-truth depth maps at confidence 1.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import tempfile
 
 import numpy as np
 
-from . import cost as C
-from . import evaluation as E
-from . import features as F
-from . import formats
-from . import fusion as FU
-from . import geometry as G
-from . import synth
-from . import tensor as T
-from . import training as TR
+from . import evaluation, formats, fusion, pipeline, synth
 from .config import FusionSettings, PipelineConfig
-from .errors import ParameterError
-from .nn import Adam
-from .pipeline import build_network
-from .regularizer import VolumeRegularizer, wta_depth
-from .tensor import ConvParams, Parameter, Tensor
+from .geometry import backproject
+
+VIEWS = 3
+HEIGHT, WIDTH = 32, 40
+SEED = 6
 
 
-def _check_tensor_ops():
-    out = T.conv2d(Tensor(np.ones((1, 3, 3))),
-                   ConvParams(Tensor(np.full((1, 1, 1, 1), 2.0)), Tensor([0.0]), 1, 0))
-    assert np.allclose(out.data, 2.0)
-
-    sm = T.softmax_axis(Tensor([0.0, 0.0]), 0)
-    assert np.allclose(sm.data, [0.5, 0.5])
-    sm = T.softmax_axis(Tensor([1000.0, 1000.0]), 0)
-    assert np.allclose(sm.data, [0.5, 0.5])
-
-    src = Tensor(np.arange(12.0).reshape(1, 3, 4))
-    coords = np.stack([np.array([[1.0, 2.0]]), np.array([[0.0, 2.0]])])
-    sampled = T.grid_sample_bilinear(src, coords)
-    assert np.allclose(sampled.data, [[[1.0, 10.0]]])
-    oob, mask = T.grid_sample_bilinear(src, np.full((2, 1, 1), -1.0), return_mask=True)
-    assert oob.data[0, 0, 0] == 0.0 and not mask[0, 0]
-
-    assert np.allclose(T.relu(Tensor([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
-
-    a = Tensor(np.random.default_rng(0).normal(size=(2, 3, 1)))
-    b = Tensor(np.random.default_rng(1).normal(size=(2, 1, 4)))
-    c = Tensor(np.random.default_rng(2).normal(size=(2, 3, 4)))
-    assert T.mul(T.mul(a, b), c).shape == (2, 3, 4)
-
-    x = Tensor(np.arange(8.0).reshape(1, 2, 2, 2))
-    ident = T.conv3d(x, ConvParams(Tensor(np.ones((1, 1, 1, 1, 1))), None, 1, 0))
-    assert np.array_equal(ident.data, x.data)
-
-    cube = T.conv3d(Tensor(np.ones((1, 2, 2, 2))),
-                    ConvParams(Tensor(np.ones((1, 1, 2, 2, 2))), None, 2, 0))
-    assert cube.shape == (1, 1, 1, 1) and cube.data.reshape(()) == 8.0
-
-    up = T.conv_transpose3d(
-        Tensor(np.random.default_rng(3).normal(size=(1, 4, 4, 4))),
-        ConvParams(Tensor(np.random.default_rng(4).normal(size=(1, 1, 3, 3, 3))),
-                   None, 2, 1, 1),
-    )
-    assert up.shape[1:] == (8, 8, 8)
-
-    xs = Parameter([1.0, 2.0])
-    loss = T.sum_all(T.mul(xs, xs))
-    T.backward(loss)
-    assert np.allclose(xs.grad, [2.0, 4.0])
+def _expect(ok, what):
+    # explicit raise, not `assert`: the checks must also run under `python -O`
+    if not ok:
+        raise AssertionError(what)
 
 
-def _check_geometry():
-    cam = G.Camera(np.array([[100.0, 0, 32], [0, 100.0, 24], [0, 0, 1]]),
-                   np.eye(3), np.zeros(3), 1.0, 9.0)
-    for d in (0.5, 1.0, 7.3, 100.0):
-        h = G.homography(cam, cam, d)
-        assert np.abs(h - np.eye(3)).max() < 1e-12
-
-    hyp = G.initial_hypotheses((1.0, 9.0), 8)
-    assert math.isclose(hyp.spacing, 8.0 / 7.0)
-    assert hyp.values[0] == 1.0 and hyp.values[-1] == 9.0
-    two = G.initial_hypotheses((1.0, 9.0), 2)
-    assert np.array_equal(two.values, [1.0, 9.0])
-    try:
-        G.initial_hypotheses((2.0, 2.0), 8)
-        raise AssertionError("degenerate range accepted")
-    except ParameterError:
-        pass
-
-    center = np.full((4, 4), 5.0)
-    ref = G.refine_hypotheses(hyp, center, 8, (8, 8))
-    assert np.allclose(ref.values.mean(axis=0), 5.0)
-    low = G.refine_hypotheses(hyp, np.full((4, 4), 1.0), 8, (8, 8))
-    assert np.allclose(low.values[0], 1.0)
-
-    coords = G.warp_coords(cam, cam, hyp, 6, 6)
-    vs, us = np.meshgrid(np.arange(6.0), np.arange(6.0), indexing="ij")
-    assert np.abs(coords[0] - us[None]).max() < 1e-9
-    assert np.abs(coords[1] - vs[None]).max() < 1e-9
+def _check_inference(records, scene):
+    _expect(len(records) == VIEWS, f"{len(records)} depth maps for {VIEWS} views")
+    for rec in records:
+        cam = scene.cameras[rec["view"]]
+        for out in rec["outputs"]:
+            dev = np.abs(out.prob.data.sum(axis=0) - 1.0).max()
+            _expect(dev <= 1e-5, f"stage {out.stage} probability sum off by {dev:.1e}")
+            for weights in out.view_weights:
+                dev = np.abs(weights.data.sum(axis=0) - 1.0).max()
+                _expect(dev <= 1e-6, f"stage {out.stage} view weights off by {dev:.1e}")
+        depth = formats.read_pfm(rec["depth_path"])
+        lo, hi = np.float32(cam.depth_min), np.float32(cam.depth_max)
+        _expect(np.all((depth >= lo) & (depth <= hi)),
+                f"view {rec['view']} depth outside [{lo}, {hi}]")
 
 
-def _check_features():
-    const = F.coordinate_pool(Tensor(np.full((2, 3, 4), 7.0)))
-    assert np.allclose(const[0].data, 7.0) and np.allclose(const[1].data, 7.0)
-
-    gate = F.CoordinateGate(4, rng=np.random.default_rng(0))
-    for p in gate.parameters():
-        p.data[...] = 0.0
-    t_h, t_w = F.coordinate_pool(Tensor(np.random.default_rng(1).normal(size=(4, 5, 6))))
-    a_h, a_w = gate.forward(t_h, t_w)
-    assert a_h.shape == (4, 5, 1) and a_w.shape == (4, 1, 6)
-    assert np.allclose(a_h.data, 0.5) and np.allclose(a_w.data, 0.5)
-
-    fine = Tensor(np.random.default_rng(2).normal(size=(3, 4, 4)))
-    ones = Tensor(np.ones((3, 4, 1))), Tensor(np.ones((3, 1, 4)))
-    fused = F.gated_fuse(Tensor(np.zeros((3, 2, 2))), fine, *ones)
-    assert np.allclose(fused.data, fine.data)
-    halves = Tensor(np.full((3, 4, 1), 0.5)), Tensor(np.full((3, 1, 4), 0.5))
-    att = T.mul(T.mul(halves[0], halves[1]), fine)
-    assert np.allclose(att.data, fine.data / 4.0)
-
-    net = F.FeatureExtractor(rng=np.random.default_rng(3))
-    net.eval()
-    pyr = net.forward(Tensor(np.random.default_rng(4).uniform(size=(3, 64, 64))))
-    assert pyr[0].shape == (32, 8, 8) and pyr[1].shape == (16, 16, 16)
-    assert pyr[2].shape == (8, 32, 32) and pyr[3].shape == (8, 64, 64)
-    for stage in range(4):
-        assert np.all(np.isfinite(pyr[stage].data))
-
-
-def _check_cost():
-    f0 = Tensor(np.random.default_rng(0).normal(size=(4, 3, 3)))
-    vol = C.reference_volume(f0, 4)
-    assert vol.shape == (4, 4, 3, 3)
-    for d in range(4):
-        assert np.array_equal(vol.data[:, d], f0.data)
-    assert np.allclose(vol.data.sum(axis=1), 4.0 * f0.data)
-
-    const = Tensor(np.ones((2, 4, 3, 3)))
-    w = C.view_weights(const, 2.0)
-    assert np.allclose(w.data, 0.25)
-    rngc = Tensor(np.random.default_rng(1).normal(size=(2, 4, 3, 3)))
-    w_hot = C.view_weights(rngc, 1e6)
-    assert np.abs(w_hot.data - 0.25).max() < 1e-4
-
-    single = C.aggregate([rngc], [w])
-    assert np.abs(single.data - rngc.data).max() < 1e-12
-    twin = C.aggregate([rngc, rngc], [w, w])
-    assert np.abs(twin.data - rngc.data).max() < 1e-12
-
-    guide = C.VolumeGuidance(8, 8, 0, 0)
-    out = guide.forward(None, rngc)
-    assert out is rngc
-    guide11 = C.VolumeGuidance(2 * 4, 2 * 4, 1, 1, rng=np.random.default_rng(2))
-    guide11.eval()
-    prev = Tensor(np.random.default_rng(3).normal(size=(2, 4, 2, 2)))
-    curr = Tensor(np.random.default_rng(4).normal(size=(2, 4, 4, 4)))
-    out11 = guide11.forward(prev, curr)
-    assert out11.shape == (2 + 2, 4, 4, 4)
-
-
-def _check_regularizer():
-    reg = VolumeRegularizer(2, 4, rng=np.random.default_rng(0))
-    reg.eval()
-    vol = Tensor(np.random.default_rng(1).normal(size=(2, 4, 6, 5)))
-    prob = reg.forward(vol)
-    assert prob.shape == (4, 6, 5)
-    assert np.abs(prob.data.sum(axis=0) - 1.0).max() < 1e-5
-
-    const = Tensor(np.full((2, 4, 6, 5), 1.3))
-    uniform = reg.forward(const)
-    assert np.abs(uniform.data - 0.25).max() < 1e-9
-
-    hyp = G.initial_hypotheses((1.0, 4.0), 4)
-    p = np.zeros((4, 2, 2))
-    p[2] = 1.0
-    dm = wta_depth(p, hyp)
-    assert np.allclose(dm.depth, hyp.values[2]) and np.allclose(dm.confidence, 1.0)
-    dm_uniform = wta_depth(np.full((4, 2, 2), 0.25), hyp)
-    assert np.allclose(dm_uniform.depth, hyp.values[0])
-    assert np.allclose(dm_uniform.confidence, 0.25)
-
-
-def _check_trainer():
-    hyp = G.initial_hypotheses((1.0, 9.0), 8)
-    gt = np.full((2, 2), hyp.values[3])
-    enc = TR.encode_gt(gt, None, hyp)
-    assert np.all(enc.indices == 3)
-    hyp5 = G.initial_hypotheses((1.0, 9.0), 5)  # spacing 2: exact float ties
-    midway = np.full((2, 2), (hyp5.values[1] + hyp5.values[2]) / 2.0)
-    assert np.all(TR.encode_gt(midway, None, hyp5).indices == 1)
-    outside = np.full((2, 2), 100.0)
-    assert TR.encode_gt(outside, None, hyp).count == 0
-
-    prob = np.full((8, 2, 2), 1e-9)
-    enc = TR.encode_gt(gt, None, hyp)
-    onehot = np.zeros((8, 2, 2))
-    onehot[3] = 1.0
-    loss = TR.pixelwise_ce(Tensor(onehot), enc)
-    assert abs(float(loss.data)) < 1e-12
-    del prob
-
-    half = np.full((8, 1, 1), 0.5 / 7)
-    half[3] = 0.5
-    enc1 = TR.encode_gt(np.full((1, 1), hyp.values[3]), None, hyp)
-    loss_half = TR.pixelwise_ce(Tensor(half), enc1)
-    assert abs(float(loss_half.data) - math.log(2.0)) < 1e-12
-
-    losses = [Tensor(float(v)) for v in (1.0, 2.0, 3.0, 4.0)]
-    assert float(TR.total_loss(losses, (1, 1, 1, 1)).data) == 10.0
-    assert float(TR.total_loss(losses, (0, 0, 0, 1)).data) == 4.0
-    assert float(TR.total_loss(losses, (0, 0, 0, 0)).data) == 0.0
-
-    p = Parameter(np.arange(4.0))
-    before = p.data.copy()
-    opt = Adam([p], lr=0.0)
-    p.grad = np.ones(4)
-    opt.step()
-    assert np.array_equal(p.data, before)
-
-
-def _check_fusion():
-    conf = np.array([[0.3, 0.7]])
-    assert np.array_equal(FU.photometric_filter(conf, 0.0), [[True, True]])
-    assert np.array_equal(FU.photometric_filter(conf, 1.0 + 1e-9), [[False, False]])
-    assert np.array_equal(FU.photometric_filter(conf, 0.5), [[False, True]])
-
-    cam = G.Camera(np.array([[50.0, 0, 8], [0, 50.0, 6], [0, 0, 1]]),
-                   np.eye(3), np.zeros(3), 1.0, 9.0)
-    depth = np.full((12, 16), 5.0)
-    chk = FU.geometric_check(cam, cam, depth, depth)
-    assert chk.err_c.max() < 1e-9 and chk.err_d.max() < 1e-9
-
-    cfg = FusionSettings(min_consistent_views=3, dynamic=False)
-    cloud = FU.fuse([depth, depth], [np.ones_like(depth)] * 2,
-                    [np.zeros((3, 12, 16))] * 2,
-                    [cam, cam], cfg)
-    assert len(cloud.points) == 0  # only 1 source exists, 3 required
-
-
-def _check_evaluation():
-    report = E.depth_errors(np.ones((4, 4)), np.ones((4, 4)))
-    assert report.ade == 0.0 and all(v == 0.0 for v in report.tde.values())
-
-    pts = np.random.default_rng(0).normal(size=(50, 3))
-    rep = E.cloud_distance_metrics(pts, pts, outlier_cap=2.0)
-    assert rep.acc == 0.0 and rep.comp == 0.0 and rep.overall == 0.0
-    thr = E.threshold_metrics(pts, pts, 0.5)
-    assert thr.precision == 100.0 and thr.recall == 100.0 and thr.fscore == 100.0
-
-
-def _check_synth_and_io():
-    cam = G.Camera(synth.default_intrinsics(16, 16), np.eye(3), np.zeros(3), 1.0, 9.0)
-    scene = synth.plane_scene(4.0)
-    _, depth, valid = synth.render(scene, cam, 16, 16)
-    assert np.all(valid)
-    assert np.abs(depth - 4.0).max() < 1e-9
-
-    with tempfile.TemporaryDirectory() as tmp:
-        synth.make_dataset(tmp, 1, 3, 16, 24, seed=5)
-        scene_dir = os.path.join(tmp, "scene_0000")
-        assert len(os.listdir(os.path.join(scene_dir, "images"))) == 3
-        assert len(os.listdir(os.path.join(scene_dir, "cams"))) == 3
-        assert len(os.listdir(os.path.join(scene_dir, "depths"))) == 3
-        assert os.path.exists(os.path.join(scene_dir, "pair.txt"))
-
-        dmap = np.random.default_rng(1).uniform(1.0, 9.0, (6, 8)).astype(np.float32)
-        pfm_path = os.path.join(tmp, "t.pfm")
-        formats.write_pfm(pfm_path, dmap)
-        assert np.array_equal(formats.read_pfm(pfm_path), dmap)
-
-        ply_path = os.path.join(tmp, "t.ply")
-        formats.write_ply(ply_path, np.zeros((1, 3)), np.ones((1, 3)))
-        pts, cols = formats.read_ply(ply_path)
-        assert pts.shape == (1, 3) and np.array_equal(pts[0], [0, 0, 0])
-        assert np.array_equal(cols[0], [1.0, 1.0, 1.0])
-
-
-def _check_untrained_inference():
-    cfg = PipelineConfig()
-    cfg.train.views = 2  # single source view: degenerate aggregation path
-    cfg.validate()
-    net = build_network(cfg, seed=11)
-    net.eval()
-    cams = synth.arc_cameras(2, 32, 40, radius=4.0, span_deg=10.0, depth_range=(3.0, 6.0))
-    scene = synth.plane_scene(4.2)
-    images = [synth.render(scene, cam, 32, 40)[0] for cam in cams]
-    with T.no_grad():
-        outputs = net.forward_views(images, cams)
-    for out in outputs:
-        total = out.prob.data.sum(axis=0)
-        assert np.abs(total - 1.0).max() < 1e-5
-        assert out.depth.min() >= 3.0 - 1e-9 and out.depth.max() <= 6.0 + 1e-9
-        for wfield in out.view_weights:
-            assert np.abs(wfield.data.sum(axis=0) - 1.0).max() < 1e-6
-
-
-CHECKS = [
-    ("tensor ops", _check_tensor_ops),
-    ("camera geometry", _check_geometry),
-    ("feature extraction", _check_features),
-    ("cost volume", _check_cost),
-    ("regularizer + winner-takes-all", _check_regularizer),
-    ("loss encoding + optimizer", _check_trainer),
-    ("fusion filters", _check_fusion),
-    ("evaluation metrics", _check_evaluation),
-    ("synthetic scenes + formats", _check_synth_and_io),
-    ("untrained inference contract", _check_untrained_inference),
-]
+def _gt_cloud(scene):
+    h, w = scene.gt_depths[0].shape
+    vs, us = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64),
+                         indexing="ij")
+    clouds = []
+    for cam, depth in zip(scene.cameras, scene.gt_depths):
+        valid = depth > 0
+        clouds.append(backproject(cam, np.stack([us[valid], vs[valid]]), depth[valid]).T)
+    return np.concatenate(clouds)
 
 
 def run_selftest(log=print):
-    failures = 0
-    for name, fn in CHECKS:
-        try:
-            fn()
-            log(f"ok   {name}")
-        except Exception as exc:  # report and continue: the suite is diagnostic
-            failures += 1
-            log(f"FAIL {name}: {exc!r}")
-    return failures
+    """Run the smoke test, logging one line per step; returns the failure count."""
+    step = "synth"
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            data = os.path.join(tmp, "data")
+            synth.make_dataset(data, 1, VIEWS, HEIGHT, WIDTH, seed=SEED, style="plane")
+            scene = pipeline.load_dataset(data)[0]
+            log(f"ok   synth: {VIEWS} views at {HEIGHT}x{WIDTH}")
+
+            step = "infer"
+            cfg = PipelineConfig()
+            cfg.train.views = VIEWS
+            cfg.validate()
+            records = pipeline.run_inference(cfg, data, "", os.path.join(tmp, "depths"),
+                                             collect=True)
+            _check_inference(records, scene)
+            log(f"ok   infer: {len(records)} untrained depth maps, normalized volumes")
+
+            step = "fuse"
+            settings = FusionSettings(min_consistent_views=VIEWS - 1)
+            cloud = fusion.fuse(scene.gt_depths, [np.ones_like(d) for d in scene.gt_depths],
+                                scene.images, scene.cameras, settings)
+            _expect(len(cloud.points) > 0, "fusion kept no points")
+            log(f"ok   fuse: {len(cloud.points)} points from ground-truth depth")
+
+            step = "ply"
+            ply = os.path.join(tmp, "cloud.ply")
+            formats.write_ply(ply, cloud.points, cloud.colors)
+            points, colors = formats.read_ply(ply)
+            _expect(np.array_equal(points, cloud.points.astype(np.float32)),
+                    "PLY positions differ from their float32 values")
+            _expect(np.array_equal(colors, np.rint(cloud.colors * 255.0) / 255.0),
+                    "PLY colors differ from their 8-bit values")
+            log(f"ok   ply: {len(points)} points round-trip")
+
+            step = "eval"
+            footprint = float(np.mean([d[d > 0].mean() for d in scene.gt_depths])
+                              / scene.cameras[0].K[0, 0])
+            gt = _gt_cloud(scene)
+            dist = evaluation.cloud_distance_metrics(points, gt, outlier_cap=4 * footprint)
+            thr = evaluation.threshold_metrics(points, gt, footprint)
+            _expect(dist.acc <= footprint,
+                    f"accuracy {dist.acc:.2e} above footprint {footprint:.2e}")
+            _expect(thr.precision == 100.0, f"precision {thr.precision:.2f}% at one footprint")
+            log(f"ok   eval: accuracy {dist.acc:.2e}, F-score {thr.fscore:.2f} "
+                f"at tau {footprint:.2e}")
+    except Exception as exc:  # name the step that broke; the run is diagnostic
+        log(f"FAIL {step}: {exc!r}")
+        return 1
+    return 0

@@ -25,16 +25,7 @@ import numpy as np
 
 from .errors import DimensionError, NumericError, ParameterError, UsageError
 
-_FINITE_CHECKS = True
 _GRAD_ENABLED = True
-
-
-def set_finite_checks(enabled):
-    """Toggle the NaN/Inf guard applied to every operator output."""
-    global _FINITE_CHECKS
-    previous = _FINITE_CHECKS
-    _FINITE_CHECKS = bool(enabled)
-    return previous
 
 
 @contextmanager
@@ -62,7 +53,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data, dtype=np.float64)
-        if _FINITE_CHECKS and not np.all(np.isfinite(arr)):
+        if not np.all(np.isfinite(arr)):
             raise NumericError("tensor holds non-finite values")
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -83,42 +74,8 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self):
-        return float(self.data.reshape(()))
-
-    def detach(self):
-        return Tensor(self.data, requires_grad=False)
-
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self._op}, requires_grad={self.requires_grad})"
-
-    # operator sugar -------------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
 
 class Parameter(Tensor):
@@ -136,7 +93,7 @@ def _as_tensor(value):
 
 def _result(data, parents, backward_fn, op):
     data = np.asarray(data, dtype=np.float64)
-    if _FINITE_CHECKS and not np.all(np.isfinite(data)):
+    if not np.all(np.isfinite(data)):
         raise NumericError(f"operator '{op}' produced non-finite values")
     requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
     out = Tensor.__new__(Tensor)
@@ -231,19 +188,6 @@ def add(a, b):
     return _result(data, (a, b), bwd, "add")
 
 
-def sub(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        data = a.data - b.data
-    except ValueError as exc:
-        raise DimensionError(f"sub: shapes {a.shape} and {b.shape} do not broadcast") from exc
-
-    def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return _result(data, (a, b), bwd, "sub")
-
-
 def mul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     try:
@@ -273,11 +217,6 @@ def div(a, b):
         return ga, gb
 
     return _result(data, (a, b), bwd, "div")
-
-
-def neg(a):
-    a = _as_tensor(a)
-    return _result(-a.data, (a,), lambda g: (-g,), "neg")
 
 
 def relu(a):
@@ -506,17 +445,6 @@ class ConvParams:
             _tuple_n(self.padding, n, "padding"),
             _tuple_n(self.output_padding, n, "output_padding"),
         )
-
-
-def same_padding(kernel):
-    """Padding that preserves spatial extents at stride 1; kernel must be odd."""
-    if isinstance(kernel, int):
-        kernel = (kernel,)
-    for k in kernel:
-        if k % 2 == 0:
-            raise ParameterError(f"'same' padding requires odd kernel extents, got {kernel}")
-    pads = tuple((k - 1) // 2 for k in kernel)
-    return pads if len(pads) > 1 else pads[0]
 
 
 def _tuple_n(value, n, name):

@@ -16,19 +16,6 @@ from .tensor import Tensor
 
 _LOG_FLOOR = 1e-12
 
-# pixels skipped because a stage had no valid ground truth at all
-_empty_mask_count = 0
-
-
-def empty_mask_warnings():
-    return _empty_mask_count
-
-
-def reset_empty_mask_warnings():
-    global _empty_mask_count
-    _empty_mask_count = 0
-
-
 @dataclass
 class GroundTruthStage:
     """Nearest-hypothesis bin index per pixel plus the valid-pixel mask."""
@@ -61,12 +48,10 @@ def pixelwise_ce(prob, gt):
     """Mean over valid pixels of -log P at the ground-truth bin.
 
     The log argument is clamped at 1e-12. An empty mask yields a constant
-    zero loss and bumps the warning counter.
+    zero loss.
     """
-    global _empty_mask_count
     n = gt.count
     if n == 0:
-        _empty_mask_count += 1
         return Tensor(0.0)
     d, h, w = prob.shape
     onehot = np.zeros((d, h, w))

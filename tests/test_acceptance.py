@@ -5,14 +5,13 @@ import os
 import time
 
 import numpy as np
-from conftest import fronto_plane_setup, random_calibrated_pair
+from conftest import fronto_plane_setup, photometric_features, random_calibrated_pair
 from minimvs import cost as C
 from minimvs import evaluation, fusion, pipeline, synth, training
 from minimvs import gradcheck
 from minimvs import tensor as T
 from minimvs.checkpoint import load_checkpoint
 from minimvs.config import FusionSettings, PipelineConfig
-from minimvs.features import photometric_features
 from minimvs.geometry import backproject, homography, initial_hypotheses, project
 
 # criterion-4 training setup: 4 scenes, 64x80, N=3, 200 iterations, fixed seed.

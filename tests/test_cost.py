@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fronto_plane_setup, make_camera
+from conftest import fronto_plane_setup, make_camera, photometric_features
 from minimvs import tensor as T
 from minimvs.cost import (VolumeGuidance, aggregate, reference_volume,
                           view_weights, warp_and_correlate)
 from minimvs.errors import ParameterError, UsageError
-from minimvs.features import photometric_features
 from minimvs.geometry import initial_hypotheses
 from minimvs.tensor import Tensor
 

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from conftest import photometric_features
 from minimvs import gradcheck
 from minimvs import tensor as T
 from minimvs.errors import ParameterError
-from minimvs.features import (CoordinateGate, FeatureExtractor, coordinate_pool,
-                              gated_fuse, photometric_features)
+from minimvs.features import CoordinateGate, FeatureExtractor, coordinate_pool, gated_fuse
 from minimvs.tensor import Tensor
 
 

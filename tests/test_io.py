@@ -6,11 +6,12 @@ import sys
 import numpy as np
 import pytest
 
-from minimvs import formats
+from minimvs import formats, fusion
 from minimvs.cli import main
 from minimvs.config import (PipelineConfig, default_config_text, load_config,
                             parse_config_text)
 from minimvs.errors import ParameterError, ParseError
+from minimvs.pipeline import read_pair_file
 
 
 class TestPfm:
@@ -118,6 +119,18 @@ class TestPly:
             formats.read_ply(path)
 
 
+@pytest.mark.parametrize("name, blob, reader", [
+    ("neg.pfm", b"Pf\n-4 3\n-1.0\n" + b"\x00" * 48, formats.read_pfm),
+    ("pair.txt", b"3\n0 2 1 1.0\n", read_pair_file),
+    ("pair.txt", b"1\n0 1 x 1.0\n", read_pair_file),
+], ids=["pfm-negative-dims", "pair-truncated", "pair-non-integer"])
+def test_malformed_input_raises_parse_error(tmp_path, name, blob, reader):
+    path = tmp_path / name
+    path.write_bytes(blob)
+    with pytest.raises(ParseError):
+        reader(str(path))
+
+
 class TestConfig:
     def test_defaults_validate(self):
         PipelineConfig().validate()
@@ -186,6 +199,14 @@ class TestCli:
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
+
+    def test_selftest_failing_stage_returns_two(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("injected fusion failure")
+
+        monkeypatch.setattr(fusion, "fuse", broken)
+        assert main(["selftest"]) == 2
+        assert "FAIL fuse" in capsys.readouterr().out
 
     def test_gradcheck_subset(self, capsys):
         assert main(["gradcheck", "--ops", "add,relu,softmax_axis"]) == 0

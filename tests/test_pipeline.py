@@ -72,6 +72,12 @@ class TestForward:
         with T.no_grad():
             outs = pipeline.infer_view(net, scene, 0, 2)
         assert outs[-1].depth.shape == (16, 24)
+        cam = scene.cameras[0]
+        for out in outs:
+            assert np.abs(out.prob.data.sum(axis=0) - 1.0).max() < 1e-5
+            assert cam.depth_min - 1e-9 <= out.depth.min()
+            assert out.depth.max() <= cam.depth_max + 1e-9
+            assert np.abs(out.view_weights[0].data.sum(axis=0) - 1.0).max() < 1e-6
 
     def test_stage_resolution_ladder(self, tmp_path):
         root = _dataset(tmp_path, h=32, w=40)

@@ -147,10 +147,6 @@ class TestConv:
         with pytest.raises(DimensionError):
             T.conv2d(x, ConvParams(w, None, 1, 1))
 
-    def test_same_padding_requires_odd_kernel(self):
-        with pytest.raises(Exception):
-            T.same_padding(4)
-
 
 # ---------------------------------------------------------------------------
 # softmax / elementwise
@@ -247,6 +243,15 @@ class TestGridSample:
 # gradients
 # ---------------------------------------------------------------------------
 
+def random_instance_check(op_builder, n_instances=20, seed=0, tol=1e-3):
+    """Repeat an FD check over freshly seeded random instances."""
+    worst = 0.0
+    for i in range(n_instances):
+        loss_fn, params = op_builder(np.random.default_rng(seed + i))
+        worst = max(worst, gradcheck.max_relative_error(loss_fn, params))
+    return worst <= tol, worst
+
+
 class TestBackward:
     def test_sum_of_squares(self):
         x = Parameter([1.0, 2.0])
@@ -299,7 +304,7 @@ class TestBackward:
 
             return loss, [x, w]
 
-        ok, worst = gradcheck.random_instance_check(build, n_instances=20)
+        ok, worst = random_instance_check(build, n_instances=20)
         assert ok, f"worst relative error {worst}"
 
     def test_interior_grads_freed_after_backward(self):
