@@ -38,65 +38,132 @@ def depth_errors(pred, gt, mask=None, thresholds=DEFAULT_TDE_THRESHOLDS):
 
 
 # ---------------------------------------------------------------------------
-# nearest neighbors on a uniform grid (radius-capped queries)
+# nearest neighbors on a ladder of uniform grids (radius-capped queries)
 # ---------------------------------------------------------------------------
 
-class GridIndex:
-    """Uniform-grid nearest-neighbor index with a fixed search radius.
+_BLOCK_PAIRS = 1 << 17  # (query, point) pairs expanded at once; bounds the memory
+_MAX_CELLS = 1 << 20    # cells per axis at most, so cell keys fit in int64
+# Relative margin on every cell side. Keys floor((x - origin) / side) stay
+# below _MAX_CELLS, so their rounding error is under 5e-10 of a cell.
+_EDGE = 1e-9
 
-    Cell size equals the radius, so every point within the radius of a query
-    lies in one of the 27 cells around the query's cell; anything farther is
-    reported as not found, which is exactly the capped-metric semantics.
+
+def _finite_xyz(xyz, what):
+    xyz = np.asarray(xyz, dtype=np.float64).reshape(-1, 3)
+    if not np.all(np.isfinite(xyz)):
+        raise ParameterError(f"{what} must be finite")
+    return xyz
+
+
+class GridIndex:
+    """Exact nearest-neighbor index with a fixed search radius.
+
+    The cells come from the point density, not from the radius: level k of a
+    ladder of uniform grids has cells of side ``base * 2**k``, where ``base``
+    puts about eight points of a surface cloud in each cell that it crosses.
+    Every point within one side of a query lies in the 27 cells around the
+    query's cell, so a query is final at the first level whose side its best
+    candidate is strictly inside; the others move up a level. The last
+    level's side is just above the radius, and anything farther than the
+    radius is reported as not found, which is exactly the capped-metric
+    semantics.
     """
 
     def __init__(self, points, radius):
-        if radius <= 0:
-            raise ParameterError(f"search radius must be > 0, got {radius}")
-        self.points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-        self.radius = float(radius)
-        keys = np.floor(self.points / self.radius).astype(np.int64)
-        self.cells = {}
-        order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
-        sorted_keys = keys[order]
-        if len(order):
-            change = np.nonzero(np.any(np.diff(sorted_keys, axis=0) != 0, axis=1))[0] + 1
-            starts = np.concatenate([[0], change, [len(order)]])
-            for a, b in zip(starts[:-1], starts[1:]):
-                self.cells[tuple(sorted_keys[a])] = order[a:b]
+        radius = float(radius)
+        if not (np.isfinite(radius) and radius > 0):
+            raise ParameterError(f"search radius must be finite and > 0, got {radius}")
+        self.points = _finite_xyz(points, "points")
+        self.radius = radius
+        self.sides = []
+        n = len(self.points)
+        if n == 0:
+            return
+        self.origin = self.points.min(axis=0)
+        extent = float(np.ptp(self.points, axis=0).max())
+        finest = extent / _MAX_CELLS
+        # the density is judged from the widest axis of the central 90% of
+        # the points, so that outliers do not inflate the cells
+        lo, hi = np.percentile(self.points, [5.0, 95.0], axis=0)
+        base = max(min(float(np.max(hi - lo)) / np.sqrt(0.9 * n / 8.0), radius), finest)
+        # A level of side 2*extent already holds every query inside the box.
+        ceiling = min(radius, 2.0 * extent)
+        levels = int(np.ceil(np.log2(ceiling / base))) if base < ceiling else 0
+        self.sides = [base * 2.0 ** k for k in range(levels)]
+        self.sides.append(max(radius, finest) * (1.0 + _EDGE))
 
-    def nearest(self, queries, chunk=128):
+    def nearest(self, queries):
         """(distances, found) per query; distance is exact when within radius."""
-        queries = np.asarray(queries, dtype=np.float64).reshape(-1, 3)
-        n = len(queries)
-        dist = np.full(n, np.inf)
-        found = np.zeros(n, dtype=bool)
-        if n == 0 or len(self.points) == 0:
-            return dist, found
-        qkeys = np.floor(queries / self.radius).astype(np.int64)
-        uniq, inverse = np.unique(qkeys, axis=0, return_inverse=True)
-        px, py, pz = self.points.T
-        for ui, key in enumerate(uniq):
-            cand = [
-                self.cells.get((key[0] + dx, key[1] + dy, key[2] + dz))
-                for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
-            ]
-            cand = [c for c in cand if c is not None]
-            qi = np.nonzero(inverse == ui)[0]
-            if not cand:
-                continue
-            idx = np.concatenate(cand)
-            cx, cy, cz = px[idx], py[idx], pz[idx]
-            for a in range(0, len(qi), chunk):
-                block = qi[a:a + chunk]
-                q = queries[block]
-                d2 = (q[:, 0:1] - cx[None]) ** 2
-                d2 += (q[:, 1:2] - cy[None]) ** 2
-                d2 += (q[:, 2:3] - cz[None]) ** 2
-                best = np.sqrt(d2.min(axis=1))
-                dist[block] = best
-                found[block] = best <= self.radius
-        dist[~found] = np.inf
-        return dist, found
+        queries = _finite_xyz(queries, "queries")
+        dist = np.full(len(queries), np.inf)
+        active = np.arange(len(queries))
+        for level, side in enumerate(self.sides):
+            if len(active) == 0:
+                break
+            best = self._level_nearest(side, queries[active])
+            if level == len(self.sides) - 1:
+                done = best <= self.radius
+            else:
+                done = best < side * (1.0 - _EDGE)
+            dist[active[done]] = best[done]
+            active = active[~done]
+        return dist, np.isfinite(dist)
+
+    def _level_nearest(self, side, queries):
+        """Distance to the nearest point in the 27 cells around each query
+        (inf when they are empty) on the grid of the given side."""
+        keys = np.floor((self.points - self.origin) / side).astype(np.int64)
+        shape = keys.max(axis=0) + 1
+        cell = (keys[:, 0] * shape[1] + keys[:, 1]) * shape[2] + keys[:, 2]
+        order = np.argsort(cell)
+        cell, points = cell[order], self.points[order]
+        # Clipping keeps far-away queries in int64; their cells stay empty.
+        qk = np.clip(np.floor((queries - self.origin) / side), -2, shape + 1).astype(np.int64)
+        # Sorted by cell, the queries of one cell share their key ranges and
+        # read nearby points.
+        qcell = ((qk[:, 0] + 2) * (shape[1] + 4) + qk[:, 1] + 2) * (shape[2] + 4) + qk[:, 2] + 2
+        qorder = np.argsort(qcell)
+        qcell = qcell[qorder]
+        first = np.concatenate([[True], qcell[1:] != qcell[:-1]])
+        cell_of = np.cumsum(first) - 1
+        uk = qk[qorder[first]]
+        z0 = np.maximum(uk[:, 2] - 1, 0)
+        z1 = np.minimum(uk[:, 2] + 1, shape[2] - 1)
+        starts = np.empty((len(uk), 9), dtype=np.int64)
+        ends = np.empty_like(starts)
+        # the 3 z-neighbours of each (x, y) row are one contiguous key range
+        for j, (dx, dy) in enumerate((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)):
+            x, y = uk[:, 0] + dx, uk[:, 1] + dy
+            row = (x * shape[1] + y) * shape[2]
+            inside = (x >= 0) & (x < shape[0]) & (y >= 0) & (y < shape[1]) & (z0 <= z1)
+            starts[:, j] = np.searchsorted(cell, row + z0)
+            ends[:, j] = np.where(inside, np.searchsorted(cell, row + z1, side="right"),
+                                  starts[:, j])
+        counts = ends - starts
+        per_query = counts.sum(axis=1)[cell_of]
+        total = np.cumsum(per_query)
+        queries = queries[qorder]
+        best = np.full(len(queries), np.inf)
+        a = 0
+        while a < len(queries):
+            before = total[a - 1] if a else 0
+            b = max(a + 1, int(np.searchsorted(total, before + _BLOCK_PAIRS, side="right")))
+            c = counts[cell_of[a:b]].ravel()
+            pos = np.repeat(starts[cell_of[a:b]].ravel() - (np.cumsum(c) - c), c)
+            pos += np.arange(len(pos))
+            if len(pos):
+                q = np.repeat(queries[a:b], per_query[a:b], axis=0)
+                p = points[pos]
+                d2 = (q[:, 0] - p[:, 0]) ** 2
+                d2 += (q[:, 1] - p[:, 1]) ** 2
+                d2 += (q[:, 2] - p[:, 2]) ** 2
+                hit = per_query[a:b] > 0
+                head = (np.cumsum(per_query[a:b]) - per_query[a:b])[hit]
+                best[a:b][hit] = np.sqrt(np.minimum.reduceat(d2, head))
+            a = b
+        out = np.empty_like(best)
+        out[qorder] = best
+        return out
 
 
 def nearest_distances(queries, points, radius):

@@ -37,7 +37,7 @@ def read_pair_file(path):
     with open(path, "r", encoding="utf-8") as fh:
         tokens = fh.read().split()
     if not tokens:
-        raise DatasetError(f"{path}: empty pair file")
+        raise ParseError(f"{path}: empty pair file")
     pos = 0
     try:
         n = int(tokens[pos]); pos += 1
@@ -50,12 +50,12 @@ def read_pair_file(path):
                 ranked.append((int(tokens[pos]), float(tokens[pos + 1])))
                 pos += 2
             if ref < 0 or ref >= n:
-                raise DatasetError(f"{path}: reference id {ref} out of range")
+                raise ParseError(f"{path}: reference id {ref} out of range")
             pairs[ref] = ranked
     except (IndexError, ValueError) as exc:
         raise ParseError(f"{path}: truncated or malformed at token {pos}") from exc
     if any(p is None for p in pairs):
-        raise DatasetError(f"{path}: missing reference entries")
+        raise ParseError(f"{path}: missing reference entries")
     return pairs
 
 

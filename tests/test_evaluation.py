@@ -1,7 +1,9 @@
 """Depth-error and point-cloud metrics against brute-force oracles."""
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minimvs.errors import ParameterError
 from minimvs.evaluation import (cloud_distance_metrics, depth_errors,
@@ -9,11 +11,22 @@ from minimvs.evaluation import (cloud_distance_metrics, depth_errors,
 
 
 def brute_force_nearest(queries, points):
-    """O(n*m) oracle for nearest-neighbor distances."""
+    """O(n*m) oracle for nearest-neighbor distances, with the index's arithmetic."""
     out = np.empty(len(queries))
     for i, q in enumerate(queries):
-        out[i] = np.sqrt(((points - q) ** 2).sum(axis=1)).min()
+        d2 = (q[0] - points[:, 0]) ** 2
+        d2 += (q[1] - points[:, 1]) ** 2
+        d2 += (q[2] - points[:, 2]) ** 2
+        out[i] = np.sqrt(d2.min())
     return out
+
+
+def assert_matches_brute_force(queries, points, radius):
+    dist, found = nearest_distances(queries, points, radius)
+    brute = brute_force_nearest(queries, points)
+    np.testing.assert_array_equal(found, brute <= radius)
+    np.testing.assert_array_equal(dist[found], brute[found])
+    assert np.all(dist[~found] == np.inf)
 
 
 class TestDepthErrors:
@@ -84,6 +97,55 @@ class TestCloudDistances:
             else:
                 assert not found[i]
 
+    @pytest.mark.parametrize("radius", [0.1, 0.25, 1.0, 3.0])
+    def test_point_at_exactly_the_radius_is_found(self, radius):
+        d, found = nearest_distances([[radius, 0.0, 0.0]], [[0.0, 0.0, 0.0]], radius)
+        assert found[0] and d[0] == radius
+
+    def test_neighbour_across_a_rounded_cell_edge_is_found(self):
+        """Within the radius, yet floor((x - origin) / radius) puts the point two
+        cells from the query: the last level's side must exceed the radius."""
+        origin, radius = -18.74959573565897, 0.08376493989599784
+        query, point = 4.872117315012419, 4.955882254908415
+        assert_matches_brute_force([[query, 0.0, 0.0]],
+                                   np.array([[origin, 0.0, 0.0], [point, 0.0, 0.0]]), radius)
+
+    @pytest.mark.parametrize("where", ["points", "queries", "radius"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, rng, where, bad):
+        points = rng.uniform(-1, 1, (50, 3))
+        queries = points.copy()
+        radius = 1.0
+        if where == "radius":
+            radius = bad
+        else:
+            (points if where == "points" else queries)[7, 1] = bad
+        with pytest.raises(ParameterError):
+            nearest_distances(queries, points, radius)
+        with pytest.raises(ParameterError):
+            cloud_distance_metrics(queries, points, outlier_cap=radius)
+
+    def test_surface_cloud_at_scale(self):
+        """20k-point surface clouds with 2% outliers, searched both ways at the
+        CLI default cap and below the point spacing (about 0.024)."""
+        rng = np.random.default_rng(7)
+
+        def surface(n):
+            x, y = rng.uniform(0, 4, n), rng.uniform(0, 3, n)
+            pts = np.stack([x, y, 0.3 * np.sin(3 * x) + 0.2 * np.cos(5 * y)], axis=1)
+            wild = rng.random(n) < 0.02
+            pts[wild] += rng.normal(0, 1.0, (int(wild.sum()), 3))
+            return pts
+
+        a, b = surface(20000), surface(20000)
+        for radius in (20.0, 0.01):
+            for queries, points in ((a, b), (b, a)):
+                dist, found = nearest_distances(queries, points, radius)
+                pick = rng.choice(len(queries), 64, replace=False)
+                brute = brute_force_nearest(queries[pick], points)
+                np.testing.assert_array_equal(found[pick], brute <= radius)
+                np.testing.assert_array_equal(dist[pick][found[pick]], brute[brute <= radius])
+
     def test_outlier_cap_excludes(self):
         recon = np.array([[0.0, 0, 0], [100.0, 0, 0]])
         gt = np.array([[1.0, 0, 0]])
@@ -126,6 +188,30 @@ class TestCloudDistances:
         assert abs(r.acc - 0.327) < 1e-12
         assert abs(r.comp - 0.251) < 1e-12
         assert abs(r.overall - 0.289) < 1e-12
+
+
+_COORDS = st.one_of(st.integers(-4, 4).map(float),   # duplicates, multiples of the radius
+                    st.floats(-4, 4, allow_nan=False))
+
+
+def _clouds(max_points):
+    return hnp.arrays(np.float64, st.tuples(st.integers(1, max_points), st.just(3)),
+                      elements=_COORDS)
+
+
+_POINTS = st.one_of(
+    _clouds(40),
+    st.tuples(_clouds(1), st.integers(1, 20)).map(lambda c: np.repeat(c[0], c[1], axis=0)),
+)
+_QUERIES = st.one_of(_clouds(20), _clouds(5).map(lambda q: q * 1e3))  # or far outside
+_RADII = st.one_of(st.sampled_from([0.5, 1.0, 2.0, 1e-3, 1e3]),  # 1e3 exceeds the box
+                   st.floats(1e-3, 1e3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=_POINTS, queries=_QUERIES, radius=_RADII)
+def test_index_matches_brute_force(points, queries, radius):
+    assert_matches_brute_force(queries, points, radius)
 
 
 class TestThresholdMetrics:

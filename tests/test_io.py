@@ -123,7 +123,11 @@ class TestPly:
     ("neg.pfm", b"Pf\n-4 3\n-1.0\n" + b"\x00" * 48, formats.read_pfm),
     ("pair.txt", b"3\n0 2 1 1.0\n", read_pair_file),
     ("pair.txt", b"1\n0 1 x 1.0\n", read_pair_file),
-], ids=["pfm-negative-dims", "pair-truncated", "pair-non-integer"])
+    ("pair.txt", b" \n", read_pair_file),
+    ("pair.txt", b"2\n0 1 1 1.0\n5 1 0 1.0\n", read_pair_file),
+    ("pair.txt", b"2\n0 1 1 1.0\n0 1 1 1.0\n", read_pair_file),
+], ids=["pfm-negative-dims", "pair-truncated", "pair-non-integer", "pair-empty",
+        "pair-reference-out-of-range", "pair-missing-reference"])
 def test_malformed_input_raises_parse_error(tmp_path, name, blob, reader):
     path = tmp_path / name
     path.write_bytes(blob)
@@ -227,6 +231,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert "precision" in out and "100.0000" in out
         assert "overall" in out
+
+    @pytest.mark.parametrize("cap", ["nan", "inf"])
+    def test_eval_cloud_non_finite_cap_returns_two(self, tmp_path, rng, cap):
+        path = tmp_path / "a.ply"
+        formats.write_ply(path, rng.uniform(-1, 1, (50, 3)))
+        assert main(["eval-cloud", "--recon", str(path), "--gt", str(path),
+                     "--cap", cap]) == 2
 
     def test_eval_depth_writes_inside_out_dir(self, tmp_path, capsys, rng):
         gt = rng.uniform(1, 9, (8, 8)).astype(np.float32)
