@@ -10,9 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 from .errors import ParameterError, ParseError
-
-STAGE_COUNT = 4
-FIXED_SCALES = (8, 4, 2, 1)
+from .geometry import STAGE_COUNT
 
 
 @dataclass
@@ -33,7 +31,7 @@ class TrainSettings:
         if self.batch_size < 1:
             raise ParameterError("train.batch_size must be >= 1")
         if len(self.stage_weights) != STAGE_COUNT:
-            raise ParameterError("train.stage_weights needs 4 entries")
+            raise ParameterError(f"train.stage_weights needs {STAGE_COUNT} entries")
         if any(w < 0 for w in self.stage_weights):
             raise ParameterError("train.stage_weights must be >= 0")
         if self.views < 2:
@@ -87,7 +85,6 @@ class SynthSettings:
 class PipelineConfig:
     depths: tuple = (8, 8, 4, 4)
     groups: tuple = (8, 8, 4, 4)
-    stage_scales: tuple = FIXED_SCALES
     feature_channels: tuple = (32, 16, 8, 8)
     temperature: float = 2.0
     guidance_coarse: int = 1   # channels compressed from the previous stage
@@ -103,14 +100,9 @@ class PipelineConfig:
     synth: SynthSettings = field(default_factory=SynthSettings)
 
     def validate(self):
-        for name in ("depths", "groups", "stage_scales", "feature_channels"):
+        for name in ("depths", "groups", "feature_channels"):
             if len(getattr(self, name)) != STAGE_COUNT:
                 raise ParameterError(f"pipeline.{name} needs exactly {STAGE_COUNT} entries")
-        if tuple(self.stage_scales) != FIXED_SCALES:
-            raise ParameterError(
-                f"pipeline.stage_scales must be {FIXED_SCALES}: the cascade halves "
-                "spacing and doubles resolution per stage"
-            )
         for d in self.depths:
             if d < 2 or d % 4:
                 raise ParameterError("pipeline.depths entries must be multiples of 4, >= 4")

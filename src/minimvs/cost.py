@@ -22,11 +22,6 @@ class PairwiseCorrelation:
     valid: np.ndarray  # (D, H, W); invalid warps contribute exact zeros
 
 
-def reference_volume(feats, num_depths):
-    """Broadcast reference features (C, H, W) to (C, D, H, W)."""
-    return T.expand_axis(feats, 1, num_depths)
-
-
 def warp_and_correlate(ref_feats, src_feats, ref_cam, src_cam, hyp, groups):
     """Group-wise correlation of warped source features against the reference.
 
@@ -43,8 +38,7 @@ def warp_and_correlate(ref_feats, src_feats, ref_cam, src_cam, hyp, groups):
     flat = coords.reshape(2, d * h, w)
     warped, valid = T.grid_sample_bilinear(src_feats, flat, return_mask=True)
     warped = T.reshape(warped, (c, d, h, w))
-    ref_vol = reference_volume(ref_feats, d)
-    prod = T.mul(ref_vol, warped)
+    prod = T.mul(T.reshape(ref_feats, (c, 1, h, w)), warped)  # broadcast over D
     corr = T.mean_axis(T.reshape(prod, (groups, c // groups, d, h, w)), 1)
     return PairwiseCorrelation(corr, valid.reshape(d, h, w))
 

@@ -144,18 +144,20 @@ _VERTEX_DTYPE = np.dtype(
 )
 
 
-def write_ply(path, points, colors=None, binary=True):
-    """Write points (N, 3) and colors (N, 3) in [0, 1] (white if omitted)."""
+def write_ply(path, points, colors=None):
+    """Write points (N, 3) and colors (N, 3) in [0, 1] (white if omitted) as binary PLY."""
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = points.shape[0]
     if colors is None:
         colors = np.ones((n, 3))
     colors = np.asarray(colors, dtype=np.float64).reshape(-1, 3)
     rgb = np.clip(np.rint(colors * 255.0), 0, 255).astype(np.uint8)
-    fmt = "binary_little_endian" if binary else "ascii"
+    rec = np.empty(n, dtype=_VERTEX_DTYPE)
+    rec["x"], rec["y"], rec["z"] = points.astype("<f4").T
+    rec["red"], rec["green"], rec["blue"] = rgb.T
     header = (
         "ply\n"
-        f"format {fmt} 1.0\n"
+        "format binary_little_endian 1.0\n"
         f"element vertex {n}\n"
         "property float x\nproperty float y\nproperty float z\n"
         "property uchar red\nproperty uchar green\nproperty uchar blue\n"
@@ -163,19 +165,7 @@ def write_ply(path, points, colors=None, binary=True):
     )
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        if binary:
-            rec = np.empty(n, dtype=_VERTEX_DTYPE)
-            rec["x"], rec["y"], rec["z"] = points.astype("<f4").T
-            rec["red"], rec["green"], rec["blue"] = rgb.T
-            fh.write(rec.tobytes())
-        else:
-            xyz = points.astype(np.float32)
-            rows = [
-                f"{xyz[i, 0]:.9g} {xyz[i, 1]:.9g} {xyz[i, 2]:.9g} "
-                f"{rgb[i, 0]} {rgb[i, 1]} {rgb[i, 2]}"
-                for i in range(n)
-            ]
-            fh.write(("\n".join(rows) + ("\n" if rows else "")).encode("ascii"))
+        fh.write(rec.tobytes())
 
 
 def read_ply(path):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import FusionSettings
-from .geometry import backproject, project
+from .geometry import backproject, pixel_grid, project
 
 
 @dataclass
@@ -64,9 +64,7 @@ def geometric_check(ref_cam, src_cam, ref_depth, src_depth):
     depth disagreement. Pixels that leave the source image are marked invalid.
     """
     h, w = ref_depth.shape
-    vs, us = np.meshgrid(np.arange(h, dtype=np.float64),
-                         np.arange(w, dtype=np.float64), indexing="ij")
-    pix = np.stack([us.ravel(), vs.ravel()])
+    pix = pixel_grid(h, w).reshape(2, -1)
     d_ref = np.asarray(ref_depth, dtype=np.float64).ravel()
     has_depth = d_ref > 0
 
@@ -129,7 +127,6 @@ def fuse(depths, confidences, images, cameras, cfg: FusionSettings):
     all_points, all_colors, all_ids = [], [], []
     for ref in range(n_views):
         depth = np.asarray(depths[ref], dtype=np.float64)
-        h, w = depth.shape
         photo = photometric_filter(confidences[ref], cfg.confidence_threshold)
         checks = [
             geometric_check(cameras[ref], cameras[s], depth, depths[s])
@@ -141,9 +138,7 @@ def fuse(depths, confidences, images, cameras, cfg: FusionSettings):
         keep = photo & geo & (depth > 0)
         if not np.any(keep):
             continue
-        vs, us = np.meshgrid(np.arange(h, dtype=np.float64),
-                             np.arange(w, dtype=np.float64), indexing="ij")
-        pix = np.stack([us[keep], vs[keep]])
+        pix = pixel_grid(*depth.shape)[:, keep]
         pts = backproject(cameras[ref], pix, depth[keep]).T  # (N, 3)
         if cfg.average_points:
             acc = pts.copy()

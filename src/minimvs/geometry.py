@@ -24,6 +24,14 @@ from .errors import ParameterError, ParseError
 from .tensor import resize_bilinear
 
 STAGE_SCALES = (8, 4, 2, 1)  # full-resolution divisor per stage
+STAGE_COUNT = len(STAGE_SCALES)
+
+
+def pixel_grid(height, width, step=1):
+    """Pixel-center coordinates (2, H', W'): rows u then v, every `step`-th pixel."""
+    vs, us = np.meshgrid(np.arange(0, height, step, dtype=np.float64),
+                         np.arange(0, width, step, dtype=np.float64), indexing="ij")
+    return np.stack([us, vs])
 
 
 @dataclass
@@ -170,8 +178,8 @@ def initial_hypotheses(depth_range, num_depths):
     return HypothesisSet(0, values, spacing, (lo, hi))
 
 
-def refine_hypotheses(prev, center_depth, num_depths, out_hw=None):
-    """Per-pixel window for the next stage around the upsampled center.
+def refine_hypotheses(prev, center_depth, num_depths, out_hw):
+    """Per-pixel window at resolution `out_hw` around the upsampled center.
 
     The spacing halves; the window is centered on the bilinearly upsampled
     center and shifted (never shrunk) to stay inside the depth range, so D is
@@ -179,8 +187,6 @@ def refine_hypotheses(prev, center_depth, num_depths, out_hw=None):
     """
     lo, hi = prev.depth_range
     center = np.asarray(center_depth, dtype=np.float64)
-    if out_hw is None:
-        out_hw = (2 * center.shape[0], 2 * center.shape[1])
     if center.shape != tuple(out_hw):
         center = resize_bilinear(center, out_hw)
     spacing = prev.spacing / 2.0
@@ -209,10 +215,7 @@ def warp_coords(ref, src, hyp, height, width):
     a = src.K @ r_rel @ k_inv
     b = src.K @ t_rel
     depths = hyp.per_pixel(height, width).reshape(hyp.num_depths, -1)
-
-    vs, us = np.meshgrid(np.arange(height, dtype=np.float64),
-                         np.arange(width, dtype=np.float64), indexing="ij")
-    homog = np.stack([us.ravel(), vs.ravel(), np.ones(height * width)])
+    homog = np.vstack([pixel_grid(height, width).reshape(2, -1), np.ones((1, height * width))])
     base = a @ homog                                      # (3, HW)
     pts = base[:, None, :] + b[:, None, None] / depths[None]  # (3, D, HW)
     z = pts[2]

@@ -173,25 +173,22 @@ class BatchNorm(Module):
     `eval_stats` picks the statistics used outside training: "instance"
     normalizes each sample by its own spatial statistics (no side effects;
     matches the single-sample training distribution), "running" uses the
-    tracked averages.
+    tracked averages. Momentum and eps are the `tensor.batch_norm` defaults.
     """
 
-    def __init__(self, num_features, momentum=0.9, eps=1e-5, eval_stats="instance"):
+    def __init__(self, num_features):
         super().__init__()
         self.gamma = Parameter(np.ones(num_features))
         self.beta = Parameter(np.zeros(num_features))
         self.register_buffer("running_mean", np.zeros(num_features))
         self.register_buffer("running_var", np.ones(num_features))
-        self.momentum = momentum
-        self.eps = eps
-        self.eval_stats = eval_stats
+        self.eval_stats = "instance"
 
     def forward(self, x):
         batch_stats = self.training or self.eval_stats == "instance"
         return T.batch_norm(
             x, self.gamma, self.beta, self.running_mean, self.running_var,
-            training=batch_stats, momentum=self.momentum, eps=self.eps,
-            update_running=self.training,
+            training=batch_stats, update_running=self.training,
         )
 
 
@@ -227,16 +224,18 @@ class ConvBnReLU3d(Module):
         return T.relu(self.bn.forward(self.conv.forward(x)))
 
 
-class Adam(object):
-    """Adam with bias correction (beta1=0.9, beta2=0.999, eps=1e-8)."""
+class Adam:
+    """Adam with bias correction."""
 
-    def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params, lr=1e-3):
         if lr < 0:
             raise ParameterError(f"learning rate must be >= 0, got {lr}")
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]

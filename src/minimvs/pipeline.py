@@ -14,7 +14,8 @@ from .config import PipelineConfig
 from .cost import VolumeGuidance, aggregate, view_weights, warp_and_correlate
 from .errors import DatasetError, ParseError
 from .features import FeatureExtractor
-from .geometry import initial_hypotheses, read_camera, refine_hypotheses
+from .geometry import (STAGE_COUNT, STAGE_SCALES, initial_hypotheses, read_camera,
+                       refine_hypotheses)
 from .nn import BatchNorm, Module, ModuleList
 from .regularizer import VolumeRegularizer, wta_depth
 from .tensor import Tensor
@@ -41,13 +42,20 @@ def read_pair_file(path):
     pos = 0
     try:
         n = int(tokens[pos]); pos += 1
+        if n < 1:
+            raise ParseError(f"{path}: view count {n} is not positive")
         pairs = [None] * n
         for _ in range(n):
             ref = int(tokens[pos]); pos += 1
             count = int(tokens[pos]); pos += 1
+            if count < 0:
+                raise ParseError(f"{path}: negative source count {count} for view {ref}")
             ranked = []
             for _ in range(count):
-                ranked.append((int(tokens[pos]), float(tokens[pos + 1])))
+                src = int(tokens[pos])
+                if src < 0 or src >= n:
+                    raise ParseError(f"{path}: source id {src} out of range at token {pos}")
+                ranked.append((src, float(tokens[pos + 1])))
                 pos += 2
             if ref < 0 or ref >= n:
                 raise ParseError(f"{path}: reference id {ref} out of range")
@@ -114,7 +122,7 @@ class CascadeNetwork(Module):
         self.cfg = cfg
         self.features = FeatureExtractor(cfg.feature_channels, cfg.attention_reduction, rng=rng)
         guidance = []
-        for stage in range(1, 4):
+        for stage in range(1, STAGE_COUNT):
             prev_flat = cfg.groups[stage - 1] * cfg.depths[stage - 1]
             curr_flat = cfg.groups[stage] * cfg.depths[stage]
             guidance.append(
@@ -123,7 +131,7 @@ class CascadeNetwork(Module):
             )
         self.guidance = ModuleList(guidance)
         regs = []
-        for stage in range(4):
+        for stage in range(STAGE_COUNT):
             extra = 0 if stage == 0 else cfg.guidance_coarse + cfg.guidance_fine
             regs.append(
                 VolumeRegularizer(cfg.groups[stage] + extra, cfg.regularizer_base, rng=rng)
@@ -142,8 +150,7 @@ class CascadeNetwork(Module):
         hyp = None
         prev_volume = None
         prev_depth = None
-        for stage in range(4):
-            scale = cfg.stage_scales[stage]
+        for stage, scale in enumerate(STAGE_SCALES):
             stage_cams = [cam.scaled(1.0 / scale) for cam in cameras]
             _, sh, sw = pyramids[0][stage].shape
             if stage == 0:
@@ -190,11 +197,14 @@ def select_sources(pairs, ref_id, n_views):
     return ranked[:wanted]
 
 
+def view_set(scene, ref_id, n_views):
+    """(images, cameras) of the reference view followed by its top-ranked sources."""
+    ids = [ref_id] + select_sources(scene.pairs, ref_id, n_views)
+    return [scene.images[i] for i in ids], [scene.cameras[i] for i in ids]
+
+
 def infer_view(network, scene, ref_id, n_views):
-    sources = select_sources(scene.pairs, ref_id, n_views)
-    images = [scene.images[ref_id]] + [scene.images[s] for s in sources]
-    cams = [scene.cameras[ref_id]] + [scene.cameras[s] for s in sources]
-    return network.forward_views(images, cams)
+    return network.forward_views(*view_set(scene, ref_id, n_views))
 
 
 def run_inference(cfg, dataset_dir, checkpoint_path, out_dir, network=None, collect=False):

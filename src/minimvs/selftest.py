@@ -19,7 +19,7 @@ import numpy as np
 
 from . import evaluation, formats, fusion, pipeline, synth
 from .config import FusionSettings, PipelineConfig
-from .geometry import backproject
+from .geometry import backproject, pixel_grid
 
 VIEWS = 3
 HEIGHT, WIDTH = 32, 40
@@ -49,13 +49,11 @@ def _check_inference(records, scene):
 
 
 def _gt_cloud(scene):
-    h, w = scene.gt_depths[0].shape
-    vs, us = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64),
-                         indexing="ij")
+    grid = pixel_grid(*scene.gt_depths[0].shape)
     clouds = []
     for cam, depth in zip(scene.cameras, scene.gt_depths):
         valid = depth > 0
-        clouds.append(backproject(cam, np.stack([us[valid], vs[valid]]), depth[valid]).T)
+        clouds.append(backproject(cam, grid[:, valid], depth[valid]).T)
     return np.concatenate(clouds)
 
 

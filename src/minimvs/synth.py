@@ -17,7 +17,7 @@ import numpy as np
 
 from . import formats
 from .errors import ParameterError
-from .geometry import Camera, backproject, project, write_camera
+from .geometry import Camera, backproject, pixel_grid, project, write_camera
 
 _EPS = 1e-9
 
@@ -231,10 +231,7 @@ def render(scene, cam, height, width):
     """Render pixel centers: image (3, H, W), depth (H, W), valid (H, W)."""
     if height % 8 or width % 8:
         raise ParameterError(f"render resolution must be divisible by 8, got {height}x{width}")
-    vs, us = np.meshgrid(np.arange(height, dtype=np.float64),
-                         np.arange(width, dtype=np.float64), indexing="ij")
-    pixels = np.stack([us.ravel(), vs.ravel()])
-    colors, depth, valid = trace(scene, cam, pixels)
+    colors, depth, valid = trace(scene, cam, pixel_grid(height, width).reshape(2, -1))
     return (colors.reshape(3, height, width),
             depth.reshape(height, width),
             valid.reshape(height, width))
@@ -283,20 +280,6 @@ def arc_cameras(n_views, height, width, radius=4.0, span_deg=24.0, rise=0.35,
         r, t = look_at(pos, target)
         cams.append(Camera(k.copy(), r, t, depth_range[0], depth_range[1]))
     return cams
-
-
-def plane_scene(depth, extent=6.0, texture=None, tilt=(0.0, 0.0)):
-    """A single large textured quad roughly perpendicular to +z at `depth`.
-
-    `tilt` gives the slopes of the plane along x and y (0 = fronto-parallel
-    for a camera looking down +z from the origin).
-    """
-    texture = texture if texture is not None else Texture()
-    origin = np.array([-extent / 2.0, -extent / 2.0,
-                       depth - extent / 2.0 * (tilt[0] + tilt[1])])
-    edge_u = np.array([extent, 0.0, extent * tilt[0]])
-    edge_v = np.array([0.0, extent, extent * tilt[1]])
-    return Scene([Rectangle(origin, edge_u, edge_v, texture)])
 
 
 def random_scene(rng, with_flat_patch=False, style="objects"):
@@ -355,14 +338,11 @@ def rank_source_views(cams, depths, valids, step=4):
     """
     n = len(cams)
     h, w = depths[0].shape
-    vs, us = np.meshgrid(np.arange(0, h, step, dtype=np.float64),
-                         np.arange(0, w, step, dtype=np.float64), indexing="ij")
+    grid = pixel_grid(h, w, step)
     pairs = []
     for r in range(n):
-        d = depths[r][::step, ::step].ravel()
-        m = valids[r][::step, ::step].ravel()
-        pix = np.stack([us.ravel()[m], vs.ravel()[m]])
-        pts = backproject(cams[r], pix, d[m])
+        m = valids[r][::step, ::step]
+        pts = backproject(cams[r], grid[:, m], depths[r][::step, ::step][m])
         scores = []
         for s in range(n):
             if s == r:

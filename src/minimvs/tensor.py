@@ -9,15 +9,19 @@ and a flat tape that is freed after every backward pass.
 Gradients are exact analytic adjoints; `gradcheck` verifies every operator
 against central finite differences.
 
-Operators are pure with respect to their inputs (batch norm's running-buffer
-update is the one documented exception), so running one forward/backward per
-thread on disjoint graphs is safe; results are bit-identical across repeated
+Grad mode is a context variable, so `no_grad` in one thread leaves graph
+recording in every other thread on. Operators are pure with respect to their
+inputs (batch norm's running-buffer update in training is the one documented
+exception), so threads may run forward passes concurrently, and backward
+passes on graphs that share no leaf tensors: `backward` accumulates into each
+leaf's `.grad` without a lock. Results are bit-identical across repeated
 single-threaded runs.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -25,19 +29,17 @@ import numpy as np
 
 from .errors import DimensionError, NumericError, ParameterError, UsageError
 
-_GRAD_ENABLED = True
+_GRAD_ENABLED = ContextVar("grad_enabled", default=True)
 
 
 @contextmanager
 def no_grad():
     """Disable graph recording inside the block (inference / oracles)."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    token = _GRAD_ENABLED.set(False)
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _GRAD_ENABLED.reset(token)
 
 
 class Tensor:
@@ -95,7 +97,7 @@ def _result(data, parents, backward_fn, op):
     data = np.asarray(data, dtype=np.float64)
     if not np.all(np.isfinite(data)):
         raise NumericError(f"operator '{op}' produced non-finite values")
-    requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    requires = _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.requires_grad = requires
@@ -388,36 +390,21 @@ def replicate_pad_axis(a, axis, before, after):
     constant along depth stays constant after convolution.
     """
     a = _as_tensor(a)
-    parts = []
-    first = [slice(None)] * a.ndim
-    first[axis] = slice(0, 1)
-    last = [slice(None)] * a.ndim
-    last[axis] = slice(a.shape[axis] - 1, a.shape[axis])
-    parts.extend([a.data[tuple(first)]] * before)
-    parts.append(a.data)
-    parts.extend([a.data[tuple(last)]] * after)
-    data = np.concatenate(parts, axis=axis)
+    pads = [(0, 0)] * a.ndim
+    pads[axis] = (before, after)
     n = a.shape[axis]
 
     def bwd(g):
-        core = [slice(None)] * a.ndim
-        core[axis] = slice(before, before + n)
-        out = g[tuple(core)].copy()
+        g = np.moveaxis(g, axis, 0)
+        out = g[before:before + n].copy()
+        # guarded: adding an empty sum would turn -0.0 into 0.0
         if before:
-            head = [slice(None)] * a.ndim
-            head[axis] = slice(0, before)
-            tgt = [slice(None)] * a.ndim
-            tgt[axis] = slice(0, 1)
-            out[tuple(tgt)] += g[tuple(head)].sum(axis=axis, keepdims=True)
+            out[0] += g[:before].sum(axis=0)
         if after:
-            tail = [slice(None)] * a.ndim
-            tail[axis] = slice(before + n, before + n + after)
-            tgt = [slice(None)] * a.ndim
-            tgt[axis] = slice(n - 1, n)
-            out[tuple(tgt)] += g[tuple(tail)].sum(axis=axis, keepdims=True)
-        return (out,)
+            out[-1] += g[before + n:].sum(axis=0)
+        return (np.moveaxis(out, 0, axis),)
 
-    return _result(data, (a,), bwd, "replicate_pad")
+    return _result(np.pad(a.data, pads, mode="edge"), (a,), bwd, "replicate_pad")
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,13 @@ import numpy as np
 
 from . import tensor as T
 from .errors import NumericError
+from .geometry import STAGE_COUNT, STAGE_SCALES
 from .nn import Adam
-from .pipeline import build_network, save_network, select_sources
+from .pipeline import build_network, save_network, view_set
 from .tensor import Tensor
 
 _LOG_FLOOR = 1e-12
+_STAGE_KEYS = [f"stage{s}" for s in range(STAGE_COUNT)]  # loss trace columns
 
 @dataclass
 class GroundTruthStage:
@@ -79,7 +81,7 @@ def stage_losses_for_sample(network, images, cams, gt_depth, valid):
     outputs = network.forward_views(images, cams)
     losses = []
     for out in outputs:
-        factor = network.cfg.stage_scales[out.stage]
+        factor = STAGE_SCALES[out.stage]
         gt_s, valid_s = downsample_gt(gt_depth, valid, factor)
         gt_enc = encode_gt(gt_s, valid_s, out.hypotheses)
         losses.append(pixelwise_ce(out.prob, gt_enc))
@@ -115,14 +117,12 @@ def train(scenes, cfg, out_dir, log=None):
             batch.append(samples[oi])
             if len(batch) < tc.batch_size:
                 continue
-            stage_sums = np.zeros(4)
+            stage_sums = np.zeros(STAGE_COUNT)
             total_val = 0.0
             optimizer.zero_grad()
             for si, ref in batch:
                 scene = scenes[si]
-                srcs = select_sources(scene.pairs, ref, tc.views)
-                images = [scene.images[ref]] + [scene.images[s] for s in srcs]
-                cams = [scene.cameras[ref]] + [scene.cameras[s] for s in srcs]
+                images, cams = view_set(scene, ref, tc.views)
                 gt = scene.gt_depths[ref]
                 valid = gt > 0
                 try:
@@ -141,10 +141,7 @@ def train(scenes, cfg, out_dir, log=None):
             stage_means = stage_sums / tc.batch_size
             trace.append({
                 "iteration": iteration,
-                "stage0": stage_means[0],
-                "stage1": stage_means[1],
-                "stage2": stage_means[2],
-                "stage3": stage_means[3],
+                **dict(zip(_STAGE_KEYS, stage_means)),
                 "total": total_val / tc.batch_size,
             })
             if log is not None and iteration % 10 == 0:
@@ -162,9 +159,7 @@ def train(scenes, cfg, out_dir, log=None):
     save_network(final_path, network)
     trace_path = os.path.join(out_dir, "loss_trace.csv")
     with open(trace_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["iteration", "stage0", "stage1", "stage2", "stage3", "total"]
-        )
+        writer = csv.DictWriter(fh, fieldnames=["iteration", *_STAGE_KEYS, "total"])
         writer.writeheader()
         for row in trace:
             writer.writerow(row)

@@ -47,6 +47,20 @@ def random_calibrated_pair(rng, depth_range=(1.0, 50.0)):
     return cam(), cam()
 
 
+def plane_scene(depth, extent=6.0, texture=None, tilt=(0.0, 0.0)):
+    """A single large textured quad roughly perpendicular to +z at `depth`.
+
+    `tilt` gives the slopes of the plane along x and y (0 = fronto-parallel
+    for a camera looking down +z from the origin).
+    """
+    texture = texture if texture is not None else synth.Texture()
+    origin = np.array([-extent / 2.0, -extent / 2.0,
+                       depth - extent / 2.0 * (tilt[0] + tilt[1])])
+    edge_u = np.array([extent, 0.0, extent * tilt[0]])
+    edge_v = np.array([0.0, extent, extent * tilt[1]])
+    return synth.Scene([synth.Rectangle(origin, edge_u, edge_v, texture)])
+
+
 def fronto_plane_setup(height=64, width=80, n_views=3, span_deg=40.0,
                        depth=4.5, spacing=0.95, noise_scale=14.0, seed=1,
                        focal_factor=1.6):

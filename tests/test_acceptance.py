@@ -5,7 +5,8 @@ import os
 import time
 
 import numpy as np
-from conftest import fronto_plane_setup, photometric_features, random_calibrated_pair
+from conftest import (fronto_plane_setup, photometric_features, plane_scene,
+                      random_calibrated_pair)
 from minimvs import cost as C
 from minimvs import evaluation, fusion, pipeline, synth, training
 from minimvs import gradcheck
@@ -68,9 +69,9 @@ class TestAcceptance:
         # full 4-stage pipeline at 16x16: finite differences on 10 random parameters
         cams = synth.arc_cameras(2, 16, 16, radius=3.4, span_deg=18.0,
                                  depth_range=(1.0, 99.0), focal_factor=1.7)
-        scene = synth.plane_scene(0.7, extent=10.0, tilt=(0.05, -0.04),
-                                  texture=synth.Texture(noise_amount=0.6,
-                                                        noise_scale=10.0, seed=3))
+        scene = plane_scene(0.7, extent=10.0, tilt=(0.05, -0.04),
+                            texture=synth.Texture(noise_amount=0.6,
+                                                  noise_scale=10.0, seed=3))
         renders = [synth.render(scene, cam, 16, 16) for cam in cams]
         depths = np.concatenate([r[1][r[2]] for r in renders])
         from minimvs.geometry import Camera
@@ -179,8 +180,7 @@ class TestAcceptance:
         root = str(tmp_path / "data")
         synth.make_dataset(root, 1, 3, 32, 40, seed=5, style="plane")
         scene = pipeline.load_dataset(root)[0]
-        images = [scene.images[0]] + [scene.images[s] for s, _ in scene.pairs[0][:2]]
-        cams = [scene.cameras[0]] + [scene.cameras[s] for s, _ in scene.pairs[0][:2]]
+        images, cams = pipeline.view_set(scene, 0, 3)
 
         for num in (0, 1, 2, 3, 4):
             cfg = PipelineConfig()

@@ -7,21 +7,10 @@ import pytest
 
 from conftest import fronto_plane_setup, make_camera, photometric_features
 from minimvs import tensor as T
-from minimvs.cost import (VolumeGuidance, aggregate, reference_volume,
-                          view_weights, warp_and_correlate)
+from minimvs.cost import VolumeGuidance, aggregate, view_weights, warp_and_correlate
 from minimvs.errors import ParameterError, UsageError
 from minimvs.geometry import initial_hypotheses
 from minimvs.tensor import Tensor
-
-
-class TestReferenceVolume:
-    def test_slices_identical(self, rng):
-        f0 = Tensor(rng.standard_normal((4, 3, 5)))
-        vol = reference_volume(f0, 4)
-        assert vol.shape == (4, 4, 3, 5)
-        for d in range(4):
-            assert np.array_equal(vol.data[:, d], f0.data)
-        assert np.abs(vol.data.sum(axis=1) - 4.0 * f0.data).max() < 1e-15
 
 
 class TestWarpAndCorrelate:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import (fronto_plane_setup, make_camera, random_calibrated_pair,
+from conftest import (fronto_plane_setup, make_camera, plane_scene, random_calibrated_pair,
                       rotation_from_axis_angle)
 from minimvs import synth
 from minimvs.errors import ParameterError, ParseError
@@ -158,7 +158,7 @@ class TestHypotheses:
     def test_four_stage_gt_tracking(self):
         """With exact GT centers the stage-3 window contains GT everywhere."""
         cam = make_camera(fx=60.0, fy=60.0, cx=19.5, cy=15.5, depth_range=(3.0, 6.0))
-        scene = synth.plane_scene(4.3, extent=12.0, tilt=(0.06, -0.05))
+        scene = plane_scene(4.3, extent=12.0, tilt=(0.06, -0.05))
         _, gt, valid = synth.render(scene, cam, 32, 40)
         assert valid.all()
         hyp = initial_hypotheses((3.0, 6.0), 8)

@@ -86,19 +86,22 @@ class TestPly:
         pts = rng.uniform(-3, 3, (40, 3)).astype(np.float32).astype(np.float64)
         cols = rng.integers(0, 256, (40, 3)) / 255.0
         path = tmp_path / "c.ply"
-        formats.write_ply(path, pts, cols, binary=True)
+        formats.write_ply(path, pts, cols)
         back_pts, back_cols = formats.read_ply(path)
         assert np.array_equal(back_pts.astype(np.float32), pts.astype(np.float32))
         assert np.array_equal(back_cols, cols)
 
     def test_ascii_round_trip(self, tmp_path):
-        pts = np.array([[0.0, 0.0, 0.0], [1.5, -2.25, 8.0]])
-        cols = np.array([[1.0, 1.0, 1.0], [0.0, 0.5, 1.0]])
         path = tmp_path / "a.ply"
-        formats.write_ply(path, pts, cols, binary=False)
+        path.write_bytes(
+            b"ply\nformat ascii 1.0\nelement vertex 2\n"
+            b"property float x\nproperty float y\nproperty float z\n"
+            b"property uchar red\nproperty uchar green\nproperty uchar blue\n"
+            b"end_header\n0 0 0 255 255 255\n1.5 -2.25 8 0 128 255\n"
+        )
         back_pts, back_cols = formats.read_ply(path)
-        assert np.abs(back_pts - pts).max() < 1e-6
-        assert np.abs(back_cols - cols).max() <= 0.5 / 255.0
+        assert np.array_equal(back_pts, [[0.0, 0.0, 0.0], [1.5, -2.25, 8.0]])
+        assert np.array_equal(back_cols, np.array([[255, 255, 255], [0, 128, 255]]) / 255.0)
 
     def test_single_white_point(self, tmp_path):
         path = tmp_path / "p.ply"
@@ -126,8 +129,13 @@ class TestPly:
     ("pair.txt", b" \n", read_pair_file),
     ("pair.txt", b"2\n0 1 1 1.0\n5 1 0 1.0\n", read_pair_file),
     ("pair.txt", b"2\n0 1 1 1.0\n0 1 1 1.0\n", read_pair_file),
+    ("pair.txt", b"2\n0 1 7 1.0\n1 1 0 1.0\n", read_pair_file),
+    ("pair.txt", b"2\n0 1 -1 1.0\n1 1 0 1.0\n", read_pair_file),
+    ("pair.txt", b"-1\n", read_pair_file),
+    ("pair.txt", b"1\n0 -3\n", read_pair_file),
 ], ids=["pfm-negative-dims", "pair-truncated", "pair-non-integer", "pair-empty",
-        "pair-reference-out-of-range", "pair-missing-reference"])
+        "pair-reference-out-of-range", "pair-missing-reference", "pair-source-out-of-range",
+        "pair-source-negative", "pair-negative-view-count", "pair-negative-source-count"])
 def test_malformed_input_raises_parse_error(tmp_path, name, blob, reader):
     path = tmp_path / name
     path.write_bytes(blob)
@@ -168,6 +176,11 @@ class TestConfig:
     def test_unknown_key_lists_valid(self):
         with pytest.raises(ParameterError, match="valid keys"):
             parse_config_text("[train]\nlearningrate = 0.1\n")
+
+    def test_stage_scales_is_not_a_key(self):
+        # the ladder is geometry.STAGE_SCALES; the config cannot restate it
+        with pytest.raises(ParameterError, match="unknown key 'stage_scales'"):
+            parse_config_text("[pipeline]\nstage_scales = 8 4 2 1\n")
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ParameterError, match="valid sections"):

@@ -100,8 +100,7 @@ class TestGuidanceAblation:
         cfg.validate()
         net = pipeline.build_network(cfg)
         net.eval()
-        images = [scene.images[0]] + [scene.images[s] for s, _ in scene.pairs[0][:2]]
-        cams = [scene.cameras[0]] + [scene.cameras[s] for s, _ in scene.pairs[0][:2]]
+        images, cams = pipeline.view_set(scene, 0, 3)
         with T.no_grad():
             with_guidance = net.forward_views(images, cams, use_guidance=True)
             bypass = net.forward_views(images, cams, use_guidance=False)
@@ -161,8 +160,7 @@ class TestGuidanceAblation:
                 state[name] = donor[name]
         bypass.load_state_dict(state)
 
-        images = [scene.images[0]] + [scene.images[s] for s, _ in scene.pairs[0][:2]]
-        cams = [scene.cameras[0]] + [scene.cameras[s] for s, _ in scene.pairs[0][:2]]
+        images, cams = pipeline.view_set(scene, 0, 3)
         with T.no_grad():
             a = net.forward_views(images, cams)
             b = bypass.forward_views(images, cams)

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import make_camera
+from conftest import make_camera, plane_scene
 from minimvs import synth
 from minimvs.errors import ParameterError
 from minimvs.geometry import read_camera
@@ -28,7 +28,7 @@ def _dir_digest(root):
 class TestRender:
     def test_fronto_plane_exact_depth(self):
         cam = make_camera(fx=60.0, fy=60.0, cx=15.5, cy=11.5, depth_range=(1.0, 9.0))
-        scene = synth.plane_scene(4.0, extent=10.0)
+        scene = plane_scene(4.0, extent=10.0)
         _, depth, valid = synth.render(scene, cam, 24, 32)
         assert valid.all()
         assert np.abs(depth - 4.0).max() < 1e-9
@@ -63,8 +63,8 @@ class TestRender:
 
     def test_occlusion_nearest_hit(self):
         cam = make_camera(fx=60.0, fy=60.0, cx=15.5, cy=11.5, depth_range=(1.0, 9.0))
-        near = synth.plane_scene(3.0, extent=10.0).primitives[0]
-        far = synth.plane_scene(6.0, extent=10.0).primitives[0]
+        near = plane_scene(3.0, extent=10.0).primitives[0]
+        far = plane_scene(6.0, extent=10.0).primitives[0]
         scene = synth.Scene([far, near])
         _, depth, valid = synth.render(scene, cam, 24, 32)
         assert valid.all()
@@ -80,12 +80,12 @@ class TestRender:
     def test_resolution_must_divide_by_eight(self):
         cam = make_camera()
         with pytest.raises(ParameterError):
-            synth.render(synth.plane_scene(4.0), cam, 30, 40)
+            synth.render(plane_scene(4.0), cam, 30, 40)
 
     def test_cross_view_consistency_at_gt(self):
         cams = synth.arc_cameras(2, 32, 40, radius=3.5, span_deg=20.0,
                                  depth_range=(1.0, 99.0))
-        scene = synth.plane_scene(0.5, extent=12.0, tilt=(0.05, -0.03))
+        scene = plane_scene(0.5, extent=12.0, tilt=(0.05, -0.03))
         img0, gt0, valid0 = synth.render(scene, cams[0], 32, 40)
         from minimvs.geometry import backproject, project
         vs, us = np.meshgrid(np.arange(32.0), np.arange(40.0), indexing="ij")

@@ -4,6 +4,7 @@ container."""
 
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -277,6 +278,42 @@ class TestBackward:
 
         err = gradcheck.max_relative_error(loss, [x, w, b])
         assert err <= 1e-3
+
+    @pytest.mark.parametrize("axis", [0, 2])
+    @pytest.mark.parametrize("before, after", [(0, 2), (2, 0)])
+    def test_one_sided_replicate_pad_finite_differences(self, rng, axis, before, after):
+        x = Parameter(rng.standard_normal((3, 4, 5)))
+        shape = list(x.shape)
+        shape[axis] += before + after
+        w = Tensor(rng.standard_normal(shape))
+
+        def loss():
+            return T.sum_all(T.mul(T.replicate_pad_axis(x, axis, before, after), w))
+
+        assert gradcheck.max_relative_error(loss, [x]) <= 1e-3
+
+    def test_no_grad_in_another_thread_keeps_recording_here(self):
+        inside = threading.Event()
+        release = threading.Event()
+
+        def hold_no_grad():
+            with T.no_grad():
+                inside.set()
+                release.wait(timeout=30)
+
+        worker = threading.Thread(target=hold_no_grad)
+        worker.start()
+        try:
+            assert inside.wait(timeout=30)
+            p = Parameter([1.0, 2.0])
+            assert T.mul(p, p).requires_grad
+        finally:
+            release.set()
+            worker.join(timeout=30)
+        assert not worker.is_alive()
+        with T.no_grad():
+            assert not T.mul(p, p).requires_grad
+        assert T.mul(p, p).requires_grad
 
     def test_every_operator_passes_fd(self):
         for name, err, ok in gradcheck.run_op_checks():
