@@ -73,6 +73,11 @@ def read_pfm(path):
             f"have {len(blob) - offset})"
         )
     data = np.frombuffer(blob[offset:offset + need], dtype=dtype).reshape(h, w)
+    finite = np.isfinite(data)
+    if not finite.all():
+        first = int(np.argmin(finite.ravel()))
+        raise ParseError(f"{path}: non-finite value at byte {offset + 4 * first} "
+                         f"(payload starts at byte {offset})")
     return np.flipud(data).astype(np.float32)
 
 

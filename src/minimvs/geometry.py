@@ -82,33 +82,6 @@ def relative_pose(ref, src):
     return r_rel, t_rel
 
 
-def plane_homography(cam_from, cam_to, normal, plane_d):
-    """Homography induced by the plane ``normal . x = plane_d`` (frame of cam_from).
-
-    Maps homogeneous pixels of `cam_from` to pixel coordinates of `cam_to`.
-    """
-    r_rel, t_rel = relative_pose(cam_from, cam_to)
-    normal = np.asarray(normal, dtype=np.float64).reshape(3)
-    h_cam = r_rel + np.outer(t_rel, normal) / plane_d
-    try:
-        k_inv = np.linalg.inv(cam_from.K)
-    except np.linalg.LinAlgError as exc:
-        raise ParameterError("singular intrinsic matrix") from exc
-    return cam_to.K @ h_cam @ k_inv
-
-
-def homography(ref, src, depth):
-    """Fronto-parallel sweep homography at `depth` in the reference frame.
-
-    The plane normal is the reference optical axis (0, 0, 1) in the reference
-    camera frame; with identical cameras the result is the identity for any
-    depth, and it is depth-independent whenever the camera centers coincide.
-    """
-    if depth <= 0:
-        raise ParameterError(f"plane depth must be positive, got {depth}")
-    return plane_homography(ref, src, (0.0, 0.0, 1.0), float(depth))
-
-
 def backproject(cam, pixels, depth):
     """World points for pixels (2, N) at per-pixel depth (N,)."""
     pixels = np.asarray(pixels, dtype=np.float64)

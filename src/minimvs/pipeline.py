@@ -50,11 +50,16 @@ def read_pair_file(path):
             count = int(tokens[pos]); pos += 1
             if count < 0:
                 raise ParseError(f"{path}: negative source count {count} for view {ref}")
-            ranked = []
+            ranked, seen = [], set()
             for _ in range(count):
                 src = int(tokens[pos])
                 if src < 0 or src >= n:
                     raise ParseError(f"{path}: source id {src} out of range at token {pos}")
+                if src == ref:
+                    raise ParseError(f"{path}: view {ref} lists itself as a source at token {pos}")
+                if src in seen:
+                    raise ParseError(f"{path}: view {ref} lists source {src} twice at token {pos}")
+                seen.add(src)
                 ranked.append((src, float(tokens[pos + 1])))
                 pos += 2
             if ref < 0 or ref >= n:
@@ -141,10 +146,16 @@ class CascadeNetwork(Module):
             if isinstance(module, BatchNorm):
                 module.eval_stats = cfg.eval_norm
 
-    def forward_views(self, images, cameras, use_guidance=True):
-        """Run the full cascade for one reference view (images[0]) and its sources."""
+    def forward_views(self, images, cameras, use_guidance=True, pyramids=None):
+        """Run the full cascade for one reference view (images[0]) and its sources.
+
+        `pyramids`, when given, are the feature pyramids of `images` in the
+        same order, computed once by a caller that shares them between
+        reference views; otherwise they are computed here.
+        """
         cfg = self.cfg
-        pyramids = [self.features.forward(img) for img in images]
+        if pyramids is None:
+            pyramids = [self.features.forward(img) for img in images]
         ref_cam_full = cameras[0]
         outputs = []
         hyp = None
@@ -197,9 +208,14 @@ def select_sources(pairs, ref_id, n_views):
     return ranked[:wanted]
 
 
+def view_ids(scene, ref_id, n_views):
+    """The reference view id followed by its top-ranked source ids."""
+    return [ref_id] + select_sources(scene.pairs, ref_id, n_views)
+
+
 def view_set(scene, ref_id, n_views):
     """(images, cameras) of the reference view followed by its top-ranked sources."""
-    ids = [ref_id] + select_sources(scene.pairs, ref_id, n_views)
+    ids = view_ids(scene, ref_id, n_views)
     return [scene.images[i] for i in ids], [scene.cameras[i] for i in ids]
 
 
@@ -212,6 +228,11 @@ def run_inference(cfg, dataset_dir, checkpoint_path, out_dir, network=None, coll
 
     Outputs land in <out_dir>/<scene>/<view>_depth.pfm and _conf.pfm. Returns
     a record per view (and the stage outputs when `collect` is set).
+
+    Each image's feature pyramid is computed once per scene and shared by
+    every reference view that uses it. In eval mode a pyramid depends on its
+    image alone (batch norm uses the image's own statistics or the fixed
+    running buffers), so the depths equal those of `infer_view` bit for bit.
     """
     scenes = load_dataset(dataset_dir, with_gt=False)
     if network is None:
@@ -224,8 +245,13 @@ def run_inference(cfg, dataset_dir, checkpoint_path, out_dir, network=None, coll
         for scene in scenes:
             scene_out = os.path.join(out_dir, scene.name)
             os.makedirs(scene_out, exist_ok=True)
+            pyramids = [network.features.forward(img) for img in scene.images]
             for ref_id in range(len(scene.images)):
-                outputs = infer_view(network, scene, ref_id, cfg.train.views)
+                ids = view_ids(scene, ref_id, cfg.train.views)
+                outputs = network.forward_views(
+                    [scene.images[i] for i in ids], [scene.cameras[i] for i in ids],
+                    pyramids=[pyramids[i] for i in ids],
+                )
                 final = outputs[-1]
                 depth_path = os.path.join(scene_out, f"{ref_id:04d}_depth.pfm")
                 conf_path = os.path.join(scene_out, f"{ref_id:04d}_conf.pfm")

@@ -16,6 +16,13 @@ exception), so threads may run forward passes concurrently, and backward
 passes on graphs that share no leaf tensors: `backward` accumulates into each
 leaf's `.grad` without a lock. Results are bit-identical across repeated
 single-threaded runs.
+
+The outermost `no_grad` block also opens a workspace: one growable float64
+buffer that convolutions copy their window matrices into when no backward is
+recorded, in place of a fresh allocation per call. Nested blocks share it,
+and it is dropped when the outermost block exits. Like grad mode it is held
+in a context variable, so each thread has its own; no operator result ever
+aliases it.
 """
 
 from __future__ import annotations
@@ -30,15 +37,39 @@ import numpy as np
 from .errors import DimensionError, NumericError, ParameterError, UsageError
 
 _GRAD_ENABLED = ContextVar("grad_enabled", default=True)
+_WORKSPACE = ContextVar("workspace", default=None)
+
+
+class _Workspace:
+    """One growable float64 buffer handed out as scratch space."""
+
+    __slots__ = ("buffer",)
+
+    def __init__(self):
+        self.buffer = np.empty(0)
+
+    def view(self, shape):
+        """A C-contiguous (shape) view of the buffer; valid until the next call."""
+        n = int(np.prod(shape))
+        if self.buffer.size < n:
+            self.buffer = None  # release the old buffer before allocating the larger one
+            self.buffer = np.empty(n)
+        return self.buffer[:n].reshape(shape)
 
 
 @contextmanager
 def no_grad():
-    """Disable graph recording inside the block (inference / oracles)."""
+    """Disable graph recording inside the block (inference / oracles).
+
+    The outermost block also opens the workspace that nested blocks share.
+    """
     token = _GRAD_ENABLED.set(False)
+    ws_token = _WORKSPACE.set(_Workspace()) if _WORKSPACE.get() is None else None
     try:
         yield
     finally:
+        if ws_token is not None:
+            _WORKSPACE.reset(ws_token)
         _GRAD_ENABLED.reset(token)
 
 
@@ -55,7 +86,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not _all_finite(arr):
             raise NumericError("tensor holds non-finite values")
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -93,11 +124,27 @@ def _as_tensor(value):
     return Tensor(np.asarray(value, dtype=np.float64))
 
 
+def _all_finite(arr):
+    """True when no element is NaN or inf.
+
+    A finite sum proves every element finite; only a sum that overflowed or
+    met a non-finite element needs the elementwise scan.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = arr.sum()
+    return bool(np.isfinite(total) or np.isfinite(arr).all())
+
+
+def _records(parents):
+    """Whether an operator result on `parents` records a backward."""
+    return _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
+
+
 def _result(data, parents, backward_fn, op):
     data = np.asarray(data, dtype=np.float64)
-    if not np.all(np.isfinite(data)):
+    if not _all_finite(data):
         raise NumericError(f"operator '{op}' produced non-finite values")
-    requires = _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
+    requires = _records(parents)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.requires_grad = requires
@@ -447,8 +494,12 @@ def _tuple_n(value, n, name):
     return value
 
 
-def _im2col(xp, kshape, stride, out_sp):
-    """(C, *padded) -> (C * prod(k), prod(out)) window matrix."""
+def _im2col(xp, kshape, stride, out_sp, workspace=None):
+    """(C, *padded) -> (C * prod(k), prod(out)) window matrix.
+
+    The windows are copied once: into a fresh array, or into a view of
+    `workspace` that the next call through it overwrites.
+    """
     c = xp.shape[0]
     spatial_strides = xp.strides[1:]
     shape = (c, *kshape, *out_sp)
@@ -457,7 +508,11 @@ def _im2col(xp, kshape, stride, out_sp):
     windows = np.lib.stride_tricks.as_strided(xp, shape=shape, strides=strides)
     k = int(np.prod(kshape))
     p = int(np.prod(out_sp))
-    return windows.reshape(c * k, p)  # forces the single copy
+    if workspace is None:
+        return windows.reshape(c * k, p)  # forces the single copy
+    cols = workspace.view((c * k, p))
+    np.copyto(cols.reshape(shape), windows)
+    return cols
 
 
 def _col2im(dcols, channels, padded_sp, kshape, stride, out_sp):
@@ -491,8 +546,11 @@ def _conv_nd(x, params, nsp, op):
     )
     if any(n < 1 for n in out_sp):
         raise DimensionError(f"{op}: empty output for input {x.shape}, kernel {kshape}")
+    parents = (x, w) if b is None else (x, w, b)
+    # a recorded backward keeps `cols`, so only an unrecorded call may borrow
+    workspace = None if _records(parents) else _WORKSPACE.get()
     xp = np.pad(x.data, ((0, 0), *[(p, p) for p in pad]))
-    cols = _im2col(xp, kshape, stride, out_sp)
+    cols = _im2col(xp, kshape, stride, out_sp, workspace)
     wmat = w.data.reshape(w.shape[0], -1)
     y = wmat @ cols
     if b is not None:
@@ -514,7 +572,6 @@ def _conv_nd(x, params, nsp, op):
             return dx, dw, db
         return dx, dw
 
-    parents = (x, w) if b is None else (x, w, b)
     return _result(y, parents, bwd, op)
 
 
@@ -626,7 +683,14 @@ def grid_sample_bilinear(src, coords, return_mask=False):
     i10 = y1 * w + x0
     i11 = y1 * w + x1
     flat = src.data.reshape(c, h * w)
-    out = flat[:, i00] * w00 + flat[:, i01] * w01 + flat[:, i10] * w10 + flat[:, i11] * w11
+    # corner terms accumulate left to right: ((c00 + c01) + c10) + c11
+    out = np.take(flat, i00, axis=1)
+    out *= w00
+    term = np.empty_like(out)
+    for idx, wt in ((i01, w01), (i10, w10), (i11, w11)):
+        np.take(flat, idx, axis=1, out=term)
+        term *= wt
+        out += term
     out = out.reshape((c, *out_sp))
 
     def bwd(g):
@@ -717,8 +781,12 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
         mu = running_mean
         var = running_var
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu.reshape(bshape)) * inv.reshape(bshape)
-    y = gamma.data.reshape(bshape) * xhat + beta.data.reshape(bshape)
+    xhat = x.data - mu.reshape(bshape)
+    xhat *= inv.reshape(bshape)
+    # the backward reads xhat; without one, y may overwrite it
+    y = np.empty_like(xhat) if _records((x, gamma, beta)) else xhat
+    np.multiply(gamma.data.reshape(bshape), xhat, out=y)
+    y += beta.data.reshape(bshape)
     n = int(np.prod(x.shape[1:]))
 
     def bwd(g):

@@ -1,12 +1,12 @@
-"""Shared fixtures: cameras, calibrated pairs, textured plane scenes, and
-parameter-free photometric matching features."""
+"""Shared fixtures: cameras, calibrated pairs, plane-induced homographies,
+textured plane scenes, and parameter-free photometric matching features."""
 
 import numpy as np
 import pytest
 
 from minimvs import synth
 from minimvs.errors import ParameterError
-from minimvs.geometry import Camera
+from minimvs.geometry import Camera, relative_pose
 from minimvs.tensor import Tensor
 
 
@@ -45,6 +45,33 @@ def random_calibrated_pair(rng, depth_range=(1.0, 50.0)):
         return Camera(k, random_rotation(rng, 0.2), rng.normal(size=3) * 0.3,
                       depth_range[0], depth_range[1])
     return cam(), cam()
+
+
+def plane_homography(cam_from, cam_to, normal, plane_d):
+    """Homography induced by the plane ``normal . x = plane_d`` (frame of cam_from).
+
+    Maps homogeneous pixels of `cam_from` to pixel coordinates of `cam_to`.
+    """
+    r_rel, t_rel = relative_pose(cam_from, cam_to)
+    normal = np.asarray(normal, dtype=np.float64).reshape(3)
+    h_cam = r_rel + np.outer(t_rel, normal) / plane_d
+    try:
+        k_inv = np.linalg.inv(cam_from.K)
+    except np.linalg.LinAlgError as exc:
+        raise ParameterError("singular intrinsic matrix") from exc
+    return cam_to.K @ h_cam @ k_inv
+
+
+def homography(ref, src, depth):
+    """Fronto-parallel sweep homography at `depth` in the reference frame.
+
+    The plane normal is the reference optical axis (0, 0, 1) in the reference
+    camera frame; with identical cameras the result is the identity for any
+    depth, and it is depth-independent whenever the camera centers coincide.
+    """
+    if depth <= 0:
+        raise ParameterError(f"plane depth must be positive, got {depth}")
+    return plane_homography(ref, src, (0.0, 0.0, 1.0), float(depth))
 
 
 def plane_scene(depth, extent=6.0, texture=None, tilt=(0.0, 0.0)):

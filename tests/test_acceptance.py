@@ -5,7 +5,7 @@ import os
 import time
 
 import numpy as np
-from conftest import (fronto_plane_setup, photometric_features, plane_scene,
+from conftest import (fronto_plane_setup, homography, photometric_features, plane_scene,
                       random_calibrated_pair)
 from minimvs import cost as C
 from minimvs import evaluation, fusion, pipeline, synth, training
@@ -13,7 +13,7 @@ from minimvs import gradcheck
 from minimvs import tensor as T
 from minimvs.checkpoint import load_checkpoint
 from minimvs.config import FusionSettings, PipelineConfig
-from minimvs.geometry import backproject, homography, initial_hypotheses, project
+from minimvs.geometry import backproject, initial_hypotheses, project
 
 # criterion-4 training setup: 4 scenes, 64x80, N=3, 200 iterations, fixed seed.
 # The held-out depth map is the held-out scene's center reference view: edge

@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from conftest import (fronto_plane_setup, make_camera, plane_scene, random_calibrated_pair,
-                      rotation_from_axis_angle)
+from conftest import (fronto_plane_setup, homography, make_camera, plane_homography,
+                      plane_scene, random_calibrated_pair, rotation_from_axis_angle)
 from minimvs import synth
 from minimvs.errors import ParameterError, ParseError
-from minimvs.geometry import (Camera, HypothesisSet, backproject, homography,
-                              initial_hypotheses, plane_homography, project,
-                              read_camera, refine_hypotheses, relative_pose,
+from minimvs.geometry import (Camera, HypothesisSet, backproject, initial_hypotheses,
+                              project, read_camera, refine_hypotheses, relative_pose,
                               warp_coords, write_camera)
 
 

@@ -56,6 +56,9 @@ class TestPfm:
         path.write_bytes(b"Pf\n4 4\n-1.0\n" + b"\x00" * 8)
         with pytest.raises(ParseError, match="truncated"):
             formats.read_pfm(path)
+        path.write_bytes(NON_FINITE_PFM)  # payload at byte 12, inf is its first value
+        with pytest.raises(ParseError, match="non-finite value at byte 12 "):
+            formats.read_pfm(path)
 
 
 class TestPpm:
@@ -122,6 +125,11 @@ class TestPly:
             formats.read_ply(path)
 
 
+# written from [[1, nan], [inf, 2]]: rows bottom-up, little-endian float32
+NON_FINITE_PFM = (b"Pf\n2 2\n-1.0\n"
+                  + np.array([[np.inf, 2.0], [1.0, np.nan]], dtype="<f4").tobytes())
+
+
 @pytest.mark.parametrize("name, blob, reader", [
     ("neg.pfm", b"Pf\n-4 3\n-1.0\n" + b"\x00" * 48, formats.read_pfm),
     ("pair.txt", b"3\n0 2 1 1.0\n", read_pair_file),
@@ -133,9 +141,13 @@ class TestPly:
     ("pair.txt", b"2\n0 1 -1 1.0\n1 1 0 1.0\n", read_pair_file),
     ("pair.txt", b"-1\n", read_pair_file),
     ("pair.txt", b"1\n0 -3\n", read_pair_file),
+    ("pair.txt", b"2\n0 1 0 1.0\n1 1 0 1.0\n", read_pair_file),
+    ("pair.txt", b"3\n0 2 1 1.0 1 0.5\n1 1 0 1.0\n2 1 0 1.0\n", read_pair_file),
+    ("nan.pfm", NON_FINITE_PFM, formats.read_pfm),
 ], ids=["pfm-negative-dims", "pair-truncated", "pair-non-integer", "pair-empty",
         "pair-reference-out-of-range", "pair-missing-reference", "pair-source-out-of-range",
-        "pair-source-negative", "pair-negative-view-count", "pair-negative-source-count"])
+        "pair-source-negative", "pair-negative-view-count", "pair-negative-source-count",
+        "pair-self-source", "pair-duplicate-source", "pfm-non-finite"])
 def test_malformed_input_raises_parse_error(tmp_path, name, blob, reader):
     path = tmp_path / name
     path.write_bytes(blob)

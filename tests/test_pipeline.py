@@ -9,6 +9,7 @@ from minimvs import formats, pipeline, synth
 from minimvs import tensor as T
 from minimvs.config import PipelineConfig
 from minimvs.errors import DatasetError
+from minimvs.nn import BatchNorm
 
 
 def _dataset(tmp_path, scenes=1, views=3, h=16, w=24, seed=5):
@@ -17,11 +18,33 @@ def _dataset(tmp_path, scenes=1, views=3, h=16, w=24, seed=5):
     return root
 
 
-def _config(views=3):
+def _config(views=3, eval_norm="instance"):
     cfg = PipelineConfig()
     cfg.train.views = views
+    cfg.eval_norm = eval_norm
     cfg.validate()
     return cfg
+
+
+def _eval_network(cfg):
+    """An eval-mode network; its batch-norm running buffers are not the identity."""
+    net = pipeline.build_network(cfg)
+    rng = np.random.default_rng(11)
+    for module in net.modules():
+        if isinstance(module, BatchNorm):
+            module.running_mean[...] = rng.normal(0.0, 0.5, module.running_mean.shape)
+            module.running_var[...] = rng.uniform(0.5, 2.0, module.running_var.shape)
+    net.eval()
+    return net
+
+
+def _assert_same_bits(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert np.array_equal(a.prob.data, b.prob.data)
+        assert np.array_equal(a.depth, b.depth)
+        assert np.array_equal(a.confidence, b.confidence)
+        for wa, wb in zip(a.view_weights, b.view_weights, strict=True):
+            assert np.array_equal(wa.data, wb.data)
 
 
 class TestDatasetLoading:
@@ -88,6 +111,23 @@ class TestForward:
             outs = pipeline.infer_view(net, scene, 0, 3)
         assert [o.depth.shape for o in outs] == [(4, 5), (8, 10), (16, 20), (32, 40)]
         assert [o.hypotheses.num_depths for o in outs] == [8, 8, 4, 4]
+
+
+class TestNoGradForward:
+    @pytest.mark.parametrize("eval_norm", ["instance", "running"])
+    def test_matches_the_recorded_forward_bit_for_bit(self, tmp_path, eval_norm):
+        """Guards every inference-only shortcut: skipping the tape must not move a bit."""
+        root = _dataset(tmp_path, scenes=2, h=32, w=40)
+        net = _eval_network(_config(eval_norm=eval_norm))
+        for scene in pipeline.load_dataset(root):
+            for ref in range(len(scene.images)):
+                images, cams = pipeline.view_set(scene, ref, 3)
+                recorded = net.forward_views(images, cams)
+                assert recorded[-1].prob.requires_grad
+                with T.no_grad():
+                    fast = net.forward_views(images, cams)
+                assert not fast[-1].prob.requires_grad
+                _assert_same_bits(fast, recorded)
 
 
 class TestGuidanceAblation:
@@ -170,6 +210,20 @@ class TestGuidanceAblation:
 
 
 class TestRunInference:
+    @pytest.mark.parametrize("eval_norm", ["instance", "running"])
+    def test_shared_pyramids_match_infer_view(self, tmp_path, eval_norm):
+        root = _dataset(tmp_path, views=4)
+        cfg = _config(eval_norm=eval_norm)
+        net = _eval_network(cfg)
+        records = pipeline.run_inference(cfg, root, "", os.path.join(str(tmp_path), "out"),
+                                         network=net, collect=True)
+        scene = pipeline.load_dataset(root)[0]
+        assert [rec["view"] for rec in records] == [0, 1, 2, 3]
+        with T.no_grad():
+            for rec in records:
+                _assert_same_bits(rec["outputs"],
+                                  pipeline.infer_view(net, scene, rec["view"], 3))
+
     def test_writes_depth_and_confidence(self, tmp_path):
         root = _dataset(tmp_path)
         out = os.path.join(str(tmp_path), "out")

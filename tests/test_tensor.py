@@ -4,6 +4,7 @@ container."""
 
 import math
 import os
+import sys
 import threading
 
 import numpy as np
@@ -149,6 +150,90 @@ class TestConv:
             T.conv2d(x, ConvParams(w, None, 1, 1))
 
 
+def conv_sequence(seed):
+    """Convs whose window matrices grow and then shrink: (op, input, params)."""
+    rng = np.random.default_rng(seed)
+    calls = []
+    for op, c_in, sp, k, stride in ((T.conv2d, 2, (6, 7), (3, 3), 1),
+                                    (T.conv3d, 3, (5, 9, 8), (3, 3, 3), 1),
+                                    (T.conv3d, 4, (6, 12, 10), (3, 3, 3), (1, 2, 2)),
+                                    (T.conv3d, 2, (3, 4, 5), (3, 1, 3), 1),
+                                    (T.conv2d, 3, (5, 4), (1, 1), 1)):
+        w = Parameter(rng.standard_normal((3, c_in, *k)))
+        b = Parameter(rng.standard_normal(3))
+        pad = tuple(n // 2 for n in k)
+        calls.append((op, Tensor(rng.standard_normal((c_in, *sp))),
+                      ConvParams(w, b, stride, pad)))
+    return calls
+
+
+def run_convs(calls):
+    return [op(x, params) for op, x, params in calls]
+
+
+class TestWorkspace:
+    def test_no_grad_convs_match_recorded_convs(self):
+        calls = conv_sequence(1)
+        recorded = run_convs(calls)
+        assert all(y.requires_grad for y in recorded)
+        with T.no_grad():
+            workspace = T._WORKSPACE.get()
+            fast, snapshots = [], []
+            for op, x, params in calls:
+                y = op(x, params)
+                assert not np.shares_memory(y.data, workspace.buffer)
+                fast.append(y)
+                snapshots.append(y.data.copy())
+        for y, snap, want in zip(fast, snapshots, recorded):
+            # bit-identical, and no later call overwrote an earlier result
+            assert np.array_equal(y.data, want.data)
+            assert np.array_equal(y.data, snap)
+
+    def test_lives_with_the_outermost_no_grad(self):
+        op, x, params = conv_sequence(2)[1]
+        assert T._WORKSPACE.get() is None
+        with T.no_grad():
+            outer = T._WORKSPACE.get()
+            assert outer is not None
+            with T.no_grad():
+                assert T._WORKSPACE.get() is outer
+                op(x, params)
+            assert T._WORKSPACE.get() is outer
+            assert outer.buffer.size > 0
+        assert T._WORKSPACE.get() is None
+
+    def test_concurrent_threads_match_serial(self):
+        seeds = range(4)  # four threads, so they interleave even on few cores
+        serial = {}
+        for seed in seeds:
+            with T.no_grad():
+                serial[seed] = [y.data for y in run_convs(conv_sequence(seed))]
+        results = {}
+        start = threading.Barrier(len(seeds), timeout=30)
+
+        def worker(seed):
+            calls = conv_sequence(seed)
+            start.wait()
+            with T.no_grad():
+                results[seed] = [y.data for _ in range(10) for y in run_convs(calls)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in seeds]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for seed in seeds:
+            assert len(results[seed]) == 10 * len(serial[seed])
+            for got, want in zip(results[seed], serial[seed] * 10):
+                assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # softmax / elementwise
 # ---------------------------------------------------------------------------
@@ -199,6 +284,21 @@ class TestElementwise:
     def test_nonfinite_raises(self):
         with pytest.raises(NumericError):
             T.div(Tensor([1.0]), Tensor([0.0]))
+
+    def test_finite_values_whose_sum_overflows_pass(self):
+        big = Tensor(np.array([1e308, 1e308]))
+        assert np.array_equal(T.mul(big, 1.0).data, [1e308, 1e308])
+
+    @pytest.mark.parametrize("bad, make", [
+        (np.nan, lambda: T.log(Tensor([1.0, -1.0]))),
+        (np.inf, lambda: T.div(Tensor([1.0, 1.0]), Tensor([1.0, 0.0]))),
+        (-np.inf, lambda: T.log(Tensor([1.0, 0.0]))),
+    ], ids=["nan", "inf", "-inf"])
+    def test_every_non_finite_value_raises(self, bad, make):
+        with pytest.raises(NumericError, match="tensor holds"):
+            Tensor(np.array([1.0, bad, 2.0]))
+        with pytest.raises(NumericError, match="produced non-finite"):
+            make()
 
     def test_upsample_matches_naive(self, rng):
         x = np.array([[[0.0, 2.0], [4.0, 6.0]]])
