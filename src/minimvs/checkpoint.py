@@ -7,6 +7,7 @@ payload. Everything little-endian.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -53,13 +54,22 @@ def load_checkpoint(path):
         raise ParseError(f"{path}: unsupported version {version} at byte 4")
     out = {}
     for _ in range(count):
-        (name_len,) = struct.unpack("<I", take(4, "name length"))
-        name = take(name_len, "name").decode("utf-8")
-        (rank,) = struct.unpack("<I", take(4, "rank"))
-        shape = struct.unpack(f"<{rank}Q", take(8 * rank, "extents"))
-        n = int(np.prod(shape)) if rank else 1
-        payload = take(8 * n, f"payload of '{name}'")
-        out[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
+        record_at = offset
+        try:
+            (name_len,) = struct.unpack("<I", take(4, "name length"))
+            name = take(name_len, "name").decode("utf-8")
+            (rank,) = struct.unpack("<I", take(4, "rank"))
+            shape = struct.unpack(f"<{rank}Q", take(8 * rank, "extents"))
+            payload_at = offset
+            payload = take(8 * math.prod(shape), f"payload of '{name}'")
+            array = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
+        except ValueError as exc:  # a name that is not UTF-8, or extents numpy cannot hold
+            raise ParseError(f"{path}: malformed record at byte {record_at} ({exc})") from exc
+        finite = np.isfinite(array.ravel())
+        if not finite.all():
+            raise ParseError(f"{path}: non-finite value in '{name}' at byte "
+                             f"{payload_at + 8 * int(np.argmin(finite))}")
+        out[name] = array
     if offset != len(blob):
         raise ParseError(f"{path}: {len(blob) - offset} trailing bytes at byte {offset}")
     return out

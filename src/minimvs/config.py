@@ -7,6 +7,7 @@ are config edits; unknown keys are hard errors listing the valid keys.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 from .errors import ParameterError, ParseError
@@ -147,19 +148,22 @@ def _parse_value(raw, kind, key):
             raise ValueError(raw)
         if kind is int:
             return int(raw)
-        if kind is float:
-            return float(raw)
         if kind is str:
             return raw
         if kind is tuple:
-            parts = raw.replace(",", " ").split()
-            values = [float(p) for p in parts]
-            if all(v == int(v) for v in values) and key != "stage_weights":
-                return tuple(int(v) for v in values)
-            return tuple(values)
+            values = [float(p) for p in raw.replace(",", " ").split()]
+        else:
+            values = [float(raw)]
     except ValueError as exc:
         raise ParameterError(f"bad value '{raw}' for key '{key}'") from exc
-    raise ParameterError(f"unsupported config type for '{key}'")
+    # every number of the pipeline is finite; nan would slip past each range check
+    if not all(math.isfinite(v) for v in values):
+        raise ParameterError(f"non-finite value '{raw}' for key '{key}'")
+    if kind is float:
+        return values[0]
+    if all(v == int(v) for v in values) and key != "stage_weights":
+        return tuple(int(v) for v in values)
+    return tuple(values)
 
 
 def _field_kinds(cls):
@@ -205,8 +209,13 @@ def parse_config_text(text, path="<config>"):
 
 
 def load_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), path=str(path))
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 at byte {exc.start}") from exc
+    return parse_config_text(text, path=str(path))
 
 
 def default_config_text():

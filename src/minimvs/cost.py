@@ -10,7 +10,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ParameterError, UsageError
 from .geometry import warp_coords
-from .nn import ConvBnReLU2d, Module
+from .nn import ConvBnReLU, Module
 from .tensor import Tensor
 
 
@@ -88,11 +88,10 @@ class VolumeGuidance(Module):
         self.num_coarse = int(num_coarse)
         self.num_fine = int(num_fine)
         if self.num_coarse:
-            self.conv_coarse = ConvBnReLU2d(prev_flat_channels, self.num_coarse,
-                                            3, 1, 1, rng=rng)
+            self.conv_coarse = ConvBnReLU(prev_flat_channels, self.num_coarse, (3, 3),
+                                          rng=rng)
         if self.num_fine:
-            self.conv_fine = ConvBnReLU2d(curr_flat_channels, self.num_fine,
-                                          3, 1, 1, rng=rng)
+            self.conv_fine = ConvBnReLU(curr_flat_channels, self.num_fine, (3, 3), rng=rng)
 
     @property
     def extra_channels(self):

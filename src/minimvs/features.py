@@ -6,7 +6,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ParameterError
-from .nn import Conv2d, ConvBnReLU2d, Module, ModuleList
+from .nn import Conv, ConvBnReLU, Module, ModuleList
 from .tensor import Tensor
 
 DEFAULT_STAGE_CHANNELS = (32, 16, 8, 8)
@@ -34,8 +34,8 @@ class CoordinateGate(Module):
     def __init__(self, channels, reduction=4, rng=None):
         super().__init__()
         mid = max(channels // reduction, 1)
-        self.reduce = Conv2d(channels, mid, 1, rng=rng)
-        self.restore = Conv2d(mid, channels, 1, rng=rng)
+        self.reduce = Conv(channels, mid, (1, 1), rng=rng)
+        self.restore = Conv(mid, channels, (1, 1), rng=rng)
 
     def forward(self, t_h, t_w):
         c, h, _ = t_h.shape
@@ -64,15 +64,15 @@ class FeatureExtractor(Module):
         rng = rng if rng is not None else np.random.default_rng(0)
         e0, e1, e2, e3 = _ENCODER_CHANNELS
         self.stage_channels = tuple(stage_channels)
-        self.enc0 = ConvBnReLU2d(3, e0, 3, 1, 1, rng=rng)
-        self.enc1 = ConvBnReLU2d(e0, e1, 3, 2, 1, rng=rng)
-        self.enc2 = ConvBnReLU2d(e1, e2, 3, 2, 1, rng=rng)
-        self.enc3 = ConvBnReLU2d(e2, e3, 3, 2, 1, rng=rng)
+        self.enc0 = ConvBnReLU(3, e0, (3, 3), rng=rng)
+        self.enc1 = ConvBnReLU(e0, e1, (3, 3), 2, rng=rng)
+        self.enc2 = ConvBnReLU(e1, e2, (3, 3), 2, rng=rng)
+        self.enc3 = ConvBnReLU(e2, e3, (3, 3), 2, rng=rng)
         # lateral 1x1 convs channel-match the running path to the finer encoder level
         self.lateral = ModuleList([
-            Conv2d(e3, e2, 1, rng=rng),
-            Conv2d(e2, e1, 1, rng=rng),
-            Conv2d(e1, e0, 1, rng=rng),
+            Conv(e3, e2, (1, 1), rng=rng),
+            Conv(e2, e1, (1, 1), rng=rng),
+            Conv(e1, e0, (1, 1), rng=rng),
         ])
         self.gates = ModuleList([
             CoordinateGate(e2, reduction, rng=rng),
@@ -80,10 +80,10 @@ class FeatureExtractor(Module):
             CoordinateGate(e0, reduction, rng=rng),
         ])
         self.heads = ModuleList([
-            Conv2d(e3, stage_channels[0], 3, 1, 1, rng=rng),
-            Conv2d(e2, stage_channels[1], 3, 1, 1, rng=rng),
-            Conv2d(e1, stage_channels[2], 3, 1, 1, rng=rng),
-            Conv2d(e0, stage_channels[3], 3, 1, 1, rng=rng),
+            Conv(e3, stage_channels[0], (3, 3), padding=1, rng=rng),
+            Conv(e2, stage_channels[1], (3, 3), padding=1, rng=rng),
+            Conv(e1, stage_channels[2], (3, 3), padding=1, rng=rng),
+            Conv(e0, stage_channels[3], (3, 3), padding=1, rng=rng),
         ])
 
     def forward(self, image):

@@ -129,6 +129,8 @@ def read_ppm(path):
         maxval = int(next_token())
     except ValueError as exc:
         raise ParseError(f"{path}: malformed header near byte {offset}") from exc
+    if w < 0 or h < 0:
+        raise ParseError(f"{path}: negative dimensions {w} x {h} before byte {offset}")
     if maxval != 255:
         raise ParseError(f"{path}: unsupported maxval {maxval} at byte {offset}")
     offset += 1  # single whitespace after maxval
@@ -201,25 +203,25 @@ def read_ply(path):
         parts = line.split()
         if not parts or parts[0] == "comment":
             continue
-        if parts[0] == "format":
-            if parts[1] not in ("ascii", "binary_little_endian"):
-                raise ParseError(f"{path}: unsupported format '{parts[1]}' at byte {at}")
-            fmt = parts[1]
-        elif parts[0] == "element":
-            if parts[1] == "vertex":
-                count = int(parts[2])
-                in_vertex = True
-            else:
+        try:
+            if parts[0] == "format":
+                if parts[1] not in ("ascii", "binary_little_endian"):
+                    raise ParseError(f"{path}: unsupported format '{parts[1]}' at byte {at}")
+                fmt = parts[1]
+            elif parts[0] == "element":
+                in_vertex = parts[1] == "vertex"
                 if in_vertex:
-                    in_vertex = False
-                if int(parts[2]) != 0:
-                    raise ParseError(
-                        f"{path}: unsupported element '{parts[1]}' at byte {at}"
-                    )
-        elif parts[0] == "property" and in_vertex:
-            if parts[1] not in _PLY_TYPES:
-                raise ParseError(f"{path}: unsupported property type '{parts[1]}' at byte {at}")
-            fields.append((parts[2], _PLY_TYPES[parts[1]]))
+                    count = int(parts[2])
+                    if count < 0:
+                        raise ParseError(f"{path}: negative vertex count at byte {at}")
+                elif int(parts[2]) != 0:
+                    raise ParseError(f"{path}: unsupported element '{parts[1]}' at byte {at}")
+            elif parts[0] == "property" and in_vertex:
+                if parts[1] not in _PLY_TYPES:
+                    raise ParseError(f"{path}: unsupported property '{parts[1]}' at byte {at}")
+                fields.append((parts[2], _PLY_TYPES[parts[1]]))
+        except (IndexError, ValueError) as exc:
+            raise ParseError(f"{path}: malformed header line '{line}' at byte {at}") from exc
     if fmt is None or count is None:
         raise ParseError(f"{path}: header missing format or vertex element")
     names = [name for name, _ in fields]
@@ -227,26 +229,28 @@ def read_ply(path):
         if needed not in names:
             raise ParseError(f"{path}: vertex element lacks property '{needed}'")
 
-    if fmt == "binary_little_endian":
-        dtype = np.dtype(fields)
-        need = dtype.itemsize * count
-        if len(blob) - offset < need:
-            raise ParseError(f"{path}: vertex data truncated at byte {offset}")
-        rec = np.frombuffer(blob[offset:offset + need], dtype=dtype)
-    else:
-        text = blob[offset:].decode("ascii", errors="replace").split()
-        per = len(fields)
-        if len(text) < per * count:
-            raise ParseError(f"{path}: ascii vertex data truncated at byte {offset}")
-        table = np.array(text[: per * count], dtype=np.float64).reshape(count, per)
-        rec = {name: table[:, i] for i, (name, _) in enumerate(fields)}
+    try:
+        if fmt == "binary_little_endian":
+            dtype = np.dtype(fields)
+            need = dtype.itemsize * count
+            if len(blob) - offset < need:
+                raise ParseError(f"{path}: vertex data truncated at byte {offset}")
+            rec = np.frombuffer(blob[offset:offset + need], dtype=dtype)
+        else:
+            text = blob[offset:].decode("ascii", errors="replace").split()
+            per = len(fields)
+            if len(text) < per * count:
+                raise ParseError(f"{path}: ascii vertex data truncated at byte {offset}")
+            table = np.array(text[: per * count], dtype=np.float64).reshape(count, per)
+            rec = {name: table[:, i] for i, (name, _) in enumerate(fields)}
+    except ValueError as exc:
+        raise ParseError(f"{path}: malformed vertex data at byte {offset} ({exc})") from exc
 
-    points = np.stack(
-        [np.asarray(rec["x"], np.float64), np.asarray(rec["y"], np.float64),
-         np.asarray(rec["z"], np.float64)], axis=1
-    )
-    colors = np.stack(
-        [np.asarray(rec["red"], np.float64), np.asarray(rec["green"], np.float64),
-         np.asarray(rec["blue"], np.float64)], axis=1
-    ) / 255.0
+    points = np.stack([np.asarray(rec[k], np.float64) for k in ("x", "y", "z")], axis=1)
+    colors = np.stack([np.asarray(rec[k], np.float64) for k in ("red", "green", "blue")],
+                      axis=1) / 255.0
+    finite = np.isfinite(points).all(axis=1) & np.isfinite(colors).all(axis=1)
+    if not finite.all():
+        raise ParseError(f"{path}: non-finite value in vertex {int(np.argmin(finite))} "
+                         f"(vertex data starts at byte {offset})")
     return points, colors

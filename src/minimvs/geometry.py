@@ -220,10 +220,10 @@ def write_camera(path, cam):
 
 
 def read_camera(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = [line.strip() for line in fh]
-    lines = [line for line in raw if line]
+    with open(path, "rb") as fh:
+        blob = fh.read()
     try:
+        lines = [line.strip() for line in blob.decode("utf-8").splitlines() if line.strip()]
         if lines[0] != "extrinsic":
             raise ParseError(f"{path}: expected 'extrinsic' on the first line")
         ext = np.array([[float(v) for v in lines[1 + i].split()] for i in range(4)])
@@ -231,6 +231,8 @@ def read_camera(path):
             raise ParseError(f"{path}: expected 'intrinsic' after the extrinsic block")
         intr = np.array([[float(v) for v in lines[6 + i].split()] for i in range(3)])
         dmin, dmax = (float(v) for v in lines[9].split()[:2])
-    except (IndexError, ValueError) as exc:
+        if not np.isfinite([*ext.ravel(), *intr.ravel(), dmin, dmax]).all():
+            raise ParseError(f"{path}: non-finite camera value")
+        return Camera(intr, ext[:3, :3], ext[:3, 3], dmin, dmax)
+    except (IndexError, ValueError, ParameterError) as exc:  # ValueError covers bad UTF-8
         raise ParseError(f"{path}: malformed camera file ({exc})") from exc
-    return Camera(intr, ext[:3, :3], ext[:3, 3], dmin, dmax)

@@ -156,15 +156,9 @@ def _op_cases(seed=0):
     tw = rand_param(3, 2, 1, 3, 3)
     tb = rand_param(2)
     tww = Tensor(rng.standard_normal((2, 2, 6, 8)))
+    tparams = ConvParams(tw, tb, (1, 2, 2), (0, 1, 1), (0, 1, 1))
     cases["conv_transpose3d"] = (
-        lambda: T.sum_all(
-            T.mul(
-                T.conv_transpose3d(
-                    tx, ConvParams(tw, tb, (1, 2, 2), (0, 1, 1), (0, 1, 1))
-                ),
-                tww,
-            )
-        ),
+        lambda: T.sum_all(T.mul(T.conv_transpose3d(tx, tparams), tww)),
         [tx, tw, tb],
     )
 

@@ -117,54 +117,31 @@ def _uniform_init(rng, shape, fan_in):
     return rng.uniform(-bound, bound, size=shape)
 
 
-class Conv2d(Module):
-    def __init__(self, in_ch, out_ch, kernel, stride=1, padding=0, bias=True, rng=None):
-        super().__init__()
-        rng = rng if rng is not None else np.random.default_rng(0)
-        k = (kernel, kernel) if isinstance(kernel, int) else tuple(kernel)
-        fan_in = in_ch * int(np.prod(k))
-        self.weight = Parameter(_uniform_init(rng, (out_ch, in_ch, *k), fan_in))
-        self.bias = Parameter(_uniform_init(rng, (out_ch,), fan_in)) if bias else None
-        self.stride = stride
-        self.padding = padding
-
-    def forward(self, x):
-        return T.conv2d(x, ConvParams(self.weight, self.bias, self.stride, self.padding))
+_CONV_OPS = {(2, False): "conv2d", (3, False): "conv3d", (3, True): "conv_transpose3d"}
 
 
-class Conv3d(Module):
-    def __init__(self, in_ch, out_ch, kernel, stride=1, padding=0, bias=True, rng=None):
-        super().__init__()
-        rng = rng if rng is not None else np.random.default_rng(0)
-        k = (kernel,) * 3 if isinstance(kernel, int) else tuple(kernel)
-        fan_in = in_ch * int(np.prod(k))
-        self.weight = Parameter(_uniform_init(rng, (out_ch, in_ch, *k), fan_in))
-        self.bias = Parameter(_uniform_init(rng, (out_ch,), fan_in)) if bias else None
-        self.stride = stride
-        self.padding = padding
+class Conv(Module):
+    """2D or 3D convolution, direct or transposed; the rank comes from `kernel`.
 
-    def forward(self, x):
-        return T.conv3d(x, ConvParams(self.weight, self.bias, self.stride, self.padding))
+    The weight is (out_ch, in_ch, *kernel), or (in_ch, out_ch, *kernel) when
+    transposed; weight and bias are drawn in +-1/sqrt(in_ch * prod(kernel)).
+    """
 
-
-class ConvTranspose3d(Module):
     def __init__(self, in_ch, out_ch, kernel, stride=1, padding=0, output_padding=0,
-                 bias=True, rng=None):
+                 transposed=False, bias=True, rng=None):
         super().__init__()
         rng = rng if rng is not None else np.random.default_rng(0)
-        k = (kernel,) * 3 if isinstance(kernel, int) else tuple(kernel)
+        k = tuple(kernel)
+        self.op = _CONV_OPS[len(k), transposed]
         fan_in = in_ch * int(np.prod(k))
-        self.weight = Parameter(_uniform_init(rng, (in_ch, out_ch, *k), fan_in))
+        channels = (in_ch, out_ch) if transposed else (out_ch, in_ch)
+        self.weight = Parameter(_uniform_init(rng, (*channels, *k), fan_in))
         self.bias = Parameter(_uniform_init(rng, (out_ch,), fan_in)) if bias else None
-        self.stride = stride
-        self.padding = padding
-        self.output_padding = output_padding
+        self.params = ConvParams(self.weight, self.bias, stride, padding, output_padding)
 
     def forward(self, x):
-        return T.conv_transpose3d(
-            x,
-            ConvParams(self.weight, self.bias, self.stride, self.padding, self.output_padding),
-        )
+        # resolved per call, so a wrapper installed on the tensor module sees it
+        return getattr(T, self.op)(x, self.params)
 
 
 class BatchNorm(Module):
@@ -192,30 +169,24 @@ class BatchNorm(Module):
         )
 
 
-class ConvBnReLU2d(Module):
-    def __init__(self, in_ch, out_ch, kernel=3, stride=1, padding=1, rng=None):
-        super().__init__()
-        self.conv = Conv2d(in_ch, out_ch, kernel, stride, padding, bias=False, rng=rng)
-        self.bn = BatchNorm(out_ch)
+class ConvBnReLU(Module):
+    """Bias-free `Conv`, batch norm and ReLU; each axis is padded by (k - 1) // 2.
 
-    def forward(self, x):
-        return T.relu(self.bn.forward(self.conv.forward(x)))
-
-
-class ConvBnReLU3d(Module):
-    """3D conv block; a depth-3 kernel uses edge replication along depth.
-
-    Depth replication (rather than zero padding) keeps a volume that is
-    constant along the hypothesis axis constant through the block, which the
-    regularizer relies on.
+    A direct 3D block pads depth by edge replication rather than zeros, so a
+    volume that is constant along the hypothesis axis stays constant through
+    the block, which the regularizer relies on. A transposed block sets
+    output_padding = stride - 1, so stride 2 exactly doubles an extent.
     """
 
-    def __init__(self, in_ch, out_ch, kernel=(3, 3, 3), stride=(1, 1, 1), rng=None):
+    def __init__(self, in_ch, out_ch, kernel, stride=1, transposed=False, rng=None):
         super().__init__()
-        k = (kernel,) * 3 if isinstance(kernel, int) else tuple(kernel)
-        self.depth_pad = (k[0] - 1) // 2
-        pad = (0, (k[1] - 1) // 2, (k[2] - 1) // 2)
-        self.conv = Conv3d(in_ch, out_ch, k, stride, pad, bias=False, rng=rng)
+        k = tuple(kernel)
+        stride = (stride,) * len(k) if isinstance(stride, int) else tuple(stride)
+        pad = tuple((n - 1) // 2 for n in k)
+        self.depth_pad = pad[0] if len(k) == 3 and not transposed else 0
+        outpad = tuple(s - 1 for s in stride) if transposed else 0
+        self.conv = Conv(in_ch, out_ch, k, stride, (pad[0] - self.depth_pad, *pad[1:]),
+                         outpad, transposed, bias=False, rng=rng)
         self.bn = BatchNorm(out_ch)
 
     def forward(self, x):

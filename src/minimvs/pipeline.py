@@ -35,15 +35,17 @@ class SceneData:
 
 
 def read_pair_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        tokens = fh.read().split()
-    if not tokens:
-        raise ParseError(f"{path}: empty pair file")
+    with open(path, "rb") as fh:
+        blob = fh.read()
     pos = 0
     try:
+        tokens = blob.decode("utf-8").split()
+        if not tokens:
+            raise ParseError(f"{path}: empty pair file")
         n = int(tokens[pos]); pos += 1
-        if n < 1:
-            raise ParseError(f"{path}: view count {n} is not positive")
+        # each view takes at least two tokens, its id and its source count
+        if not 1 <= n <= len(tokens) // 2:
+            raise ParseError(f"{path}: view count {n} is not in [1, {len(tokens) // 2}]")
         pairs = [None] * n
         for _ in range(n):
             ref = int(tokens[pos]); pos += 1

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import DimensionError, ParameterError
-from .nn import BatchNorm, Conv3d, ConvBnReLU3d, ConvTranspose3d, Module
+from .nn import Conv, ConvBnReLU, Module
 from .tensor import Tensor
 
 
@@ -18,20 +18,6 @@ class DepthMap:
 
     depth: np.ndarray
     confidence: np.ndarray
-
-
-class _UpBlock3d(Module):
-    # kernel (1,3,3): upsampling never mixes depth slices, so a volume constant
-    # along depth stays constant through the decoder
-    def __init__(self, in_ch, out_ch, rng=None):
-        super().__init__()
-        self.conv = ConvTranspose3d(in_ch, out_ch, (1, 3, 3), stride=(1, 2, 2),
-                                    padding=(0, 1, 1), output_padding=(0, 1, 1),
-                                    bias=False, rng=rng)
-        self.bn = BatchNorm(out_ch)
-
-    def forward(self, x):
-        return T.relu(self.bn.forward(self.conv.forward(x)))
 
 
 class VolumeRegularizer(Module):
@@ -47,15 +33,16 @@ class VolumeRegularizer(Module):
         super().__init__()
         self.in_channels = in_channels
         b = base_channels
-        self.conv0 = ConvBnReLU3d(in_channels, b, (3, 3, 3), (1, 1, 1), rng=rng)
-        self.conv1 = ConvBnReLU3d(b, 2 * b, (3, 3, 3), (1, 2, 2), rng=rng)
-        self.conv2 = ConvBnReLU3d(2 * b, 2 * b, (3, 3, 3), (1, 1, 1), rng=rng)
-        self.conv3 = ConvBnReLU3d(2 * b, 4 * b, (3, 3, 3), (1, 2, 2), rng=rng)
-        self.conv4 = ConvBnReLU3d(4 * b, 4 * b, (3, 3, 3), (1, 1, 1), rng=rng)
-        self.up5 = _UpBlock3d(4 * b, 2 * b, rng=rng)
-        self.up6 = _UpBlock3d(2 * b, b, rng=rng)
-        self.prob = Conv3d(b, 1, (3, 3, 3), stride=(1, 1, 1), padding=(0, 1, 1),
-                           bias=True, rng=rng)
+        self.conv0 = ConvBnReLU(in_channels, b, (3, 3, 3), rng=rng)
+        self.conv1 = ConvBnReLU(b, 2 * b, (3, 3, 3), (1, 2, 2), rng=rng)
+        self.conv2 = ConvBnReLU(2 * b, 2 * b, (3, 3, 3), rng=rng)
+        self.conv3 = ConvBnReLU(2 * b, 4 * b, (3, 3, 3), (1, 2, 2), rng=rng)
+        self.conv4 = ConvBnReLU(4 * b, 4 * b, (3, 3, 3), rng=rng)
+        # kernel (1, 3, 3): upsampling never mixes depth slices, so a volume
+        # constant along depth stays constant through the decoder
+        self.up5 = ConvBnReLU(4 * b, 2 * b, (1, 3, 3), (1, 2, 2), transposed=True, rng=rng)
+        self.up6 = ConvBnReLU(2 * b, b, (1, 3, 3), (1, 2, 2), transposed=True, rng=rng)
+        self.prob = Conv(b, 1, (3, 3, 3), padding=(0, 1, 1), rng=rng)
 
     def forward(self, volume):
         c, d, h, w = volume.shape

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -464,180 +464,139 @@ class ConvParams:
 
     `weight` is (out_ch, in_ch, k...) for direct convolutions and
     (in_ch, out_ch, k...) for transposed ones. `stride` / `padding` /
-    `output_padding` are per spatial axis (scalars broadcast).
+    `output_padding` are per spatial axis (scalars broadcast);
+    `output_padding` only lengthens the output of a transposed convolution.
     """
 
     weight: Tensor
     bias: Tensor | None = None
     stride: tuple = 1
     padding: tuple = 0
-    output_padding: tuple = field(default=0)
-
-    def spatial(self, n):
-        return (
-            _tuple_n(self.stride, n, "stride"),
-            _tuple_n(self.padding, n, "padding"),
-            _tuple_n(self.output_padding, n, "output_padding"),
-        )
+    output_padding: tuple = 0
 
 
-def _tuple_n(value, n, name):
-    if isinstance(value, (int, np.integer)):
-        value = (int(value),) * n
-    value = tuple(int(v) for v in value)
-    if len(value) != n:
-        raise ParameterError(f"{name} must have {n} entries, got {value}")
-    if name == "stride" and any(v < 1 for v in value):
-        raise ParameterError(f"stride must be >= 1, got {value}")
-    if name in ("padding", "output_padding") and any(v < 0 for v in value):
-        raise ParameterError(f"{name} must be >= 0, got {value}")
+def _per_axis(value, n, name, low):
+    """`value` as `n` ints, each >= `low`; a scalar applies to every axis."""
+    value = (int(value),) * n if np.ndim(value) == 0 else tuple(int(v) for v in value)
+    if len(value) != n or min(value) < low:
+        raise ParameterError(f"{name} must be {n} integers >= {low}, got {value}")
     return value
 
 
-def _im2col(xp, kshape, stride, out_sp, workspace=None):
-    """(C, *padded) -> (C * prod(k), prod(out)) window matrix.
+def _windows(a, pad, kshape, stride, small, workspace=None):
+    """Zero-pad (C, *big) by `pad`, then unfold its (C * prod(k), prod(small)) window matrix.
 
     The windows are copied once: into a fresh array, or into a view of
     `workspace` that the next call through it overwrites.
     """
-    c = xp.shape[0]
-    spatial_strides = xp.strides[1:]
-    shape = (c, *kshape, *out_sp)
-    strides = (xp.strides[0], *spatial_strides,
+    ap = np.pad(a, ((0, 0), *[(p, p) for p in pad]))
+    c = ap.shape[0]
+    spatial_strides = ap.strides[1:]
+    shape = (c, *kshape, *small)
+    strides = (ap.strides[0], *spatial_strides,
                *(s * st for s, st in zip(spatial_strides, stride)))
-    windows = np.lib.stride_tricks.as_strided(xp, shape=shape, strides=strides)
-    k = int(np.prod(kshape))
-    p = int(np.prod(out_sp))
+    windows = np.lib.stride_tricks.as_strided(ap, shape=shape, strides=strides)
+    rows = c * int(np.prod(kshape))
     if workspace is None:
-        return windows.reshape(c * k, p)  # forces the single copy
-    cols = workspace.view((c * k, p))
+        return windows.reshape(rows, -1)  # forces the single copy
+    cols = workspace.view((rows, int(np.prod(small))))
     np.copyto(cols.reshape(shape), windows)
     return cols
 
 
-def _col2im(dcols, channels, padded_sp, kshape, stride, out_sp):
-    """Adjoint of `_im2col`: scatter-add columns back into the padded layout."""
-    dxp = np.zeros((channels, *padded_sp), dtype=np.float64)
-    dcols = dcols.reshape(channels, *kshape, *out_sp)
+def _scatter(cols, big, pad, kshape, stride, small):
+    """Adjoint of `_windows`: scatter-add window columns onto the padded grid, then crop to big."""
+    c = cols.shape[0] // int(np.prod(kshape))
+    out = np.zeros((c, *(n + 2 * p for n, p in zip(big, pad))))
+    cols = cols.reshape(c, *kshape, *small)
     for off in np.ndindex(*kshape):
-        sel = tuple(
-            slice(o, o + (n - 1) * st + 1, st) for o, n, st in zip(off, out_sp, stride)
-        )
-        dxp[(slice(None), *sel)] += dcols[(slice(None), *off)]
-    return dxp
+        sel = tuple(slice(o, o + (n - 1) * st + 1, st) for o, n, st in zip(off, small, stride))
+        out[(slice(None), *sel)] += cols[(slice(None), *off)]
+    return out[(slice(None), *(slice(p, p + n) for p, n in zip(pad, big)))]
 
 
-def _conv_nd(x, params, nsp, op):
+def _conv(x, params, nsp, op, transposed=False):
+    """Convolution of (C, *spatial) over `nsp` spatial axes, direct or transposed.
+
+    A direct convolution maps a big grid to a small one: `_windows` unfolds
+    its input and one GEMM applies the weight, and its input gradient is the
+    transposed GEMM followed by `_scatter`. A transposed convolution is that
+    input gradient as an operator, so it runs the same kernels the other way
+    round: GEMM plus `_scatter` forward, `_windows` plus GEMM backward.
+    """
     x = _as_tensor(x)
     w = params.weight
     b = params.bias
-    stride, pad, _ = params.spatial(nsp)
-    if x.ndim != nsp + 1:
-        raise DimensionError(f"{op}: input must be {nsp + 1}-dimensional, got shape {x.shape}")
-    if w.ndim != nsp + 2:
-        raise DimensionError(f"{op}: weight must be {nsp + 2}-dimensional, got shape {w.shape}")
-    if x.shape[0] != w.shape[1]:
-        raise DimensionError(
-            f"{op}: input has {x.shape[0]} channels, weight expects {w.shape[1]}"
-        )
+    stride = _per_axis(params.stride, nsp, "stride", 1)
+    pad = _per_axis(params.padding, nsp, "padding", 0)
+    outpad = _per_axis(params.output_padding, nsp, "output_padding", 0)
+    if any(o >= s for o, s in zip(outpad, stride)):
+        raise ParameterError(f"output_padding {outpad} must be smaller than stride {stride}")
+    if x.ndim != nsp + 1 or w.ndim != nsp + 2:
+        raise DimensionError(f"{op}: input {x.shape} or weight {w.shape} has the wrong rank")
+    c_out, c_in = w.shape[1::-1] if transposed else w.shape[:2]
+    if x.shape[0] != c_in:
+        raise DimensionError(f"{op}: input has {x.shape[0]} channels, weight expects {c_in}")
     kshape = w.shape[2:]
-    out_sp = tuple(
-        (x.shape[1 + i] + 2 * pad[i] - kshape[i]) // stride[i] + 1 for i in range(nsp)
-    )
-    if any(n < 1 for n in out_sp):
+    if transposed:
+        small = x.shape[1:]
+        big = out_sp = tuple((n - 1) * s - 2 * p + k + o
+                             for n, s, p, k, o in zip(small, stride, pad, kshape, outpad))
+    else:
+        big = x.shape[1:]
+        small = out_sp = tuple((n + 2 * p - k) // s + 1
+                               for n, s, p, k in zip(big, stride, pad, kshape))
+    if min(out_sp) < 1:
         raise DimensionError(f"{op}: empty output for input {x.shape}, kernel {kshape}")
     parents = (x, w) if b is None else (x, w, b)
-    # a recorded backward keeps `cols`, so only an unrecorded call may borrow
-    workspace = None if _records(parents) else _WORKSPACE.get()
-    xp = np.pad(x.data, ((0, 0), *[(p, p) for p in pad]))
-    cols = _im2col(xp, kshape, stride, out_sp, workspace)
     wmat = w.data.reshape(w.shape[0], -1)
-    y = wmat @ cols
+    if transposed:
+        xmat = x.data.reshape(c_in, -1)
+        y = _scatter(wmat.T @ xmat, big, pad, kshape, stride, small)
+    else:
+        # a recorded backward keeps `cols`, so only an unrecorded call may borrow
+        workspace = None if _records(parents) else _WORKSPACE.get()
+        cols = _windows(x.data, pad, kshape, stride, small, workspace)
+        y = (wmat @ cols).reshape(c_out, *small)
     if b is not None:
-        y = y + b.data[:, None]
-    y = y.reshape((w.shape[0], *out_sp))
-    in_sp = x.shape[1:]
+        y = y + b.data.reshape(c_out, *(1,) * nsp)
 
     def bwd(g):
-        gmat = g.reshape(w.shape[0], -1)
-        dw = (gmat @ cols.T).reshape(w.shape) if w.requires_grad else None
-        dx = None
-        if x.requires_grad:
-            dcols = wmat.T @ gmat
-            dxp = _col2im(dcols, x.shape[0], xp.shape[1:], kshape, stride, out_sp)
-            crop = tuple(slice(p, p + n) for p, n in zip(pad, in_sp))
-            dx = dxp[(slice(None), *crop)]
-        if b is not None:
-            db = gmat.sum(axis=1) if b.requires_grad else None
-            return dx, dw, db
-        return dx, dw
+        gmat = g.reshape(c_out, -1)
+        if transposed:
+            gcols = _windows(g, pad, kshape, stride, small)
+            dx = (wmat @ gcols).reshape(x.shape) if x.requires_grad else None
+            dw = (xmat @ gcols.T).reshape(w.shape) if w.requires_grad else None
+        else:
+            dx = None
+            if x.requires_grad:
+                dx = _scatter(wmat.T @ gmat, big, pad, kshape, stride, small)
+            dw = (gmat @ cols.T).reshape(w.shape) if w.requires_grad else None
+        if b is None:
+            return dx, dw
+        return dx, dw, gmat.sum(axis=1) if b.requires_grad else None
 
     return _result(y, parents, bwd, op)
 
 
 def conv2d(x, params):
     """Cross-correlation over (C, H, W); see ConvParams for the layout."""
-    return _conv_nd(x, params, 2, "conv2d")
+    return _conv(x, params, 2, "conv2d")
 
 
 def conv3d(x, params):
     """Cross-correlation over (C, D, H, W)."""
-    return _conv_nd(x, params, 3, "conv3d")
+    return _conv(x, params, 3, "conv3d")
 
 
 def conv_transpose3d(x, params):
-    """Transposed 3D convolution; weight is (in_ch, out_ch, kd, kh, kw).
+    """Transposed 3D convolution: the input gradient of `conv3d` with the same weight.
 
-    With stride 2, kernel 3, padding 1 and output_padding 1 along an axis the
-    output extent is exactly double the input extent.
+    The weight is (in_ch, out_ch, kd, kh, kw). With stride 2, kernel 3,
+    padding 1 and output_padding 1 along an axis the output extent is exactly
+    double the input extent.
     """
-    x = _as_tensor(x)
-    w = params.weight
-    b = params.bias
-    stride, pad, outpad = params.spatial(3)
-    if x.ndim != 4 or w.ndim != 5:
-        raise DimensionError(
-            f"conv_transpose3d: need (C,D,H,W) input and 5-d weight, got {x.shape}, {w.shape}"
-        )
-    if x.shape[0] != w.shape[0]:
-        raise DimensionError(
-            f"conv_transpose3d: input has {x.shape[0]} channels, weight expects {w.shape[0]}"
-        )
-    if any(op >= st for op, st in zip(outpad, stride)):
-        raise ParameterError("output_padding must be smaller than stride")
-    c_in, c_out = w.shape[:2]
-    kshape = w.shape[2:]
-    in_sp = x.shape[1:]
-    out_sp = tuple(
-        (in_sp[i] - 1) * stride[i] - 2 * pad[i] + kshape[i] + outpad[i] for i in range(3)
-    )
-    if any(n < 1 for n in out_sp):
-        raise DimensionError("conv_transpose3d: empty output")
-    padded_sp = tuple(o + 2 * p for o, p in zip(out_sp, pad))
-
-    k = int(np.prod(kshape))
-    xmat = x.data.reshape(c_in, -1)
-    dcols = w.data.reshape(c_in, c_out * k).T @ xmat
-    ypad = _col2im(dcols, c_out, padded_sp, kshape, stride, in_sp)
-    crop = tuple(slice(p, p + n) for p, n in zip(pad, out_sp))
-    y = ypad[(slice(None), *crop)]
-    if b is not None:
-        y = y + b.data.reshape(c_out, 1, 1, 1)
-
-    def bwd(g):
-        gp = np.pad(g, ((0, 0), *[(p, p) for p in pad]))
-        cols_g = _im2col(gp, kshape, stride, in_sp)
-        dx = None
-        if x.requires_grad:
-            dx = (w.data.reshape(c_in, c_out * k) @ cols_g).reshape(x.shape)
-        dw = (xmat @ cols_g.T).reshape(w.shape) if w.requires_grad else None
-        if b is not None:
-            db = g.sum(axis=(1, 2, 3)) if b.requires_grad else None
-            return dx, dw, db
-        return dx, dw
-
-    parents = (x, w) if b is None else (x, w, b)
-    return _result(y, parents, bwd, "conv_transpose3d")
+    return _conv(x, params, 3, "conv_transpose3d", transposed=True)
 
 
 # ---------------------------------------------------------------------------

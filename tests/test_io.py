@@ -6,11 +6,13 @@ import sys
 import numpy as np
 import pytest
 
-from minimvs import formats, fusion
+from minimvs import formats, fusion, pipeline, synth
+from minimvs.checkpoint import load_checkpoint, save_checkpoint
 from minimvs.cli import main
 from minimvs.config import (PipelineConfig, default_config_text, load_config,
                             parse_config_text)
 from minimvs.errors import ParameterError, ParseError
+from minimvs.geometry import read_camera
 from minimvs.pipeline import read_pair_file
 
 
@@ -130,6 +132,24 @@ NON_FINITE_PFM = (b"Pf\n2 2\n-1.0\n"
                   + np.array([[np.inf, 2.0], [1.0, np.nan]], dtype="<f4").tobytes())
 
 
+ASCII_PLY = (b"ply\nformat ascii 1.0\nelement vertex 1\n"
+             b"property float x\nproperty float y\nproperty float z\n"
+             b"property uchar red\nproperty uchar green\nproperty uchar blue\n"
+             b"end_header\n0 0 0 255 255 255\n")
+NAN_BINARY_PLY = (ASCII_PLY.replace(b"ascii", b"binary_little_endian").split(b"0 0 0")[0]
+                  + np.array([0.0, np.nan, 0.0], dtype="<f4").tobytes() + b"\xff\xff\xff")
+CAMERA = (b"extrinsic\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n\n"
+          b"intrinsic\n100 0 12\n0 100 8\n0 0 1\n\n1 10\n")
+THREE_COLUMN_CAMERA = (b"extrinsic\n1 0 0\n0 1 0\n0 0 1\n0 0 0\n\n"
+                       b"intrinsic\n100 0 12\n0 100 8\n0 0 1\n\n1 10\n")
+
+
+def test_camera_fixture_is_valid(tmp_path):
+    path = tmp_path / "cam.txt"
+    path.write_bytes(CAMERA)
+    assert read_camera(str(path)).depth_max == 10.0
+
+
 @pytest.mark.parametrize("name, blob, reader", [
     ("neg.pfm", b"Pf\n-4 3\n-1.0\n" + b"\x00" * 48, formats.read_pfm),
     ("pair.txt", b"3\n0 2 1 1.0\n", read_pair_file),
@@ -144,15 +164,51 @@ NON_FINITE_PFM = (b"Pf\n2 2\n-1.0\n"
     ("pair.txt", b"2\n0 1 0 1.0\n1 1 0 1.0\n", read_pair_file),
     ("pair.txt", b"3\n0 2 1 1.0 1 0.5\n1 1 0 1.0\n2 1 0 1.0\n", read_pair_file),
     ("nan.pfm", NON_FINITE_PFM, formats.read_pfm),
+    ("pair.txt", b"2\n0 1 1 1.0\n1 1 0 \xff\n", read_pair_file),
+    ("pair.txt", b"99999999999\n0 0\n", read_pair_file),
+    ("c.ply", ASCII_PLY.replace(b"vertex 1", b"vertex abc"), formats.read_ply),
+    ("c.ply", ASCII_PLY.replace(b"format ascii 1.0", b"format"), formats.read_ply),
+    ("c.ply", ASCII_PLY.replace(b"property float x", b"property float"), formats.read_ply),
+    ("c.ply", ASCII_PLY.replace(b"vertex 1", b"vertex -1"), formats.read_ply),
+    ("c.ply", ASCII_PLY.replace(b"0 0 0 255", b"0 nan 0 255"), formats.read_ply),
+    ("c.ply", ASCII_PLY.replace(b"0 0 0 255", b"0 x 0 255"), formats.read_ply),
+    ("c.ply", NAN_BINARY_PLY, formats.read_ply),
+    ("i.ppm", b"P6\n-2 2\n255\n" + b"\x00" * 12, formats.read_ppm),
+    ("cam.txt", THREE_COLUMN_CAMERA, read_camera),
+    ("cam.txt", CAMERA.replace(b"0 0 1 0\n", b"0 0 1 nan\n"), read_camera),
+    ("cam.txt", CAMERA.replace(b"1 10", b"1 inf"), read_camera),
+    ("cam.txt", CAMERA.replace(b"100 0 12", b"100 \xff 12"), read_camera),
 ], ids=["pfm-negative-dims", "pair-truncated", "pair-non-integer", "pair-empty",
         "pair-reference-out-of-range", "pair-missing-reference", "pair-source-out-of-range",
         "pair-source-negative", "pair-negative-view-count", "pair-negative-source-count",
-        "pair-self-source", "pair-duplicate-source", "pfm-non-finite"])
+        "pair-self-source", "pair-duplicate-source", "pfm-non-finite", "pair-not-utf8",
+        "pair-view-count-beyond-file", "ply-vertex-count-not-integer", "ply-format-no-value",
+        "ply-property-no-name", "ply-negative-vertex-count", "ply-ascii-nan",
+        "ply-ascii-not-a-number", "ply-binary-nan", "ppm-negative-dims",
+        "camera-three-columns", "camera-nan-translation", "camera-inf-depth-max",
+        "camera-not-utf8"])
 def test_malformed_input_raises_parse_error(tmp_path, name, blob, reader):
     path = tmp_path / name
     path.write_bytes(blob)
     with pytest.raises(ParseError):
         reader(str(path))
+
+
+class TestCheckpointInput:
+    def test_nan_payload(self, tmp_path):
+        path = tmp_path / "bad.bin"
+        save_checkpoint(path, {"w": np.array([1.0, np.nan])})
+        # payload at byte 29: magic 4, version and count 8, name 4 + 1, rank 4, extent 8
+        with pytest.raises(ParseError, match="non-finite value in 'w' at byte 37"):
+            load_checkpoint(str(path))
+
+    def test_name_not_utf8(self, tmp_path):
+        path = tmp_path / "bad.bin"
+        save_checkpoint(path, {"w": np.zeros(2)})
+        blob = path.read_bytes()
+        path.write_bytes(blob[:16] + b"\xff" + blob[17:])  # the name is byte 16
+        with pytest.raises(ParseError, match="malformed record at byte 12 .*utf-8"):
+            load_checkpoint(str(path))
 
 
 class TestConfig:
@@ -216,6 +272,26 @@ class TestConfig:
         path = tmp_path / "run.cfg"
         path.write_text("[pipeline]\nseed = 7\n")
         assert load_config(path).seed == 7
+
+    def test_file_not_utf8(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"[pipeline]\nseed = \xff\n")
+        with pytest.raises(ParseError, match="not UTF-8 at byte 18"):
+            load_config(path)
+
+    @pytest.mark.parametrize("text", [
+        "[pipeline]\ndepths = inf 8 4 4\n",
+        "[pipeline]\ntemperature = nan\n",
+        "[train]\nlearning_rate = nan\n",
+        "[fusion]\npixel_threshold = nan\n",
+        "[fusion]\ndepth_threshold = nan\n",
+        "[synth]\nradius = nan\n",
+        "[synth]\nradius = 1e999\n",
+    ], ids=["depths-inf", "temperature", "learning-rate", "pixel-threshold",
+            "depth-threshold", "radius", "radius-overflow"])
+    def test_non_finite_value_rejected(self, text):
+        with pytest.raises(ParameterError, match="non-finite"):
+            parse_config_text(text)
 
     def test_eval_norm_choices(self):
         assert parse_config_text("[pipeline]\neval_norm = running\n").eval_norm == "running"
@@ -288,6 +364,32 @@ class TestCli:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[pipeline]\nnot_a_key = 1\n")
         assert main(["selftest", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("bad", ["config", "ply", "camera", "checkpoint"])
+    def test_bad_input_file_returns_two(self, tmp_path, capsys, bad):
+        path = tmp_path / "bad"
+        data = tmp_path / "data"
+        out = str(tmp_path / "out")
+        if bad in ("camera", "checkpoint"):
+            synth.make_dataset(str(data), 1, 3, 16, 24, seed=5, style="plane")
+        if bad == "config":
+            path.write_text("[pipeline]\ntemperature = nan\n")
+            argv = ["default-config", "--config", str(path)]
+        elif bad == "ply":
+            path.write_bytes(NAN_BINARY_PLY)
+            argv = ["eval-cloud", "--recon", str(path), "--gt", str(path)]
+        elif bad == "camera":
+            path = data / "scene_0000" / "cams" / "0001_cam.txt"
+            path.write_bytes(THREE_COLUMN_CAMERA)
+            argv = ["infer", "--data", str(data), "--out", out]
+        else:
+            state = pipeline.build_network(PipelineConfig()).state_dict()
+            state["features.enc0.conv.weight"][0, 0, 0, 0] = np.nan
+            save_checkpoint(path, state)
+            argv = ["infer", "--data", str(data), "--checkpoint", str(path), "--out", out]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert ("non-finite value 'nan'" if bad == "config" else str(path)) in err
 
     def test_end_to_end_synth_infer_fuse(self, tmp_path):
         data = tmp_path / "data"

@@ -1,5 +1,6 @@
 """Cascade orchestration: inference contracts, guidance ablations, datasets."""
 
+import hashlib
 import os
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from minimvs import formats, pipeline, synth
 from minimvs import tensor as T
+from minimvs.checkpoint import save_checkpoint
 from minimvs.config import PipelineConfig
 from minimvs.errors import DatasetError
 from minimvs.nn import BatchNorm
@@ -45,6 +47,48 @@ def _assert_same_bits(got, want):
         assert np.array_equal(a.confidence, b.confidence)
         for wa, wb in zip(a.view_weights, b.view_weights, strict=True):
             assert np.array_equal(wa.data, wb.data)
+
+
+def _block(prefix):
+    return [f"{prefix}.conv.weight", f"{prefix}.bn.gamma", f"{prefix}.bn.beta"]
+
+
+def _regularizer(prefix):
+    names = []
+    for block in ("conv0", "conv1", "conv2", "conv3", "conv4", "up5", "up6"):
+        names += _block(f"{prefix}.{block}")
+    return names + [f"{prefix}.prob.weight", f"{prefix}.prob.bias"]
+
+
+PARAMETER_NAMES = (
+    [name for i in range(4) for name in _block(f"features.enc{i}")]
+    + [f"features.lateral.{i}.{p}" for i in range(3) for p in ("weight", "bias")]
+    + [f"features.gates.{i}.{conv}.{p}" for i in range(3)
+       for conv in ("reduce", "restore") for p in ("weight", "bias")]
+    + [f"features.heads.{i}.{p}" for i in range(4) for p in ("weight", "bias")]
+    + [name for i in range(3) for conv in ("conv_coarse", "conv_fine")
+       for name in _block(f"guidance.{i}.{conv}")]
+    + [name for i in range(4) for name in _regularizer(f"regularizers.{i}")]
+)
+BUFFER_NAMES = [
+    name.replace(".gamma", f".{b}") for name in PARAMETER_NAMES if name.endswith(".bn.gamma")
+    for b in ("running_mean", "running_var")
+]
+# sha256 of the seed-0 default network's checkpoint: numpy's RNG fills every
+# tensor, so the bytes are the same on every machine
+UNTRAINED_SHA256 = "80abe6bdc379b18c03aa781b46c7caae2a8d31aac3ff495e80b22c99e080ad4d"
+
+
+class TestCheckpointLayout:
+    def test_parameter_and_buffer_names_in_order(self):
+        net = pipeline.build_network(PipelineConfig())
+        assert [name for name, _ in net.named_parameters()] == PARAMETER_NAMES
+        assert [name for name, _ in net.named_buffers()] == BUFFER_NAMES
+
+    def test_untrained_checkpoint_bytes(self, tmp_path):
+        path = tmp_path / "untrained.bin"
+        save_checkpoint(path, pipeline.build_network(PipelineConfig()).state_dict())
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == UNTRAINED_SHA256
 
 
 class TestDatasetLoading:

@@ -143,6 +143,24 @@ class TestConv:
         rhs = float((y * tx.data).sum())
         assert abs(lhs - rhs) < 1e-9
 
+    @pytest.mark.parametrize("kernel, stride, pad, outpad, y_shape", [
+        ((1, 3, 3), (1, 2, 2), (0, 1, 1), (0, 1, 1), (3, 4, 8, 6)),
+        ((3, 3, 3), (1, 2, 2), (1, 1, 1), (0, 1, 1), (3, 4, 6, 6)),
+        ((3, 3, 3), 2, 1, 1, (3, 6, 4, 8)),
+        ((2, 3, 1), (2, 1, 1), 0, 0, (3, 6, 5, 4)),
+    ], ids=["decoder", "depth3", "stride2", "unpadded"])
+    def test_transpose_is_the_input_gradient_of_conv(self, rng, kernel, stride, pad, outpad,
+                                                     y_shape):
+        # conv_transpose3d(x, W) is d<conv3d(y, W), x>/dy, bit for bit
+        w = Tensor(rng.standard_normal((2, 3, *kernel)))
+        y = Tensor(rng.standard_normal(y_shape), requires_grad=True)
+        conv_y = T.conv3d(y, ConvParams(w, None, stride, pad))
+        x = rng.standard_normal(conv_y.shape)
+        T.backward(T.sum_all(T.mul(conv_y, x)))
+        tx = T.conv_transpose3d(Tensor(x), ConvParams(w, None, stride, pad, outpad))
+        assert tx.shape == y_shape
+        assert tx.data.tobytes() == y.grad.tobytes()
+
     def test_channel_mismatch_raises(self, rng):
         x = Tensor(rng.standard_normal((3, 4, 4)))
         w = Tensor(rng.standard_normal((2, 2, 3, 3)))
