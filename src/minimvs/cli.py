@@ -1,7 +1,8 @@
 """Command-line surface: synth / train / infer / fuse / eval-depth / eval-cloud /
 gradcheck / selftest.
 
-Exit codes: 0 success, 2 validation or configuration failure, 1 other errors.
+Exit codes: 0 success, 2 bad input (configuration, arguments, input files,
+datasets), 1 other errors.
 All outputs are written under --out.
 """
 
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import evaluation, formats, fusion, pipeline, synth, training
 from .config import PipelineConfig, default_config_text, load_config
-from .errors import MvsError, ParameterError, ParseError
+from .errors import DatasetError, MvsError, ParameterError, ParseError
 from .gradcheck import run_op_checks
 from .selftest import run_selftest
 
@@ -50,7 +51,10 @@ def _load_cfg(args):
 def _require_out(args):
     if not args.out:
         raise ParameterError("--out <dir> is required for this command")
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:  # e.g. --out names an existing file
+        raise ParameterError(f"--out {args.out}: cannot make the directory ({exc.strerror})") from exc
     return args.out
 
 
@@ -100,13 +104,9 @@ def cmd_fuse(args):
     total = 0
     for scene in scenes:
         scene_dir = os.path.join(args.depths, scene.name)
-        n = len(scene.images)
-        depths, confs = [], []
-        for v in range(n):
-            depths.append(formats.read_pfm(
-                os.path.join(scene_dir, f"{v:04d}_depth.pfm")).astype(np.float64))
-            confs.append(formats.read_pfm(
-                os.path.join(scene_dir, f"{v:04d}_conf.pfm")).astype(np.float64))
+        depths, confs = ([formats.read_pfm(os.path.join(scene_dir, f"{v:04d}_{kind}.pfm"))
+                          .astype(np.float64) for v in range(len(scene.images))]
+                         for kind in ("depth", "conf"))
         cloud = fusion.fuse(depths, confs, scene.images, scene.cameras, cfg.fusion)
         ply = os.path.join(out, f"{scene.name}.ply")
         formats.write_ply(ply, cloud.points, cloud.colors)
@@ -123,10 +123,8 @@ def cmd_eval_depth(args):
     report = evaluation.depth_errors(pred, gt, mask)
     sys.stdout.write(evaluation.depth_report_text(report))
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "depth_report.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(evaluation.depth_report_csv(report))
+        path = os.path.join(_require_out(args), "depth_report.csv")
+        formats.write_file(path, evaluation.depth_report_csv(report))
         print(f"report written to {path}")
     return 0
 
@@ -138,10 +136,8 @@ def cmd_eval_cloud(args):
     thr = evaluation.threshold_metrics(recon, gt, args.tau) if args.tau else None
     sys.stdout.write(evaluation.cloud_report_text(dist, thr))
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "cloud_report.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(evaluation.cloud_report_csv(dist, thr))
+        path = os.path.join(_require_out(args), "cloud_report.csv")
+        formats.write_file(path, evaluation.cloud_report_csv(dist, thr))
         print(f"report written to {path}")
     return 0
 
@@ -231,7 +227,7 @@ def main(argv=None):
         if getattr(args, "config", None):
             load_config(args.config)  # any config error is fatal for every command
         return args.fn(args)
-    except (ParameterError, ParseError) as exc:
+    except (ParameterError, ParseError, DatasetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MvsError as exc:

@@ -9,9 +9,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 from .errors import ParameterError, ParseError
+from .formats import read_file
 from .geometry import STAGE_COUNT
+
+MAX_SIZE = 4096  # upper bound on every count or extent that sizes an allocation
+_SIZES = ("depths", "groups", "feature_channels", "regularizer_base", "train.views",
+          "train.batch_size", "synth.scenes", "synth.views", "synth.height", "synth.width")
 
 
 @dataclass
@@ -122,6 +128,10 @@ class PipelineConfig:
             raise ParameterError("pipeline.regularizer_base must be >= 1")
         if self.eval_norm not in ("instance", "running"):
             raise ParameterError("pipeline.eval_norm must be 'instance' or 'running'")
+        for name in _SIZES:
+            value = attrgetter(name)(self)
+            if max(value if isinstance(value, tuple) else (value,)) > MAX_SIZE:
+                raise ParameterError(f"{name} must be at most {MAX_SIZE}, got {value}")
         self.train.validate()
         self.fusion.validate()
         self.synth.validate()
@@ -136,8 +146,10 @@ _SECTIONS = {
 }
 
 
-def _parse_value(raw, kind, key):
+def _parse_value(raw, default, key, where):
+    """Parse `raw` as the type of `default`; a tuple takes its first entry's type."""
     raw = raw.strip()
+    kind = type(default[0]) if isinstance(default, tuple) else type(default)
     try:
         if kind is bool:
             lowered = raw.lower()
@@ -146,40 +158,29 @@ def _parse_value(raw, kind, key):
             if lowered in ("false", "0", "no", "off"):
                 return False
             raise ValueError(raw)
-        if kind is int:
-            return int(raw)
         if kind is str:
             return raw
-        if kind is tuple:
-            values = [float(p) for p in raw.replace(",", " ").split()]
-        else:
-            values = [float(raw)]
+        tokens = raw.replace(",", " ").split()
+        if not isinstance(default, tuple) and len(tokens) != 1:
+            raise ValueError(raw)
+        # every number of the pipeline is finite; nan would slip past each range check
+        if not all(math.isfinite(float(p)) for p in tokens):
+            raise ParameterError(f"{where}: non-finite value '{raw}' for key '{key}'")
+        values = tuple(kind(p) for p in tokens)  # int() takes no '8.0' or '1e300'
     except ValueError as exc:
-        raise ParameterError(f"bad value '{raw}' for key '{key}'") from exc
-    # every number of the pipeline is finite; nan would slip past each range check
-    if not all(math.isfinite(v) for v in values):
-        raise ParameterError(f"non-finite value '{raw}' for key '{key}'")
-    if kind is float:
-        return values[0]
-    if all(v == int(v) for v in values) and key != "stage_weights":
-        return tuple(int(v) for v in values)
-    return tuple(values)
+        raise ParameterError(f"{where}: bad value '{raw}' for key '{key}'") from exc
+    return values if isinstance(default, tuple) else values[0]
 
 
-def _field_kinds(cls):
-    kinds = {}
-    for f in fields(cls):
-        if f.name in ("train", "fusion", "synth"):
-            continue
-        default = getattr(cls(), f.name)
-        kinds[f.name] = type(default)
-    return kinds
+def _field_defaults(cls):
+    return {f.name: getattr(cls(), f.name) for f in fields(cls)
+            if f.name not in ("train", "fusion", "synth")}
 
 
 def parse_config_text(text, path="<config>"):
     cfg = PipelineConfig()
     section = "pipeline"
-    section_kinds = {name: _field_kinds(cls) for name, cls in _SECTIONS.items()}
+    section_defaults = {name: _field_defaults(cls) for name, cls in _SECTIONS.items()}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -195,13 +196,13 @@ def parse_config_text(text, path="<config>"):
         if "=" not in line:
             raise ParseError(f"{path}:{lineno}: expected 'key = value', got '{line}'")
         key, raw_value = (part.strip() for part in line.split("=", 1))
-        kinds = section_kinds[section]
-        if key not in kinds:
+        defaults = section_defaults[section]
+        if key not in defaults:
             raise ParameterError(
                 f"{path}:{lineno}: unknown key '{key}' in [{section}]; "
-                f"valid keys: {sorted(kinds)}"
+                f"valid keys: {sorted(defaults)}"
             )
-        value = _parse_value(raw_value, kinds[key], key)
+        value = _parse_value(raw_value, defaults[key], key, f"{path}:{lineno}")
         target = cfg if section == "pipeline" else getattr(cfg, section)
         setattr(target, key, value)
     cfg.validate()
@@ -209,8 +210,7 @@ def parse_config_text(text, path="<config>"):
 
 
 def load_config(path):
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    blob = read_file(path)
     try:
         text = blob.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -219,9 +219,6 @@ def load_config(path):
 
 
 def default_config_text():
-    cfg = PipelineConfig()
-    lines = ["[pipeline]"]
-
     def fmt(value):
         if isinstance(value, tuple):
             return " ".join(str(v) for v in value)
@@ -229,14 +226,8 @@ def default_config_text():
             return "true" if value else "false"
         return str(value)
 
-    for f in fields(PipelineConfig):
-        if f.name in ("train", "fusion", "synth"):
-            continue
-        lines.append(f"{f.name} = {fmt(getattr(cfg, f.name))}")
-    for section in ("train", "fusion", "synth"):
-        lines.append("")
-        lines.append(f"[{section}]")
-        sub = getattr(cfg, section)
-        for f in fields(sub):
-            lines.append(f"{f.name} = {fmt(getattr(sub, f.name))}")
-    return "\n".join(lines) + "\n"
+    lines = []
+    for section, cls in _SECTIONS.items():
+        lines += ["", f"[{section}]"]
+        lines += [f"{key} = {fmt(value)}" for key, value in _field_defaults(cls).items()]
+    return "\n".join(lines[1:]) + "\n"

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, ParseError
+from .errors import ParameterError
 from .tensor import resize_bilinear
 
 STAGE_SCALES = (8, 4, 2, 1)  # full-resolution divisor per stage
@@ -197,42 +197,3 @@ def warp_coords(ref, src, hyp, height, width):
     uv = pts[:2] / z_safe[None]
     uv = np.where(bad[None], -1e9, uv)
     return uv.reshape(2, hyp.num_depths, height, width)
-
-
-# ---------------------------------------------------------------------------
-# camera text files
-# ---------------------------------------------------------------------------
-
-def write_camera(path, cam):
-    """One camera per file: extrinsic 4x4, intrinsic 3x3, then "dmin dmax"."""
-    ext = np.eye(4)
-    ext[:3, :3] = cam.R
-    ext[:3, 3] = cam.t
-    lines = ["extrinsic"]
-    lines += [" ".join(f"{v:.17g}" for v in row) for row in ext]
-    lines.append("")
-    lines.append("intrinsic")
-    lines += [" ".join(f"{v:.17g}" for v in row) for row in cam.K]
-    lines.append("")
-    lines.append(f"{cam.depth_min:.17g} {cam.depth_max:.17g}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_camera(path):
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    try:
-        lines = [line.strip() for line in blob.decode("utf-8").splitlines() if line.strip()]
-        if lines[0] != "extrinsic":
-            raise ParseError(f"{path}: expected 'extrinsic' on the first line")
-        ext = np.array([[float(v) for v in lines[1 + i].split()] for i in range(4)])
-        if lines[5] != "intrinsic":
-            raise ParseError(f"{path}: expected 'intrinsic' after the extrinsic block")
-        intr = np.array([[float(v) for v in lines[6 + i].split()] for i in range(3)])
-        dmin, dmax = (float(v) for v in lines[9].split()[:2])
-        if not np.isfinite([*ext.ravel(), *intr.ravel(), dmin, dmax]).all():
-            raise ParseError(f"{path}: non-finite camera value")
-        return Camera(intr, ext[:3, :3], ext[:3, 3], dmin, dmax)
-    except (IndexError, ValueError, ParameterError) as exc:  # ValueError covers bad UTF-8
-        raise ParseError(f"{path}: malformed camera file ({exc})") from exc

@@ -12,10 +12,9 @@ from . import tensor as T
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import PipelineConfig
 from .cost import VolumeGuidance, aggregate, view_weights, warp_and_correlate
-from .errors import DatasetError, ParseError
+from .errors import DatasetError
 from .features import FeatureExtractor
-from .geometry import (STAGE_COUNT, STAGE_SCALES, initial_hypotheses, read_camera,
-                       refine_hypotheses)
+from .geometry import STAGE_COUNT, STAGE_SCALES, initial_hypotheses, refine_hypotheses
 from .nn import BatchNorm, Module, ModuleList
 from .regularizer import VolumeRegularizer, wta_depth
 from .tensor import Tensor
@@ -34,46 +33,6 @@ class SceneData:
     pairs: list       # per view: ranked [(src_id, score), ...]
 
 
-def read_pair_file(path):
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    pos = 0
-    try:
-        tokens = blob.decode("utf-8").split()
-        if not tokens:
-            raise ParseError(f"{path}: empty pair file")
-        n = int(tokens[pos]); pos += 1
-        # each view takes at least two tokens, its id and its source count
-        if not 1 <= n <= len(tokens) // 2:
-            raise ParseError(f"{path}: view count {n} is not in [1, {len(tokens) // 2}]")
-        pairs = [None] * n
-        for _ in range(n):
-            ref = int(tokens[pos]); pos += 1
-            count = int(tokens[pos]); pos += 1
-            if count < 0:
-                raise ParseError(f"{path}: negative source count {count} for view {ref}")
-            ranked, seen = [], set()
-            for _ in range(count):
-                src = int(tokens[pos])
-                if src < 0 or src >= n:
-                    raise ParseError(f"{path}: source id {src} out of range at token {pos}")
-                if src == ref:
-                    raise ParseError(f"{path}: view {ref} lists itself as a source at token {pos}")
-                if src in seen:
-                    raise ParseError(f"{path}: view {ref} lists source {src} twice at token {pos}")
-                seen.add(src)
-                ranked.append((src, float(tokens[pos + 1])))
-                pos += 2
-            if ref < 0 or ref >= n:
-                raise ParseError(f"{path}: reference id {ref} out of range")
-            pairs[ref] = ranked
-    except (IndexError, ValueError) as exc:
-        raise ParseError(f"{path}: truncated or malformed at token {pos}") from exc
-    if any(p is None for p in pairs):
-        raise ParseError(f"{path}: missing reference entries")
-    return pairs
-
-
 def load_scene(scene_dir, with_gt=True):
     img_dir = os.path.join(scene_dir, "images")
     cam_dir = os.path.join(scene_dir, "cams")
@@ -85,19 +44,21 @@ def load_scene(scene_dir, with_gt=True):
     images, cams, depths = [], [], []
     for vid in ids:
         images.append(formats.read_ppm(os.path.join(img_dir, f"{vid}.ppm")))
-        cams.append(read_camera(os.path.join(cam_dir, f"{vid}_cam.txt")))
+        cams.append(formats.read_camera(os.path.join(cam_dir, f"{vid}_cam.txt")))
         depth_path = os.path.join(scene_dir, "depths", f"{vid}.pfm")
         if with_gt and os.path.exists(depth_path):
             depths.append(formats.read_pfm(depth_path).astype(np.float64))
         else:
             depths.append(None)
-    pairs = read_pair_file(os.path.join(scene_dir, "pair.txt"))
+    pairs = formats.read_pair_file(os.path.join(scene_dir, "pair.txt"))
     if len(pairs) != len(ids):
         raise DatasetError(f"{scene_dir}: pair file lists {len(pairs)} views, found {len(ids)}")
     return SceneData(os.path.basename(scene_dir.rstrip("/")), images, cams, depths, pairs)
 
 
 def load_dataset(root, with_gt=True):
+    if not os.path.isdir(root):
+        raise DatasetError(f"{root}: no such dataset directory")
     scenes = sorted(
         d for d in os.listdir(root) if os.path.isdir(os.path.join(root, d)) and d.startswith("scene_")
     )
@@ -203,11 +164,7 @@ def build_network(cfg: PipelineConfig, seed=None):
 
 def select_sources(pairs, ref_id, n_views):
     """Top-ranked source ids for a reference view (n_views includes the reference)."""
-    ranked = [s for s, _ in pairs[ref_id]]
-    wanted = max(1, n_views - 1)
-    if not ranked:
-        raise DatasetError(f"view {ref_id} has no source views in the pair file")
-    return ranked[:wanted]
+    return [s for s, _ in pairs[ref_id][:max(1, n_views - 1)]]
 
 
 def view_ids(scene, ref_id, n_views):

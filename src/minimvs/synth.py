@@ -17,7 +17,7 @@ import numpy as np
 
 from . import formats
 from .errors import ParameterError
-from .geometry import Camera, backproject, pixel_grid, project, write_camera
+from .geometry import Camera, backproject, pixel_grid, project
 
 _EPS = 1e-9
 
@@ -355,16 +355,6 @@ def rank_source_views(cams, depths, valids, step=4):
     return pairs
 
 
-def write_pair_file(path, pairs):
-    lines = [str(len(pairs))]
-    for ref, ranked in enumerate(pairs):
-        lines.append(str(ref))
-        entries = " ".join(f"{s} {score:.6f}" for s, score in ranked)
-        lines.append(f"{len(ranked)} {entries}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def make_dataset(out_dir, n_scenes, views_per_scene, height, width, seed=0,
                  radius=4.0, span_deg=32.0, style="objects", focal_factor=1.5,
                  range_margin=1.6):
@@ -401,8 +391,8 @@ def make_dataset(out_dir, n_scenes, views_per_scene, height, width, seed=0,
             cam = Camera(cam.K, cam.R, cam.t, dmin, dmax)
             formats.write_ppm(os.path.join(scene_dir, "images", f"{vi:04d}.ppm"), images[vi])
             formats.write_pfm(os.path.join(scene_dir, "depths", f"{vi:04d}.pfm"), depths[vi])
-            write_camera(os.path.join(scene_dir, "cams", f"{vi:04d}_cam.txt"), cam)
+            formats.write_camera(os.path.join(scene_dir, "cams", f"{vi:04d}_cam.txt"), cam)
         pairs = rank_source_views(cams, depths, valids)
-        write_pair_file(os.path.join(scene_dir, "pair.txt"), pairs)
+        formats.write_pair_file(os.path.join(scene_dir, "pair.txt"), pairs)
         scene_dirs.append(scene_dir)
     return scene_dirs

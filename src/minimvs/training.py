@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import csv
+import io
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
+from .formats import write_file
 from .errors import NumericError
 from .geometry import STAGE_COUNT, STAGE_SCALES
 from .nn import Adam
@@ -157,10 +159,9 @@ def train(scenes, cfg, out_dir, log=None):
 
     final_path = os.path.join(out_dir, "checkpoint.bin")
     save_network(final_path, network)
-    trace_path = os.path.join(out_dir, "loss_trace.csv")
-    with open(trace_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["iteration", *_STAGE_KEYS, "total"])
-        writer.writeheader()
-        for row in trace:
-            writer.writerow(row)
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=["iteration", *_STAGE_KEYS, "total"])
+    writer.writeheader()
+    writer.writerows(trace)
+    write_file(os.path.join(out_dir, "loss_trace.csv"), text.getvalue())
     return trace, final_path

@@ -8,8 +8,7 @@ from conftest import make_camera
 from minimvs import formats
 from minimvs.checkpoint import load_checkpoint, save_checkpoint
 from minimvs.errors import ParseError
-from minimvs.geometry import read_camera, write_camera
-from minimvs.pipeline import read_pair_file
+from minimvs.formats import read_camera, read_pair_file, write_camera
 
 # tokens that push a number field out of its range
 TOKENS = [b"-1", b"0", b"nan", b"inf", b"1e999", b"99999999999", b"x", b"\xff", b" ", b"\n"]

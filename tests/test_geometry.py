@@ -7,9 +7,9 @@ from conftest import (fronto_plane_setup, homography, make_camera, plane_homogra
                       plane_scene, random_calibrated_pair, rotation_from_axis_angle)
 from minimvs import synth
 from minimvs.errors import ParameterError, ParseError
+from minimvs.formats import read_camera, write_camera
 from minimvs.geometry import (Camera, HypothesisSet, backproject, initial_hypotheses,
-                              project, read_camera, refine_hypotheses, relative_pose,
-                              warp_coords, write_camera)
+                              project, refine_hypotheses, relative_pose, warp_coords)
 
 
 class TestCameraType:

@@ -12,8 +12,7 @@ from minimvs.cli import main
 from minimvs.config import (PipelineConfig, default_config_text, load_config,
                             parse_config_text)
 from minimvs.errors import ParameterError, ParseError
-from minimvs.geometry import read_camera
-from minimvs.pipeline import read_pair_file
+from minimvs.formats import read_camera, read_pair_file
 
 
 class TestPfm:
@@ -166,6 +165,8 @@ def test_camera_fixture_is_valid(tmp_path):
     ("nan.pfm", NON_FINITE_PFM, formats.read_pfm),
     ("pair.txt", b"2\n0 1 1 1.0\n1 1 0 \xff\n", read_pair_file),
     ("pair.txt", b"99999999999\n0 0\n", read_pair_file),
+    ("pair.txt", b"2\n0 0\n1 1 0 1.0\n", read_pair_file),
+    ("pair.txt", b"2\n0 1 1 nan\n1 1 0 1.0\n", read_pair_file),
     ("c.ply", ASCII_PLY.replace(b"vertex 1", b"vertex abc"), formats.read_ply),
     ("c.ply", ASCII_PLY.replace(b"format ascii 1.0", b"format"), formats.read_ply),
     ("c.ply", ASCII_PLY.replace(b"property float x", b"property float"), formats.read_ply),
@@ -182,7 +183,7 @@ def test_camera_fixture_is_valid(tmp_path):
         "pair-reference-out-of-range", "pair-missing-reference", "pair-source-out-of-range",
         "pair-source-negative", "pair-negative-view-count", "pair-negative-source-count",
         "pair-self-source", "pair-duplicate-source", "pfm-non-finite", "pair-not-utf8",
-        "pair-view-count-beyond-file", "ply-vertex-count-not-integer", "ply-format-no-value",
+        "pair-view-count-beyond-file", "pair-zero-sources", "pair-nan-score", "ply-vertex-count-not-integer", "ply-format-no-value",
         "ply-property-no-name", "ply-negative-vertex-count", "ply-ascii-nan",
         "ply-ascii-not-a-number", "ply-binary-nan", "ppm-negative-dims",
         "camera-three-columns", "camera-nan-translation", "camera-inf-depth-max",
@@ -209,6 +210,22 @@ class TestCheckpointInput:
         path.write_bytes(blob[:16] + b"\xff" + blob[17:])  # the name is byte 16
         with pytest.raises(ParseError, match="malformed record at byte 12 .*utf-8"):
             load_checkpoint(str(path))
+
+
+# one size past config.MAX_SIZE per key that sizes an allocation; the groups
+# case scales the feature channels too, so only the bound can reject it
+OVERSIZED = [
+    ("pipeline", "depths", "4100 8 4 4"),
+    ("pipeline", "groups", "8192 8 4 4\nfeature_channels = 8192 16 8 8"),
+    ("pipeline", "feature_channels", "8192 16 8 8"),
+    ("pipeline", "regularizer_base", "5000"),
+    ("synth", "height", "800000"),
+    ("synth", "width", "8192"),
+    ("synth", "views", "5000"),
+    ("synth", "scenes", "5000"),
+    ("train", "views", "5000"),
+    ("train", "batch_size", "5000"),
+]
 
 
 class TestConfig:
@@ -292,6 +309,25 @@ class TestConfig:
     def test_non_finite_value_rejected(self, text):
         with pytest.raises(ParameterError, match="non-finite"):
             parse_config_text(text)
+
+    @pytest.mark.parametrize("section, key, value", OVERSIZED,
+                             ids=[f"{section}.{key}" for section, key, _ in OVERSIZED])
+    def test_allocating_size_is_bounded(self, section, key, value):
+        name = key if section == "pipeline" else f"{section}.{key}"
+        with pytest.raises(ParameterError, match=f"^{name} must be at most 4096"):
+            parse_config_text(f"[{section}]\n{key} = {value}\n")
+
+    @pytest.mark.parametrize("value", ["1e300 8 4 4", "8.0 8 4 4", "1" + "0" * 300 + " 8 4 4"],
+                             ids=["exponent", "decimal-point", "301-digits"])
+    def test_integer_keys_take_integers(self, value):
+        with pytest.raises(ParameterError, match="bad value|at most 4096"):
+            parse_config_text(f"[pipeline]\ndepths = {value}\n")
+
+    def test_bad_value_names_file_and_line(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("[train]\n\nepochs = x\n")
+        with pytest.raises(ParameterError, match=f"{path}:3: bad value 'x' for key 'epochs'"):
+            load_config(path)
 
     def test_eval_norm_choices(self):
         assert parse_config_text("[pipeline]\neval_norm = running\n").eval_norm == "running"

@@ -10,8 +10,7 @@ import pytest
 from conftest import make_camera, plane_scene
 from minimvs import synth
 from minimvs.errors import ParameterError
-from minimvs.geometry import read_camera
-from minimvs.pipeline import read_pair_file
+from minimvs.formats import read_camera, read_pair_file
 
 
 def _dir_digest(root):
