@@ -41,11 +41,10 @@ from .selftest import run_selftest
 
 def _load_cfg(args):
     cfg = load_config(args.config) if args.config else PipelineConfig()
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg.seed = args.seed
         cfg.train.seed = args.seed
-    cfg.validate()
-    return cfg
+    return cfg.validate()
 
 
 def _require_out(args):
@@ -59,11 +58,10 @@ def _require_out(args):
 
 
 def cmd_synth(args):
-    cfg = _load_cfg(args)
     out = _require_out(args)
-    s = cfg.synth
+    s = args.cfg.synth
     dirs = synth.make_dataset(out, s.scenes, s.views, s.height, s.width,
-                              seed=cfg.seed, radius=s.radius, span_deg=s.span_deg,
+                              seed=args.cfg.seed, radius=s.radius, span_deg=s.span_deg,
                               style=s.style, focal_factor=s.focal_factor,
                               range_margin=s.range_margin)
     print(f"wrote {len(dirs)} scene(s) under {out}")
@@ -71,7 +69,7 @@ def cmd_synth(args):
 
 
 def cmd_train(args):
-    cfg = _load_cfg(args)
+    cfg = args.cfg
     out = _require_out(args)
     data_dir = args.data or cfg.dataset
     if not data_dir:
@@ -83,7 +81,7 @@ def cmd_train(args):
 
 
 def cmd_infer(args):
-    cfg = _load_cfg(args)
+    cfg = args.cfg
     out = _require_out(args)
     data_dir = args.data or cfg.dataset
     ckpt = args.checkpoint or cfg.checkpoint
@@ -95,9 +93,8 @@ def cmd_infer(args):
 
 
 def cmd_fuse(args):
-    cfg = _load_cfg(args)
     out = _require_out(args)
-    data_dir = args.data or cfg.dataset
+    data_dir = args.data or args.cfg.dataset
     if not data_dir or not args.depths:
         raise ParameterError("fuse needs --data <dataset dir> and --depths <infer output dir>")
     scenes = pipeline.load_dataset(data_dir, with_gt=False)
@@ -107,7 +104,7 @@ def cmd_fuse(args):
         depths, confs = ([formats.read_pfm(os.path.join(scene_dir, f"{v:04d}_{kind}.pfm"))
                           .astype(np.float64) for v in range(len(scene.images))]
                          for kind in ("depth", "conf"))
-        cloud = fusion.fuse(depths, confs, scene.images, scene.cameras, cfg.fusion)
+        cloud = fusion.fuse(depths, confs, scene.images, scene.cameras, args.cfg.fusion)
         ply = os.path.join(out, f"{scene.name}.ply")
         formats.write_ply(ply, cloud.points, cloud.colors)
         print(f"{scene.name}: {len(cloud.points)} points -> {ply}")
@@ -221,11 +218,9 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "config", None):
-            load_config(args.config)  # any config error is fatal for every command
+        args.cfg = _load_cfg(args)  # any config error is fatal for every command
         return args.fn(args)
     except (ParameterError, ParseError, DatasetError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -45,6 +45,8 @@ class TrainSettings:
             raise ParameterError("train.views must be >= 2")
         if self.max_iterations < 0:
             raise ParameterError("train.max_iterations must be >= 0")
+        if self.seed < 0:
+            raise ParameterError(f"train.seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -128,6 +130,8 @@ class PipelineConfig:
             raise ParameterError("pipeline.regularizer_base must be >= 1")
         if self.eval_norm not in ("instance", "running"):
             raise ParameterError("pipeline.eval_norm must be 'instance' or 'running'")
+        if self.seed < 0:
+            raise ParameterError(f"pipeline.seed must be >= 0, got {self.seed}")
         for name in _SIZES:
             value = attrgetter(name)(self)
             if max(value if isinstance(value, tuple) else (value,)) > MAX_SIZE:

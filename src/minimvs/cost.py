@@ -3,23 +3,10 @@ and cross-stage guidance channels."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from . import tensor as T
 from .errors import ParameterError, UsageError
 from .geometry import warp_coords
 from .nn import ConvBnReLU, Module
-from .tensor import Tensor
-
-
-@dataclass
-class PairwiseCorrelation:
-    """Group correlation (G, D, H, W) for one source view plus its warp validity."""
-
-    data: Tensor
-    valid: np.ndarray  # (D, H, W); invalid warps contribute exact zeros
 
 
 def warp_and_correlate(ref_feats, src_feats, ref_cam, src_cam, hyp, groups):
@@ -28,7 +15,7 @@ def warp_and_correlate(ref_feats, src_feats, ref_cam, src_cam, hyp, groups):
     Channels split into `groups` equal groups; each correlation entry is the
     group mean of the elementwise product. With groups == C this degenerates
     to the plain elementwise product. Samples landing outside the source
-    image contribute exact zeros and are flagged in the validity mask.
+    image contribute exact zeros. Returns the (G, D, H, W) correlation.
     """
     c, h, w = ref_feats.shape
     if c % groups:
@@ -36,11 +23,9 @@ def warp_and_correlate(ref_feats, src_feats, ref_cam, src_cam, hyp, groups):
     d = hyp.num_depths
     coords = warp_coords(ref_cam, src_cam, hyp, h, w)          # (2, D, H, W)
     flat = coords.reshape(2, d * h, w)
-    warped, valid = T.grid_sample_bilinear(src_feats, flat, return_mask=True)
-    warped = T.reshape(warped, (c, d, h, w))
+    warped = T.reshape(T.grid_sample_bilinear(src_feats, flat), (c, d, h, w))
     prod = T.mul(T.reshape(ref_feats, (c, 1, h, w)), warped)  # broadcast over D
-    corr = T.mean_axis(T.reshape(prod, (groups, c // groups, d, h, w)), 1)
-    return PairwiseCorrelation(corr, valid.reshape(d, h, w))
+    return T.mean_axis(T.reshape(prod, (groups, c // groups, d, h, w)), 1)
 
 
 def view_weights(corr, temperature):
@@ -93,17 +78,13 @@ class VolumeGuidance(Module):
         if self.num_fine:
             self.conv_fine = ConvBnReLU(curr_flat_channels, self.num_fine, (3, 3), rng=rng)
 
-    @property
-    def extra_channels(self):
-        return self.num_coarse + self.num_fine
-
     def forward(self, prev, curr):
-        """Updated volume (G + extra_channels, D, H, W).
+        """Updated volume (G + num_coarse + num_fine, D, H, W).
 
-        When both channel counts are zero the current volume passes through
-        untouched (bit-identical to bypassing the module).
+        When both channel counts are zero the current volume object itself is
+        returned, so switching guidance off is bit-identical to bypassing it.
         """
-        if self.extra_channels == 0:
+        if self.num_coarse + self.num_fine == 0:
             return curr
         g, d, h, w = curr.shape
         parts = [curr]

@@ -63,7 +63,6 @@ class FeatureExtractor(Module):
         super().__init__()
         rng = rng if rng is not None else np.random.default_rng(0)
         e0, e1, e2, e3 = _ENCODER_CHANNELS
-        self.stage_channels = tuple(stage_channels)
         self.enc0 = ConvBnReLU(3, e0, (3, 3), rng=rng)
         self.enc1 = ConvBnReLU(e0, e1, (3, 3), 2, rng=rng)
         self.enc2 = ConvBnReLU(e1, e2, (3, 3), 2, rng=rng)

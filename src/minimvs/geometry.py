@@ -180,8 +180,8 @@ def warp_coords(ref, src, hyp, height, width):
 
     Decomposes the sweep homography as ``q(d) = A p + b / d`` so per-pixel
     depth maps cost no more than a uniform sweep. Points that land behind the
-    source camera are pushed far outside the image so sampling flags them
-    invalid.
+    source camera are pushed far outside the image, so sampling returns zero
+    for them.
     """
     r_rel, t_rel = relative_pose(ref, src)
     k_inv = np.linalg.inv(ref.K)

@@ -62,33 +62,29 @@ class Module:
     def eval(self):
         return self.train(False)
 
-    def state_dict(self):
-        state = {name: p.data.copy() for name, p in self.named_parameters()}
-        for name, b in self.named_buffers():
-            state[name] = b.copy()
+    def _state_arrays(self):
+        """Name -> live array: parameters, then buffers, in checkpoint order."""
+        state = {name: p.data for name, p in self.named_parameters()}
+        state.update(self.named_buffers())
         return state
 
+    def state_dict(self):
+        return {name: array.copy() for name, array in self._state_arrays().items()}
+
     def load_state_dict(self, state):
-        expected = dict(self.named_parameters())
-        buffers = dict(self.named_buffers())
-        missing = (set(expected) | set(buffers)) - set(state)
-        unexpected = set(state) - set(expected) - set(buffers)
+        arrays = self._state_arrays()
+        missing = set(arrays) - set(state)
+        unexpected = set(state) - set(arrays)
         if missing or unexpected:
             raise ParameterError(
                 f"state mismatch: missing {sorted(missing)}, unexpected {sorted(unexpected)}"
             )
-        for name, p in expected.items():
-            if p.data.shape != state[name].shape:
+        for name, array in arrays.items():
+            if array.shape != state[name].shape:
                 raise ParameterError(
-                    f"shape mismatch for '{name}': {p.data.shape} vs {state[name].shape}"
+                    f"shape mismatch for '{name}': {array.shape} vs {state[name].shape}"
                 )
-            p.data[...] = state[name]
-        for name, b in buffers.items():
-            if b.shape != state[name].shape:
-                raise ParameterError(
-                    f"shape mismatch for buffer '{name}': {b.shape} vs {state[name].shape}"
-                )
-            b[...] = state[name]
+            array[...] = state[name]
 
 
 class ModuleList(Module):

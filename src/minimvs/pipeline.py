@@ -29,7 +29,7 @@ class SceneData:
     name: str
     images: list      # (3, H, W) float64 in [0, 1]
     cameras: list
-    gt_depths: list   # (H, W) float64, 0 where invalid; may be None
+    gt_depths: list   # (H, W) float64, 0 where invalid; None if loaded without gt
     pairs: list       # per view: ranked [(src_id, score), ...]
 
 
@@ -46,10 +46,12 @@ def load_scene(scene_dir, with_gt=True):
         images.append(formats.read_ppm(os.path.join(img_dir, f"{vid}.ppm")))
         cams.append(formats.read_camera(os.path.join(cam_dir, f"{vid}_cam.txt")))
         depth_path = os.path.join(scene_dir, "depths", f"{vid}.pfm")
-        if with_gt and os.path.exists(depth_path):
+        if not with_gt:
+            depths.append(None)
+        elif os.path.exists(depth_path):
             depths.append(formats.read_pfm(depth_path).astype(np.float64))
         else:
-            depths.append(None)
+            raise DatasetError(f"{depth_path}: missing ground-truth depth map")
     pairs = formats.read_pair_file(os.path.join(scene_dir, "pair.txt"))
     if len(pairs) != len(ids):
         raise DatasetError(f"{scene_dir}: pair file lists {len(pairs)} views, found {len(ids)}")
@@ -109,7 +111,7 @@ class CascadeNetwork(Module):
             if isinstance(module, BatchNorm):
                 module.eval_stats = cfg.eval_norm
 
-    def forward_views(self, images, cameras, use_guidance=True, pyramids=None):
+    def forward_views(self, images, cameras, pyramids=None):
         """Run the full cascade for one reference view (images[0]) and its sources.
 
         `pyramids`, when given, are the feature pyramids of `images` in the
@@ -136,24 +138,21 @@ class CascadeNetwork(Module):
             correlations = []
             weight_fields = []
             for i in range(1, len(images)):
-                pair = warp_and_correlate(
+                corr = warp_and_correlate(
                     pyramids[0][stage], pyramids[i][stage],
                     stage_cams[0], stage_cams[i], hyp, cfg.groups[stage],
                 )
-                correlations.append(pair.data)
-                weight_fields.append(view_weights(pair.data, cfg.temperature))
+                correlations.append(corr)
+                weight_fields.append(view_weights(corr, cfg.temperature))
             volume = aggregate(correlations, weight_fields)
-            if stage > 0 and use_guidance:
+            reg_input = volume
+            if stage > 0:
                 reg_input = self.guidance[stage - 1].forward(prev_volume, volume)
-            else:
-                reg_input = volume
             prob = self.regularizers[stage].forward(reg_input)
-            dm = wta_depth(prob, hyp)
-            outputs.append(
-                StageOutput(stage, hyp, prob, dm.depth, dm.confidence, weight_fields)
-            )
+            depth, confidence = wta_depth(prob.data, hyp)
+            outputs.append(StageOutput(stage, hyp, prob, depth, confidence, weight_fields))
             prev_volume = volume
-            prev_depth = dm.depth
+            prev_depth = depth
         return outputs
 
 
@@ -162,14 +161,10 @@ def build_network(cfg: PipelineConfig, seed=None):
     return CascadeNetwork(cfg, rng=rng)
 
 
-def select_sources(pairs, ref_id, n_views):
-    """Top-ranked source ids for a reference view (n_views includes the reference)."""
-    return [s for s, _ in pairs[ref_id][:max(1, n_views - 1)]]
-
-
 def view_ids(scene, ref_id, n_views):
-    """The reference view id followed by its top-ranked source ids."""
-    return [ref_id] + select_sources(scene.pairs, ref_id, n_views)
+    """The reference view id followed by its top-ranked source ids
+    (n_views counts the reference)."""
+    return [ref_id] + [s for s, _ in scene.pairs[ref_id][:max(1, n_views - 1)]]
 
 
 def view_set(scene, ref_id, n_views):

@@ -2,22 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
 from .errors import DimensionError, ParameterError
 from .nn import Conv, ConvBnReLU, Module
-from .tensor import Tensor
-
-
-@dataclass
-class DepthMap:
-    """Per-pixel selected depth (scene units) and its probability."""
-
-    depth: np.ndarray
-    confidence: np.ndarray
 
 
 class VolumeRegularizer(Module):
@@ -71,9 +60,12 @@ class VolumeRegularizer(Module):
         return T.softmax_axis(logits, 0)
 
 
-def wta_depth(prob, hyp):
-    """Winner-takes-all: argmax over depth, ties broken toward the smaller index."""
-    p = prob.data if isinstance(prob, Tensor) else np.asarray(prob)
+def wta_depth(p, hyp):
+    """Winner-takes-all over a (D, H, W) probability array.
+
+    Returns (depth, confidence): the argmax hypothesis per pixel, ties broken
+    toward the smaller index, and its probability.
+    """
     d, h, w = p.shape
     values = hyp.per_pixel(h, w)
     if values.shape[0] != d:
@@ -83,4 +75,4 @@ def wta_depth(prob, hyp):
     best = np.argmax(p, axis=0)
     depth = np.take_along_axis(values, best[None], axis=0)[0]
     confidence = np.take_along_axis(p, best[None], axis=0)[0]
-    return DepthMap(depth.copy(), confidence.copy())
+    return depth, confidence

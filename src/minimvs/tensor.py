@@ -323,14 +323,12 @@ def sum_all(a):
     return _result(a.data.sum(), (a,), bwd, "sum")
 
 
-def sum_axis(a, axis, keepdims=False):
+def sum_axis(a, axis):
     a = _as_tensor(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+    data = a.data.sum(axis=axis)
 
     def bwd(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g, axis), a.shape).copy(),)
 
     return _result(data, (a,), bwd, "sum_axis")
 
@@ -603,12 +601,12 @@ def conv_transpose3d(x, params):
 # sampling and resizing
 # ---------------------------------------------------------------------------
 
-def grid_sample_bilinear(src, coords, return_mask=False):
+def grid_sample_bilinear(src, coords):
     """Bilinear sampling of (C, H, W) at continuous pixel coordinates.
 
     `coords` is (2, *out) holding (x, y) in source pixel units where integer
     values hit pixel centers exactly. Samples whose center falls outside
-    [0, W-1] x [0, H-1] return exactly 0 and are flagged invalid in the mask.
+    [0, W-1] x [0, H-1] return exactly 0.
     Gradients flow to `src` only; coordinates are treated as constants.
     """
     src = _as_tensor(src)
@@ -659,10 +657,7 @@ def grid_sample_bilinear(src, coords, return_mask=False):
             np.add.at(acc, idx, (g2 * wt).T)
         return (acc.T.reshape(src.shape),)
 
-    result = _result(out, (src,), bwd, "grid_sample")
-    if return_mask:
-        return result, valid.reshape(out_sp)
-    return result
+    return _result(out, (src,), bwd, "grid_sample")
 
 
 @lru_cache(maxsize=None)
@@ -730,10 +725,9 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
     if training:
         mu = x.data.mean(axis=axes)
         var = x.data.var(axis=axes)
-        if update_running and running_mean is not None:
+        if update_running:
             running_mean *= momentum
             running_mean += (1.0 - momentum) * mu
-        if update_running and running_var is not None:
             running_var *= momentum
             running_var += (1.0 - momentum) * var
     else:

@@ -74,18 +74,13 @@ def total_loss(stage_losses, weights):
     return total
 
 
-def downsample_gt(gt_depth, valid, factor):
-    """Nearest-neighbor stage ground truth (avoids depth-edge averaging)."""
-    return gt_depth[::factor, ::factor], valid[::factor, ::factor]
-
-
 def stage_losses_for_sample(network, images, cams, gt_depth, valid):
     outputs = network.forward_views(images, cams)
     losses = []
     for out in outputs:
-        factor = STAGE_SCALES[out.stage]
-        gt_s, valid_s = downsample_gt(gt_depth, valid, factor)
-        gt_enc = encode_gt(gt_s, valid_s, out.hypotheses)
+        # nearest-neighbour subsampling: no averaging across depth edges
+        f = STAGE_SCALES[out.stage]
+        gt_enc = encode_gt(gt_depth[::f, ::f], valid[::f, ::f], out.hypotheses)
         losses.append(pixelwise_ce(out.prob, gt_enc))
     return losses, outputs
 

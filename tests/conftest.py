@@ -1,12 +1,13 @@
 """Shared fixtures: cameras, calibrated pairs, plane-induced homographies,
-textured plane scenes, and parameter-free photometric matching features."""
+warp validity masks, textured plane scenes, and parameter-free photometric
+matching features."""
 
 import numpy as np
 import pytest
 
 from minimvs import synth
 from minimvs.errors import ParameterError
-from minimvs.geometry import Camera, relative_pose
+from minimvs.geometry import Camera, relative_pose, warp_coords
 from minimvs.tensor import Tensor
 
 
@@ -72,6 +73,16 @@ def homography(ref, src, depth):
     if depth <= 0:
         raise ParameterError(f"plane depth must be positive, got {depth}")
     return plane_homography(ref, src, (0.0, 0.0, 1.0), float(depth))
+
+
+def warp_valid(ref_cam, src_cam, hyp, h, w):
+    """(D, H, W) mask of warps that land inside the source image (both h x w).
+
+    Uses grid-sample's rule, 0 <= x <= w-1 and 0 <= y <= h-1; samples outside
+    it contribute exact zeros to the correlation.
+    """
+    x, y = warp_coords(ref_cam, src_cam, hyp, h, w)
+    return (x >= 0.0) & (x <= w - 1.0) & (y >= 0.0) & (y <= h - 1.0)
 
 
 def plane_scene(depth, extent=6.0, texture=None, tilt=(0.0, 0.0)):
@@ -152,6 +163,6 @@ def photometric_features(image, factor, role, blur=None):
     return Tensor(np.concatenate([sub, extra], axis=0))
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng():
     return np.random.default_rng(20240816)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fronto_plane_setup, make_camera, photometric_features
+from conftest import fronto_plane_setup, make_camera, photometric_features, warp_valid
 from minimvs import tensor as T
 from minimvs.cost import VolumeGuidance, aggregate, view_weights, warp_and_correlate
 from minimvs.errors import ParameterError, UsageError
@@ -19,20 +19,20 @@ class TestWarpAndCorrelate:
         hyp = initial_hypotheses((1.0, 9.0), 4)
         f0 = Tensor(rng.standard_normal((4, 6, 7)))
         fi = Tensor(rng.standard_normal((4, 6, 7)))
-        pair = warp_and_correlate(f0, fi, cam, cam, hyp, groups=2)
+        corr = warp_and_correlate(f0, fi, cam, cam, hyp, groups=2)
         prod = (f0.data * fi.data).reshape(2, 2, 6, 7).mean(axis=1)
         for d in range(4):
-            assert np.abs(pair.data.data[:, d] - prod).max() < 1e-12
-        assert pair.valid.all()
+            assert np.abs(corr.data[:, d] - prod).max() < 1e-12
+        assert warp_valid(cam, cam, hyp, 6, 7).all()
 
     def test_group_equal_channels_is_elementwise(self, rng):
         cam = make_camera()
         hyp = initial_hypotheses((1.0, 9.0), 4)
         f0 = Tensor(rng.standard_normal((3, 4, 5)))
         fi = Tensor(rng.standard_normal((3, 4, 5)))
-        pair = warp_and_correlate(f0, fi, cam, cam, hyp, groups=3)
+        corr = warp_and_correlate(f0, fi, cam, cam, hyp, groups=3)
         for d in range(4):
-            assert np.abs(pair.data.data[:, d] - f0.data * fi.data).max() < 1e-12
+            assert np.abs(corr.data[:, d] - f0.data * fi.data).max() < 1e-12
 
     def test_indivisible_groups_rejected(self, rng):
         cam = make_camera()
@@ -46,10 +46,11 @@ class TestWarpAndCorrelate:
         src = make_camera(t=(3.0, 0.0, 0.0))  # large baseline pushes warps outside
         hyp = initial_hypotheses((1.0, 2.0), 4)
         f = Tensor(rng.standard_normal((2, 6, 8)) + 5.0)
-        pair = warp_and_correlate(f, f, ref, src, hyp, groups=1)
-        invalid = ~pair.valid
+        corr = warp_and_correlate(f, f, ref, src, hyp, groups=1)
+        invalid = ~warp_valid(ref, src, hyp, 6, 8)
         assert invalid.any()
-        assert np.all(pair.data.data[:, invalid] == 0.0)
+        assert np.all(corr.data[:, invalid] == 0.0)
+        assert np.all(corr.data[:, ~invalid] != 0.0)
 
     def test_correlation_peak_on_textured_plane(self):
         """Photometric features peak at the GT-nearest bin for >=95% of valid pixels."""
@@ -63,11 +64,12 @@ class TestWarpAndCorrelate:
         with T.no_grad():
             for i in (1, 2):
                 f_src = photometric_features(renders[i][0], 8, "src")
-                pair = warp_and_correlate(f_ref, f_src, stage_cams[0], stage_cams[i],
+                corr = warp_and_correlate(f_ref, f_src, stage_cams[0], stage_cams[i],
                                           hyp, groups=1)
-                corrs.append(pair.data)
-                weights.append(view_weights(pair.data, 2.0))
-                valids.append(pair.valid)
+                corrs.append(corr)
+                weights.append(view_weights(corr, 2.0))
+                valids.append(warp_valid(stage_cams[0], stage_cams[i], hyp,
+                                         *f_ref.shape[1:]))
             vol = aggregate(corrs, weights)
         best = np.argmax(vol.data[0], axis=0)
         ok = np.ones_like(best, dtype=bool)

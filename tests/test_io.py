@@ -1,11 +1,13 @@
 """File formats, the config parser, and the command-line surface."""
 
 import os
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import minimvs
 from minimvs import formats, fusion, pipeline, synth
 from minimvs.checkpoint import load_checkpoint, save_checkpoint
 from minimvs.cli import main
@@ -395,6 +397,33 @@ class TestCli:
         assert main(["default-config"]) == 0
         out = capsys.readouterr().out
         assert "[pipeline]" in out and "[fusion]" in out
+
+    def test_config_is_read_once(self, tmp_path):
+        """A config piped on stdin can be read only once; all of it must apply."""
+        out = tmp_path / "data"
+        done = subprocess.run(
+            [sys.executable, "-m", "minimvs", "synth", "--config", "/dev/stdin",
+             "--out", str(out)],
+            input=b"[synth]\nscenes = 1\nviews = 3\nheight = 32\nwidth = 40\n",
+            env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(minimvs.__file__))),
+            capture_output=True,
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        assert os.listdir(out) == ["scene_0000"]
+
+    @pytest.mark.parametrize("argv, config", [
+        (["--seed", "-1"], None),
+        ([], "[pipeline]\nseed = -3\n"),
+        ([], "[train]\nseed = -3\n"),
+    ], ids=["flag", "pipeline-seed", "train-seed"])
+    def test_negative_seed_returns_two(self, tmp_path, capsys, argv, config):
+        out = tmp_path / "data"
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            argv = argv + ["--config", str(tmp_path / "run.cfg")]
+        assert main(["synth", "--out", str(out)] + argv) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_config_key_returns_two(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from minimvs import formats, pipeline, synth
+from minimvs import cost, formats, pipeline, synth
 from minimvs import tensor as T
 from minimvs.checkpoint import save_checkpoint
 from minimvs.config import PipelineConfig
@@ -106,12 +106,20 @@ class TestDatasetLoading:
         with pytest.raises(DatasetError):
             pipeline.load_dataset(str(tmp_path))
 
-    def test_select_sources_ranked(self, tmp_path):
+    def test_missing_gt_depth_raises_only_with_gt(self, tmp_path):
+        root = _dataset(tmp_path)
+        depth = os.path.join(root, "scene_0000", "depths", "0001.pfm")
+        os.remove(depth)
+        with pytest.raises(DatasetError, match=depth):
+            pipeline.load_dataset(root)
+        scene = pipeline.load_dataset(root, with_gt=False)[0]
+        assert scene.gt_depths == [None, None, None]
+
+    def test_view_ids_ranked(self, tmp_path):
         root = _dataset(tmp_path, views=4)
         scene = pipeline.load_dataset(root)[0]
-        srcs = pipeline.select_sources(scene.pairs, 0, 3)
-        assert len(srcs) == 2
-        assert srcs == [s for s, _ in scene.pairs[0][:2]]
+        ids = pipeline.view_ids(scene, 0, 3)
+        assert ids == [0] + [s for s, _ in scene.pairs[0][:2]]
 
 
 class TestForward:
@@ -175,7 +183,9 @@ class TestNoGradForward:
 
 
 class TestGuidanceAblation:
-    def test_zero_guidance_bit_identical_to_bypass(self, tmp_path):
+    def test_zero_guidance_bit_identical_to_bypass(self, tmp_path, monkeypatch):
+        """With zero guidance channels every regularizer receives the aggregated
+        volume object itself, exactly as if guidance were not there."""
         root = _dataset(tmp_path)
         scene = pipeline.load_dataset(root)[0]
         cfg = _config()
@@ -184,13 +194,26 @@ class TestGuidanceAblation:
         cfg.validate()
         net = pipeline.build_network(cfg)
         net.eval()
+        volumes, reg_inputs = [], []
+
+        def aggregate(correlations, weights):
+            volumes.append(cost.aggregate(correlations, weights))
+            return volumes[-1]
+
+        def regularize(reg):
+            def forward(volume):
+                reg_inputs.append(volume)
+                return type(reg).forward(reg, volume)
+            return forward
+
+        monkeypatch.setattr(pipeline, "aggregate", aggregate)
+        for reg in net.regularizers:
+            monkeypatch.setattr(reg, "forward", regularize(reg))
         images, cams = pipeline.view_set(scene, 0, 3)
         with T.no_grad():
-            with_guidance = net.forward_views(images, cams, use_guidance=True)
-            bypass = net.forward_views(images, cams, use_guidance=False)
-        for a, b in zip(with_guidance, bypass):
-            assert np.array_equal(a.prob.data, b.prob.data)
-            assert np.array_equal(a.depth, b.depth)
+            outs = net.forward_views(images, cams)
+        assert len(outs) == len(volumes) == len(reg_inputs) == 4
+        assert all(a is b for a, b in zip(volumes, reg_inputs))
 
     def test_all_channel_counts_run(self, tmp_path):
         root = _dataset(tmp_path)

@@ -65,32 +65,32 @@ class TestWinnerTakesAll:
         hyp = initial_hypotheses((1.0, 4.0), 4)
         p = np.zeros((4, 2, 3))
         p[2] = 1.0
-        dm = wta_depth(p, hyp)
-        assert np.all(dm.depth == hyp.values[2])
-        assert np.all(dm.confidence == 1.0)
+        depth, confidence = wta_depth(p, hyp)
+        assert np.all(depth == hyp.values[2])
+        assert np.all(confidence == 1.0)
 
     def test_uniform_ties_break_to_smaller_index(self):
         hyp = initial_hypotheses((1.0, 4.0), 4)
-        dm = wta_depth(np.full((4, 2, 2), 0.25), hyp)
-        assert np.all(dm.depth == hyp.values[0])
-        assert np.all(dm.confidence == 0.25)
+        depth, confidence = wta_depth(np.full((4, 2, 2), 0.25), hyp)
+        assert np.all(depth == hyp.values[0])
+        assert np.all(confidence == 0.25)
 
     def test_logit_scaling_never_changes_selection(self, rng):
         for _ in range(20):
             logits = rng.standard_normal((8, 4, 5))
             hyp = initial_hypotheses((1.0, 9.0), 8)
-            base = wta_depth(T.softmax_axis(Tensor(logits), 0).data, hyp)
+            base, _ = wta_depth(T.softmax_axis(Tensor(logits), 0).data, hyp)
             for beta in (0.5, 2.0, 7.3):
-                scaled = wta_depth(T.softmax_axis(Tensor(beta * logits), 0).data, hyp)
-                assert np.array_equal(base.depth, scaled.depth)
+                scaled, _ = wta_depth(T.softmax_axis(Tensor(beta * logits), 0).data, hyp)
+                assert np.array_equal(base, scaled)
 
     def test_monotone_relabel_preserves_bins(self, rng):
         hyp = initial_hypotheses((1.0, 9.0), 8)
         p = rng.uniform(0.01, 1.0, (8, 3, 3))
         p /= p.sum(axis=0, keepdims=True)
-        base = wta_depth(p, hyp)
-        relabeled = wta_depth(np.exp(3.0 * p), hyp)
-        assert np.array_equal(base.depth, relabeled.depth)
+        base, _ = wta_depth(p, hyp)
+        relabeled, _ = wta_depth(np.exp(3.0 * p), hyp)
+        assert np.array_equal(base, relabeled)
 
     def test_depth_is_hypothesis_member(self, rng):
         hyp = initial_hypotheses((2.0, 8.0), 8)
@@ -98,18 +98,18 @@ class TestWinnerTakesAll:
         refined_vals += np.arange(4)[:, None, None] * 1e-6
         per_pixel = HypothesisSet(1, refined_vals, 0.5, None)
         p = rng.uniform(0.01, 1.0, (4, 3, 3))
-        dm = wta_depth(p, per_pixel)
+        depth, _ = wta_depth(p, per_pixel)
         vals = per_pixel.per_pixel(3, 3)
-        member = np.any(np.abs(vals - dm.depth[None]) == 0.0, axis=0)
+        member = np.any(np.abs(vals - depth[None]) == 0.0, axis=0)
         assert member.all()
 
     def test_confidence_bounds_after_softmax(self, rng):
         hyp = initial_hypotheses((1.0, 9.0), 8)
         for _ in range(10):
             prob = T.softmax_axis(Tensor(rng.standard_normal((8, 4, 4))), 0).data
-            dm = wta_depth(prob, hyp)
-            assert dm.confidence.min() >= 1.0 / 8 - 1e-12
-            assert dm.confidence.max() <= 1.0 + 1e-12
+            _, confidence = wta_depth(prob, hyp)
+            assert confidence.min() >= 1.0 / 8 - 1e-12
+            assert confidence.max() <= 1.0 + 1e-12
 
     def test_shape_mismatch_raises(self, rng):
         hyp = initial_hypotheses((1.0, 9.0), 8)

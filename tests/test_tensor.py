@@ -3,7 +3,6 @@ reverse-mode gradients against central finite differences, and the checkpoint
 container."""
 
 import math
-import os
 import sys
 import threading
 
@@ -341,10 +340,13 @@ class TestGridSample:
         assert abs(out.data.reshape(()) - 2.5) < 1e-12
 
     def test_out_of_bounds_zero_and_mask(self):
-        src = Tensor(np.ones((1, 3, 3)))
-        out, mask = T.grid_sample_bilinear(src, np.full((2, 1, 1), -1.0), return_mask=True)
-        assert out.data.reshape(()) == 0.0
-        assert not mask[0, 0]
+        """The in-image mask is 0 <= x <= W-1, 0 <= y <= H-1; outside it, exact zeros."""
+        src = Tensor(np.ones((1, 3, 4)))
+        x = np.array([-1.0, -1e-9, 0.0, 3.0, 3.0 + 1e-9, 1.5, 1.5, 1.5, 1.5])
+        y = np.array([1.0, 1.0, 1.0, 1.0, 1.0, -1e-9, 0.0, 2.0, 2.0 + 1e-9])
+        out = T.grid_sample_bilinear(src, np.stack([x, y]))
+        inside = (x >= 0.0) & (x <= 3.0) & (y >= 0.0) & (y <= 2.0)
+        assert np.array_equal(out.data[0], inside.astype(np.float64))
 
     def test_output_within_neighbor_bounds(self, rng):
         src = rng.standard_normal((1, 6, 7))

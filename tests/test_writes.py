@@ -167,16 +167,21 @@ def _missing_input(tmp_path, case):
         return ["infer", "--data", missing, "--out", out], missing
     if case == "synth-out-is-a-file":
         return ["synth", "--out", str(pfm)], str(pfm)
-    # a pair file whose view 0 has no source views
     data = tmp_path / "data"
     synth.make_dataset(str(data), 1, 3, 16, 24, seed=5, style="plane")
+    if case == "train-missing-gt":
+        depth = data / "scene_0000" / "depths" / "0001.pfm"
+        depth.unlink()
+        return ["train", "--data", str(data), "--out", out], str(depth)
+    # a pair file whose view 0 has no source views
     pair = data / "scene_0000" / "pair.txt"
     pair.write_bytes(b"3\n0\n0\n1\n1 0 1.0\n2\n1 0 1.0\n")
     return ["infer", "--data", str(data), "--out", out], str(pair)
 
 
 @pytest.mark.parametrize("case", ["eval-depth-pred", "eval-cloud-recon", "train-config",
-                                  "infer-data", "synth-out-is-a-file", "pair-without-sources"])
+                                  "infer-data", "synth-out-is-a-file", "pair-without-sources",
+                                  "train-missing-gt"])
 def test_bad_input_exits_two_and_names_the_path(tmp_path, capsys, case):
     argv, named = _missing_input(tmp_path, case)
     assert main(argv) == 2
