@@ -196,6 +196,41 @@ def _op_cases(seed=0):
         [bx, bg, bb],
     )
 
+    # stride-1 input gradients: the padded gradient grows by k - 1 - p per
+    # axis, so each geometry below takes a different pad/crop branch
+    ux = rand_param(2, 4, 4, 5)
+    uw = rand_param(3, 2, 3, 3, 3)
+    uww = Tensor(rng.standard_normal((3, 2, 4, 5)))
+    cases["conv3d_depth_unpadded"] = (
+        lambda: T.sum_all(T.mul(T.conv3d(ux, ConvParams(uw, None, 1, (0, 1, 1))), uww)),
+        [ux, uw],
+    )
+
+    px = rand_param(4, 3, 5)
+    pw = rand_param(2, 4, 1, 1)
+    pww = Tensor(rng.standard_normal((2, 3, 5)))
+    cases["conv2d_1x1"] = (
+        lambda: T.sum_all(T.mul(T.conv2d(px, ConvParams(pw, None, 1, 0)), pww)),
+        [px, pw],
+    )
+
+    sx = rand_param(3, 2, 3, 4)
+    sw = rand_param(3, 2, 3, 3, 3)
+    sww = Tensor(rng.standard_normal((2, 2, 3, 6)))
+    sparams = ConvParams(sw, None, 1, (1, 1, 0))
+    cases["conv_transpose3d_stride1"] = (
+        lambda: T.sum_all(T.mul(T.conv_transpose3d(sx, sparams), sww)),
+        [sx, sw],
+    )
+
+    gx = rand_param(2, 3, 4)
+    gwt = rand_param(3, 2, 3, 2)
+    gww = Tensor(rng.standard_normal((3, 7, 3)))
+    cases["conv2d_pad_ge_kernel"] = (
+        lambda: T.sum_all(T.mul(T.conv2d(gx, ConvParams(gwt, None, 1, (3, 0))), gww)),
+        [gx, gwt],
+    )
+
     return cases
 
 

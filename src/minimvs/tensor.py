@@ -4,7 +4,7 @@ Everything learned in this package runs on these tensors: convolutions,
 bilinear warping, normalization, softmax and the elementwise family. The
 engine is deliberately small: single-sample tensors laid out channel-first
 ((C, H, W) for images, (C, D, H, W) for cost volumes), float64 throughout,
-and a flat tape that is freed after every backward pass.
+and a flat tape that the backward pass frees as it sweeps.
 
 Gradients are exact analytic adjoints; `gradcheck` verifies every operator
 against central finite differences.
@@ -17,12 +17,13 @@ passes on graphs that share no leaf tensors: `backward` accumulates into each
 leaf's `.grad` without a lock. Results are bit-identical across repeated
 single-threaded runs.
 
-The outermost `no_grad` block also opens a workspace: one growable float64
-buffer that convolutions copy their window matrices into when no backward is
-recorded, in place of a fresh allocation per call. Nested blocks share it,
-and it is dropped when the outermost block exits. Like grad mode it is held
-in a context variable, so each thread has its own; no operator result ever
-aliases it.
+The outermost `no_grad` block, and `backward`, open a workspace: one
+growable float64 buffer for transient matrices, in place of a fresh
+allocation per call. Convolutions copy their window matrices into it when no
+backward is recorded, and backward closures put their gradient windows and
+column matrices there. Nested blocks share it, and it is dropped when the
+outermost block (or the sweep) exits. Like grad mode it is held in a context
+variable, so each thread has its own; no operator result ever aliases it.
 """
 
 from __future__ import annotations
@@ -58,18 +59,27 @@ class _Workspace:
 
 
 @contextmanager
+def _workspace():
+    """Open this thread's workspace unless one is already open."""
+    token = _WORKSPACE.set(_Workspace()) if _WORKSPACE.get() is None else None
+    try:
+        yield
+    finally:
+        if token is not None:
+            _WORKSPACE.reset(token)
+
+
+@contextmanager
 def no_grad():
     """Disable graph recording inside the block (inference / oracles).
 
     The outermost block also opens the workspace that nested blocks share.
     """
     token = _GRAD_ENABLED.set(False)
-    ws_token = _WORKSPACE.set(_Workspace()) if _WORKSPACE.get() is None else None
     try:
-        yield
+        with _workspace():
+            yield
     finally:
-        if ws_token is not None:
-            _WORKSPACE.reset(ws_token)
         _GRAD_ENABLED.reset(token)
 
 
@@ -78,8 +88,8 @@ class Tensor:
 
     `grad` is populated by `backward` for every tensor with
     `requires_grad=True`; interior nodes release their gradient and graph
-    references once the sweep completes, so only leaves keep state between
-    iterations.
+    references as soon as their own backward has run, so only leaves keep
+    state between iterations.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_op")
@@ -173,9 +183,11 @@ def _unbroadcast(grad, shape):
 def backward(loss):
     """Run reverse-mode accumulation from a scalar loss.
 
-    Populates `.grad` on every reachable tensor with `requires_grad=True`,
-    then frees interior gradients and graph references. Deterministic: the
-    accumulation order is fixed by the recorded topological order.
+    Populates `.grad` on every reachable tensor with `requires_grad=True`.
+    Each interior node drops its gradient, closure and parent references as
+    soon as its backward has run, so the arrays its closure captured are
+    freed during the sweep. Deterministic: the accumulation order is fixed by
+    the recorded topological order. The sweep runs inside the workspace.
     """
     if not isinstance(loss, Tensor):
         raise UsageError("backward expects a Tensor")
@@ -201,23 +213,24 @@ def backward(loss):
                 stack.append((parent, False))
 
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._backward_fn is None:
-            continue
-        grads = node._backward_fn(node.grad)
-        for parent, grad in zip(node._parents, grads):
-            if grad is None or not parent.requires_grad:
+    with _workspace():
+        while topo:
+            node = topo.pop()  # reverse topological order; the list lets go of it
+            if node._backward_fn is None:
                 continue
-            if parent.grad is None:
-                parent.grad = np.zeros_like(parent.data)
-            parent.grad += grad
-
-    # free the tape: interior nodes drop gradients and parent references
-    for node in topo:
-        if node._parents:
+            grads = node._backward_fn(node.grad)
+            for parent, grad in zip(node._parents, grads):
+                if grad is None or not parent.requires_grad:
+                    continue
+                if parent.grad is None:
+                    # a fresh array holding 0.0 + grad, so -0.0 becomes 0.0
+                    parent.grad = grad + 0.0
+                else:
+                    parent.grad += grad
             node.grad = None
             node._parents = ()
             node._backward_fn = None
+            grads = grad = None  # the next closure runs without these arrays
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +516,10 @@ def _windows(a, pad, kshape, stride, small, workspace=None):
 
 
 def _scatter(cols, big, pad, kshape, stride, small):
-    """Adjoint of `_windows`: scatter-add window columns onto the padded grid, then crop to big."""
+    """Adjoint of `_windows`: scatter-add window columns onto the padded grid, then crop to big.
+
+    Only strided input gradients (and strided transposed convolutions) use it.
+    """
     c = cols.shape[0] // int(np.prod(kshape))
     out = np.zeros((c, *(n + 2 * p for n, p in zip(big, pad))))
     cols = cols.reshape(c, *kshape, *small)
@@ -513,14 +529,40 @@ def _scatter(cols, big, pad, kshape, stride, small):
     return out[(slice(None), *(slice(p, p + n) for p, n in zip(pad, big)))]
 
 
+def _input_grad(g, w, big, pad, stride, workspace):
+    """Input gradient (C_in, *big) of a direct convolution with weight (C_out, C_in, *k).
+
+    At stride 1 it is itself a direct convolution: `g` (C_out, *small) is
+    zero-padded by k - 1 - p per axis (cropped by p - k + 1 where p >= k),
+    unfolded by `_windows`, and one GEMM applies the flipped kernel with its
+    channel axes swapped. A larger stride takes the transposed GEMM and
+    `_scatter`. Either matrix lives in `workspace` when one is given.
+    """
+    c_out, c_in, *kshape = w.shape
+    small = g.shape[1:]
+    if all(s == 1 for s in stride):
+        cut = [max(p - k + 1, 0) for p, k in zip(pad, kshape)]
+        g = g[(slice(None), *(slice(e, n - e) for e, n in zip(cut, small)))]
+        grow = tuple(max(k - 1 - p, 0) for p, k in zip(pad, kshape))
+        gcols = _windows(g, grow, kshape, stride, big, workspace)
+        flipped = np.flip(w, axis=tuple(range(2, w.ndim))).swapaxes(0, 1)
+        return (flipped.reshape(c_in, -1) @ gcols).reshape(c_in, *big)
+    wmat_t = w.reshape(c_out, -1).T
+    gmat = g.reshape(c_out, -1)
+    out = None if workspace is None else workspace.view((wmat_t.shape[0], gmat.shape[1]))
+    return _scatter(np.matmul(wmat_t, gmat, out=out), big, pad, kshape, stride, small)
+
+
 def _conv(x, params, nsp, op, transposed=False):
     """Convolution of (C, *spatial) over `nsp` spatial axes, direct or transposed.
 
     A direct convolution maps a big grid to a small one: `_windows` unfolds
-    its input and one GEMM applies the weight, and its input gradient is the
-    transposed GEMM followed by `_scatter`. A transposed convolution is that
-    input gradient as an operator, so it runs the same kernels the other way
-    round: GEMM plus `_scatter` forward, `_windows` plus GEMM backward.
+    its input and one GEMM applies the weight. Its input gradient is
+    `_input_grad`: at stride 1 a direct convolution of the padded gradient
+    through `_windows`, and only at stride > 1 the transposed GEMM followed
+    by `_scatter`. A transposed convolution is that input gradient as an
+    operator, so its forward is `_input_grad` and its backward `_windows`
+    plus GEMM.
     """
     x = _as_tensor(x)
     w = params.weight
@@ -550,7 +592,7 @@ def _conv(x, params, nsp, op, transposed=False):
     wmat = w.data.reshape(w.shape[0], -1)
     if transposed:
         xmat = x.data.reshape(c_in, -1)
-        y = _scatter(wmat.T @ xmat, big, pad, kshape, stride, small)
+        y = _input_grad(x.data, w.data, big, pad, stride, _WORKSPACE.get())
     else:
         # a recorded backward keeps `cols`, so only an unrecorded call may borrow
         workspace = None if _records(parents) else _WORKSPACE.get()
@@ -560,15 +602,15 @@ def _conv(x, params, nsp, op, transposed=False):
         y = y + b.data.reshape(c_out, *(1,) * nsp)
 
     def bwd(g):
+        # `backward` runs closures inside the workspace
+        workspace = _WORKSPACE.get()
         gmat = g.reshape(c_out, -1)
         if transposed:
-            gcols = _windows(g, pad, kshape, stride, small)
+            gcols = _windows(g, pad, kshape, stride, small, workspace)
             dx = (wmat @ gcols).reshape(x.shape) if x.requires_grad else None
             dw = (xmat @ gcols.T).reshape(w.shape) if w.requires_grad else None
         else:
-            dx = None
-            if x.requires_grad:
-                dx = _scatter(wmat.T @ gmat, big, pad, kshape, stride, small)
+            dx = _input_grad(g, w.data, big, pad, stride, workspace) if x.requires_grad else None
             dw = (gmat @ cols.T).reshape(w.shape) if w.requires_grad else None
         if b is None:
             return dx, dw
@@ -651,11 +693,14 @@ def grid_sample_bilinear(src, coords):
     out = out.reshape((c, *out_sp))
 
     def bwd(g):
-        g2 = g.reshape(c, -1)
-        acc = np.zeros((h * w, c), dtype=np.float64)
-        for idx, wt in ((i00, w00), (i01, w01), (i10, w10), (i11, w11)):
-            np.add.at(acc, idx, (g2 * wt).T)
-        return (acc.T.reshape(src.shape),)
+        # one bincount over the corners in order: each pixel receives the same
+        # additions in the same order as a scatter-add per corner
+        idx = np.concatenate((i00, i01, i10, i11))
+        wts = np.concatenate((w00, w01, w10, w11))
+        vals = np.tile(g.reshape(c, -1), 4)
+        vals *= wts
+        acc = np.stack([np.bincount(idx, v, minlength=h * w) for v in vals])
+        return (acc.reshape(src.shape),)
 
     return _result(out, (src,), bwd, "grid_sample")
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import tensor as T
 from .formats import write_file
-from .errors import NumericError
+from .errors import NumericError, ParameterError
 from .geometry import STAGE_COUNT, STAGE_SCALES
 from .nn import Adam
 from .pipeline import build_network, save_network, view_set
@@ -90,17 +90,23 @@ def train(scenes, cfg, out_dir, log=None):
 
     Adam (beta1 0.9, beta2 0.999, eps 1e-8) at cfg.train.learning_rate. One
     iteration is one optimizer step over `batch_size` accumulated samples.
+    A dataset with fewer samples than one batch is a `ParameterError`.
     A fixed seed makes the loss trace and checkpoints bit-reproducible. The
     trace is written to <out_dir>/loss_trace.csv, checkpoints per epoch plus
     `checkpoint.bin` holding the final state.
     """
     tc = cfg.train
-    os.makedirs(out_dir, exist_ok=True)
-    network = build_network(cfg)
-    optimizer = Adam(network.parameters(), lr=tc.learning_rate)
     samples = [
         (si, ref) for si, scene in enumerate(scenes) for ref in range(len(scene.images))
     ]
+    if len(samples) < tc.batch_size:
+        raise ParameterError(
+            f"{len(samples)} training samples never fill a batch of "
+            f"train.batch_size = {tc.batch_size}"
+        )
+    os.makedirs(out_dir, exist_ok=True)
+    network = build_network(cfg)
+    optimizer = Adam(network.parameters(), lr=tc.learning_rate)
     order_rng = np.random.default_rng(tc.seed + 1)
 
     trace = []

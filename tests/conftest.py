@@ -166,3 +166,51 @@ def photometric_features(image, factor, role, blur=None):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240816)
+
+
+def scatter_input_grad(g, w, big, pad, stride):
+    """Input gradient of a direct conv, the transposed-GEMM-and-scatter way.
+
+    `g` is the (C_out, *small) output gradient and `w` the (C_out, C_in, *k)
+    weight: one GEMM gives every window column, and each kernel offset adds
+    its strided slab onto the zero-padded (C_in, *big) grid, which is then
+    cropped. A reference for `tensor._input_grad` on every stride.
+    """
+    c_out, c_in, *kshape = w.shape
+    small = g.shape[1:]
+    cols = (w.reshape(c_out, -1).T @ g.reshape(c_out, -1)).reshape(c_in, *kshape, *small)
+    out = np.zeros((c_in, *(n + 2 * p for n, p in zip(big, pad))))
+    for off in np.ndindex(*kshape):
+        sel = tuple(slice(o, o + (n - 1) * s + 1, s) for o, n, s in zip(off, small, stride))
+        out[(slice(None), *sel)] += cols[(slice(None), *off)]
+    return out[(slice(None), *(slice(p, p + n) for p, n in zip(pad, big)))]
+
+
+def add_at_grid_sample_grad(shape, coords, g):
+    """Source gradient of `grid_sample_bilinear` from four `np.add.at` scatters.
+
+    One scatter-add per corner, in the order 00, 01, 10, 11, with the
+    sampler's clamping and its zero weights for samples outside the image.
+    """
+    c, h, w = shape
+    x = coords[0].ravel()
+    y = coords[1].ravel()
+    valid = (x >= 0.0) & (x <= w - 1.0) & (y >= 0.0) & (y <= h - 1.0)
+    xs = np.where(valid, x, 0.0)
+    ys = np.where(valid, y, 0.0)
+    x0 = np.clip(np.floor(xs).astype(np.int64), 0, w - 1)
+    y0 = np.clip(np.floor(ys).astype(np.int64), 0, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    tx = xs - x0
+    ty = ys - y0
+    vf = valid.astype(np.float64)
+    corners = ((y0 * w + x0, (1.0 - tx) * (1.0 - ty) * vf),
+               (y0 * w + x1, tx * (1.0 - ty) * vf),
+               (y1 * w + x0, (1.0 - tx) * ty * vf),
+               (y1 * w + x1, tx * ty * vf))
+    g2 = g.reshape(c, -1)
+    acc = np.zeros((h * w, c))
+    for idx, wt in corners:
+        np.add.at(acc, idx, (g2 * wt).T)
+    return acc.T.reshape(shape)

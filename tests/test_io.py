@@ -425,6 +425,18 @@ class TestCli:
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_batch_that_never_fills_returns_two(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        out = tmp_path / "out"
+        synth.make_dataset(str(data), 1, 3, 16, 24, seed=5, style="plane")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[train]\nviews = 3\nbatch_size = 4\n")
+        assert main(["train", "--config", str(cfg), "--data", str(data),
+                     "--out", str(out)]) == 2
+        assert "3 training samples never fill a batch of train.batch_size = 4" in (
+            capsys.readouterr().err)
+        assert os.listdir(out) == []
+
     def test_unknown_config_key_returns_two(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[pipeline]\nnot_a_key = 1\n")

@@ -5,9 +5,11 @@ container."""
 import math
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
+from conftest import add_at_grid_sample_grad, scatter_input_grad
 
 from minimvs import gradcheck
 from minimvs import tensor as T
@@ -147,7 +149,9 @@ class TestConv:
         ((3, 3, 3), (1, 2, 2), (1, 1, 1), (0, 1, 1), (3, 4, 6, 6)),
         ((3, 3, 3), 2, 1, 1, (3, 6, 4, 8)),
         ((2, 3, 1), (2, 1, 1), 0, 0, (3, 6, 5, 4)),
-    ], ids=["decoder", "depth3", "stride2", "unpadded"])
+        ((3, 3, 3), 1, (0, 1, 1), 0, (3, 4, 5, 6)),
+        ((2, 3, 1), 1, (2, 1, 1), 0, (3, 4, 5, 6)),
+    ], ids=["decoder", "depth3", "stride2", "unpadded", "stride1", "pad_ge_kernel"])
     def test_transpose_is_the_input_gradient_of_conv(self, rng, kernel, stride, pad, outpad,
                                                      y_shape):
         # conv_transpose3d(x, W) is d<conv3d(y, W), x>/dy, bit for bit
@@ -159,6 +163,22 @@ class TestConv:
         tx = T.conv_transpose3d(Tensor(x), ConvParams(w, None, stride, pad, outpad))
         assert tx.shape == y_shape
         assert tx.data.tobytes() == y.grad.tobytes()
+
+    @pytest.mark.parametrize("kernel, stride, pad, x_shape", [
+        ((3, 3, 3), (1, 1, 1), (0, 1, 1), (4, 4, 6, 5)),
+        ((3, 3, 3), (1, 1, 1), (1, 1, 1), (3, 3, 4, 5)),
+        ((1, 1, 1), (1, 1, 1), (0, 0, 0), (5, 2, 3, 4)),
+        ((2, 3, 1), (1, 1, 1), (2, 3, 0), (3, 3, 4, 5)),
+        ((3, 3, 3), (1, 2, 2), (0, 1, 1), (3, 4, 6, 5)),
+    ], ids=["regularizer", "padded", "1x1", "pad_ge_kernel", "strided"])
+    def test_input_gradient_matches_scatter_reference(self, rng, kernel, stride, pad, x_shape):
+        w = Tensor(rng.standard_normal((2, x_shape[0], *kernel)))
+        x = Tensor(rng.standard_normal(x_shape), requires_grad=True)
+        y = T.conv3d(x, ConvParams(w, None, stride, pad))
+        g = rng.standard_normal(y.shape)
+        T.backward(T.sum_all(T.mul(y, g)))
+        want = scatter_input_grad(g, w.data, x_shape[1:], pad, stride)
+        assert np.abs(x.grad - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_channel_mismatch_raises(self, rng):
         x = Tensor(rng.standard_normal((3, 4, 4)))
@@ -186,6 +206,38 @@ def conv_sequence(seed):
 
 def run_convs(calls):
     return [op(x, params) for op, x, params in calls]
+
+
+def conv_graph_grads(seed):
+    """Leaf gradients of one backward through `conv_sequence(seed)`, every
+    input recording, with a transposed conv on the strided conv's output."""
+    calls = conv_sequence(seed)
+    for _, x, _ in calls:
+        x.requires_grad = True
+    ys = run_convs(calls)
+    wt = Parameter(np.random.default_rng(seed + 100).standard_normal((3, 2, 1, 3, 3)))
+    ys.append(T.conv_transpose3d(ys[2], ConvParams(wt, None, (1, 2, 2), (0, 1, 1), (0, 1, 1))))
+    loss = T.sum_all(T.mul(ys[0], ys[0]))
+    for y in ys[1:]:
+        loss = T.add(loss, T.sum_all(T.mul(y, y)))
+    T.backward(loss)
+    leaves = [t for _, x, params in calls for t in (x, params.weight, params.bias)]
+    return [t.grad for t in leaves + [wt]]
+
+
+def run_threads(worker, seeds):
+    """Run `worker(seed)` on one thread per seed under a 1 us switch interval."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in seeds]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
 
 
 class TestWorkspace:
@@ -234,21 +286,29 @@ class TestWorkspace:
             with T.no_grad():
                 results[seed] = [y.data for _ in range(10) for y in run_convs(calls)]
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(seed,)) for seed in seeds]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
+        run_threads(worker, seeds)
         for seed in seeds:
             assert len(results[seed]) == 10 * len(serial[seed])
             for got, want in zip(results[seed], serial[seed] * 10):
                 assert np.array_equal(got, want)
+
+    def test_concurrent_backward_matches_serial(self):
+        # each thread's sweep has its own workspace: gradient windows, strided
+        # column matrices and the transposed conv's windows never cross threads
+        seeds = range(4)
+        serial = {seed: conv_graph_grads(seed) for seed in seeds}
+        results = {}
+        start = threading.Barrier(len(seeds), timeout=30)
+
+        def worker(seed):
+            start.wait()
+            results[seed] = [g for _ in range(5) for g in conv_graph_grads(seed)]
+
+        run_threads(worker, seeds)
+        for seed in seeds:
+            assert len(results[seed]) == 5 * len(serial[seed])
+            for got, want in zip(results[seed], serial[seed] * 5):
+                assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +407,21 @@ class TestGridSample:
         out = T.grid_sample_bilinear(src, np.stack([x, y]))
         inside = (x >= 0.0) & (x <= 3.0) & (y >= 0.0) & (y <= 2.0)
         assert np.array_equal(out.data[0], inside.astype(np.float64))
+
+    def test_backward_matches_add_at_reference(self, rng):
+        """One bincount per channel equals four np.add.at scatters, byte for byte."""
+        shape = (5, 6, 7)
+        src = Tensor(rng.standard_normal(shape), requires_grad=True)
+        coords = np.stack([rng.uniform(-1.5, 7.5, (4, 9, 11)),
+                           rng.uniform(-1.5, 6.5, (4, 9, 11))])
+        coords[:, 0, 0, 0] = (6.0, 5.0)  # the far corner, where x1 and y1 clamp
+        coords[:, 0, 0, 1] = (3.0, 2.0)  # a pixel centre
+        inside = ((coords[0] >= 0.0) & (coords[0] <= 6.0)
+                  & (coords[1] >= 0.0) & (coords[1] <= 5.0))
+        assert inside.any() and not inside.all()
+        g = rng.standard_normal((5, 4, 9, 11))
+        T.backward(T.sum_all(T.mul(T.grid_sample_bilinear(src, coords), g)))
+        assert src.grad.tobytes() == add_at_grid_sample_grad(shape, coords, g).tobytes()
 
     def test_output_within_neighbor_bounds(self, rng):
         src = rng.standard_normal((1, 6, 7))
@@ -471,6 +546,29 @@ class TestBackward:
         T.backward(loss)
         assert y.grad is None and y._parents == ()
         assert x.grad is not None
+
+    def test_closure_released_before_parents_backward(self):
+        x = Parameter(np.ones((2, 5, 5)))
+        seen = {}
+
+        def probe_bwd(g):
+            seen["cols"] = cols_ref()
+            seen["workspace"] = T._WORKSPACE.get()
+            return (g,)
+
+        mid = T._result(x.data * 2.0, (x,), probe_bwd, "probe")
+        y = T.conv2d(mid, ConvParams(Tensor(np.ones((3, 2, 3, 3))), None, 1, 1))
+        fn = y._backward_fn
+        cols_ref = weakref.ref(fn.__closure__[fn.__code__.co_freevars.index("cols")].cell_contents)
+        del fn
+        assert cols_ref() is not None
+        T.backward(T.sum_all(y))
+        # the conv's window matrix died with its closure, before mid's backward
+        assert seen["cols"] is None
+        assert y._backward_fn is None and y._parents == () and y.grad is None
+        # the sweep ran in a workspace that closed with it
+        assert seen["workspace"] is not None
+        assert T._WORKSPACE.get() is None
 
     def test_determinism_bit_identical(self, rng):
         x = rng.standard_normal((2, 8, 8))

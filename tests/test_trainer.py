@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+from conftest import scatter_input_grad
 
 from minimvs import synth, pipeline, training
 from minimvs.errors import NumericError
@@ -177,3 +178,36 @@ class TestTrainLoop:
         monkeypatch.setattr(training, "stage_losses_for_sample", broken)
         with pytest.raises(NumericError, match="iteration 0"):
             training.train(scenes, cfg, str(tmp_path / "out"))
+
+
+def test_input_gradients_match_scatter_reference(tmp_path, monkeypatch):
+    """Every conv input gradient of a training sample, the transposed-conv
+    forwards included, agrees with the scatter reference within 1e-12."""
+    scenes = _tiny_dataset(str(tmp_path))
+    cfg = _tiny_config()
+    network = pipeline.build_network(cfg)
+    network.train()
+    kernel = T._input_grad
+    seen = set()
+
+    def checked(g, w, big, pad, stride, workspace):
+        got = kernel(g, w, big, pad, stride, workspace)
+        want = scatter_input_grad(g, w, big, pad, stride)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        seen.add((stride, pad, w.shape[2:]))
+        return got
+
+    monkeypatch.setattr(T, "_input_grad", checked)
+    scene = scenes[0]
+    images, cams = pipeline.view_set(scene, 0, cfg.train.views)
+    gt = scene.gt_depths[0]
+    losses, _ = training.stage_losses_for_sample(network, images, cams, gt, gt > 0)
+    T.backward(training.total_loss(losses, cfg.train.stage_weights))
+    assert seen == {
+        ((1, 1), (1, 1), (3, 3)),                  # 2D stride-1 blocks and heads
+        ((1, 1), (0, 0), (1, 1)),                  # lateral and gate 1x1 convs
+        ((2, 2), (1, 1), (3, 3)),                  # strided encoder
+        ((1, 1, 1), (0, 1, 1), (3, 3, 3)),         # regularizer blocks, depth replicated
+        ((1, 2, 2), (0, 1, 1), (3, 3, 3)),         # regularizer downsampling
+        ((1, 2, 2), (0, 1, 1), (1, 3, 3)),         # decoder: the transposed forward
+    }
