@@ -1,5 +1,5 @@
-"""Cost volume assembly: warped pair correlations, view-weighted aggregation,
-and cross-stage guidance channels."""
+"""Cost volume assembly: the (V, G, D, H, W) correlation over all source views,
+view-weighted aggregation over V, and cross-stage guidance channels."""
 
 from __future__ import annotations
 
@@ -9,48 +9,47 @@ from .geometry import warp_coords
 from .nn import ConvBnReLU, Module
 
 
-def warp_and_correlate(ref_feats, src_feats, ref_cam, src_cam, hyp, groups):
-    """Group-wise correlation of warped source features against the reference.
+def warp_and_correlate(ref_feats, src_feats, ref_cam, src_cams, hyp, groups):
+    """Group-wise correlation of every warped source view against the reference.
 
     Channels split into `groups` equal groups; each correlation entry is the
     group mean of the elementwise product. With groups == C this degenerates
-    to the plain elementwise product. Samples landing outside the source
-    image contribute exact zeros. Returns the (G, D, H, W) correlation.
+    to the plain elementwise product. Samples landing outside a source image
+    contribute exact zeros. Each source is sampled on its own; the result
+    stacks them into the (V, G, D, H, W) correlation.
     """
     c, h, w = ref_feats.shape
     if c % groups:
         raise ParameterError(f"channel count {c} not divisible by {groups} groups")
+    if not src_feats:
+        raise ParameterError("correlation needs at least one source view")
     d = hyp.num_depths
-    coords = warp_coords(ref_cam, src_cam, hyp, h, w)          # (2, D, H, W)
-    flat = coords.reshape(2, d * h, w)
-    warped = T.reshape(T.grid_sample_bilinear(src_feats, flat), (c, d, h, w))
-    prod = T.mul(T.reshape(ref_feats, (c, 1, h, w)), warped)  # broadcast over D
-    return T.mean_axis(T.reshape(prod, (groups, c // groups, d, h, w)), 1)
+    views = []
+    for feats, cam in zip(src_feats, src_cams, strict=True):
+        flat = warp_coords(ref_cam, cam, hyp, h, w).reshape(2, d * h, w)
+        warped = T.reshape(T.grid_sample_bilinear(feats, flat), (c, d, h, w))
+        prod = T.mul(T.reshape(ref_feats, (c, 1, h, w)), warped)  # broadcast over D
+        views.append(T.mean_axis(T.reshape(prod, (1, groups, c // groups, d, h, w)), 2))
+    return T.concat_axis(views, 0)
 
 
 def view_weights(corr, temperature):
-    """Per-view weight field: softmax over depth of the group-summed score / eps."""
+    """(V, D, H, W) weight fields: per view, softmax over depth of the group-summed score / eps."""
     if temperature <= 0:
         raise ParameterError(f"temperature must be > 0, got {temperature}")
-    score = T.sum_axis(corr, 0)                          # (D, H, W)
-    return T.softmax_axis(T.mul(score, 1.0 / temperature), 0)
+    score = T.sum_axis(corr, 1)                          # (V, D, H, W)
+    return T.softmax_axis(T.mul(score, 1.0 / temperature), 1)
 
 
-def aggregate(correlations, weights):
-    """Weight-normalized sum over source views (a per-element convex combination).
+def aggregate(corr, weights):
+    """Weight-normalized sum over the view axis (a per-element convex combination).
 
-    Weights (D, H, W) broadcast over the group axis; softmax positivity keeps
+    Weights (V, D, H, W) broadcast over the group axis; softmax positivity keeps
     the denominator bounded away from zero.
     """
-    if not correlations:
-        raise ParameterError("aggregate needs at least one source view")
-    num = None
-    den = None
-    for corr, weight in zip(correlations, weights):
-        term = T.mul(corr, weight)
-        num = term if num is None else T.add(num, term)
-        den = weight if den is None else T.add(den, weight)
-    return T.div(num, den)
+    v, _, d, h, w = corr.shape
+    num = T.sum_axis(T.mul(corr, T.reshape(weights, (v, 1, d, h, w))), 0)
+    return T.div(num, T.sum_axis(weights, 0))
 
 
 class VolumeGuidance(Module):

@@ -7,7 +7,6 @@ import numpy as np
 from . import tensor as T
 from .errors import ParameterError
 from .nn import Conv, ConvBnReLU, Module, ModuleList
-from .tensor import Tensor
 
 DEFAULT_STAGE_CHANNELS = (32, 16, 8, 8)
 _ENCODER_CHANNELS = (8, 16, 32, 32)  # strides 1, 2, 2, 2
@@ -86,8 +85,7 @@ class FeatureExtractor(Module):
         ])
 
     def forward(self, image):
-        if not isinstance(image, Tensor):
-            image = Tensor(image)
+        """The four stage feature maps of a (3, H, W) image, coarsest first."""
         _, h, w = image.shape
         if h % 8 or w % 8:
             raise ParameterError(f"input resolution must be divisible by 8, got {h}x{w}")
@@ -96,11 +94,11 @@ class FeatureExtractor(Module):
         e2 = self.enc2.forward(e1)      # (32, H/4, W/4)
         e3 = self.enc3.forward(e2)      # (32, H/8, W/8)
 
-        pyramid = {0: self.heads[0].forward(e3)}
+        pyramid = [self.heads[0].forward(e3)]
         running = e3
         for step, fine in enumerate((e2, e1, e0)):
             t_h, t_w = coordinate_pool(fine)
             a_h, a_w = self.gates[step].forward(t_h, t_w)
             running = gated_fuse(self.lateral[step].forward(running), fine, a_h, a_w)
-            pyramid[step + 1] = self.heads[step + 1].forward(running)
+            pyramid.append(self.heads[step + 1].forward(running))
         return pyramid

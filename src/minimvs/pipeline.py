@@ -43,13 +43,21 @@ def load_scene(scene_dir, with_gt=True):
         raise DatasetError(f"{scene_dir}: no images found")
     images, cams, depths = [], [], []
     for vid in ids:
-        images.append(formats.read_ppm(os.path.join(img_dir, f"{vid}.ppm")))
+        img_path = os.path.join(img_dir, f"{vid}.ppm")
+        images.append(formats.read_ppm(img_path))
+        size = images[-1].shape[1:]
+        if size != images[0].shape[1:]:
+            raise DatasetError(f"{img_path}: image is {size[0]}x{size[1]}, the scene's first "
+                               f"image is {images[0].shape[1]}x{images[0].shape[2]}")
         cams.append(formats.read_camera(os.path.join(cam_dir, f"{vid}_cam.txt")))
         depth_path = os.path.join(scene_dir, "depths", f"{vid}.pfm")
         if not with_gt:
             depths.append(None)
         elif os.path.exists(depth_path):
             depths.append(formats.read_pfm(depth_path).astype(np.float64))
+            if depths[-1].shape != size:
+                raise DatasetError(f"{img_path}: image is {size[0]}x{size[1]}, its depth map "
+                                   f"{depth_path} is {depths[-1].shape[0]}x{depths[-1].shape[1]}")
         else:
             raise DatasetError(f"{depth_path}: missing ground-truth depth map")
     pairs = formats.read_pair_file(os.path.join(scene_dir, "pair.txt"))
@@ -121,36 +129,29 @@ class CascadeNetwork(Module):
         cfg = self.cfg
         if pyramids is None:
             pyramids = [self.features.forward(img) for img in images]
-        ref_cam_full = cameras[0]
         outputs = []
         hyp = None
         prev_volume = None
         prev_depth = None
-        for stage, scale in enumerate(STAGE_SCALES):
-            stage_cams = [cam.scaled(1.0 / scale) for cam in cameras]
-            _, sh, sw = pyramids[0][stage].shape
+        # feats: this stage's feature maps of every view, the reference first
+        for stage, (scale, feats) in enumerate(zip(STAGE_SCALES, zip(*pyramids))):
+            ref_cam, *src_cams = [cam.scaled(1.0 / scale) for cam in cameras]
             if stage == 0:
-                hyp = initial_hypotheses(
-                    (ref_cam_full.depth_min, ref_cam_full.depth_max), cfg.depths[0]
-                )
+                hyp = initial_hypotheses((cameras[0].depth_min, cameras[0].depth_max),
+                                         cfg.depths[0])
             else:
-                hyp = refine_hypotheses(hyp, prev_depth, cfg.depths[stage], (sh, sw))
-            correlations = []
-            weight_fields = []
-            for i in range(1, len(images)):
-                corr = warp_and_correlate(
-                    pyramids[0][stage], pyramids[i][stage],
-                    stage_cams[0], stage_cams[i], hyp, cfg.groups[stage],
-                )
-                correlations.append(corr)
-                weight_fields.append(view_weights(corr, cfg.temperature))
-            volume = aggregate(correlations, weight_fields)
+                hyp = refine_hypotheses(hyp, prev_depth, cfg.depths[stage], feats[0].shape[1:])
+            corr = warp_and_correlate(feats[0], feats[1:], ref_cam, src_cams, hyp,
+                                      cfg.groups[stage])
+            weights = view_weights(corr, cfg.temperature)
+            volume = aggregate(corr, weights)
             reg_input = volume
             if stage > 0:
                 reg_input = self.guidance[stage - 1].forward(prev_volume, volume)
             prob = self.regularizers[stage].forward(reg_input)
             depth, confidence = wta_depth(prob.data, hyp)
-            outputs.append(StageOutput(stage, hyp, prob, depth, confidence, weight_fields))
+            outputs.append(StageOutput(stage, hyp, prob, depth, confidence,
+                                       [Tensor(w) for w in weights.data]))
             prev_volume = volume
             prev_depth = depth
         return outputs

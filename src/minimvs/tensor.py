@@ -500,7 +500,8 @@ def _windows(a, pad, kshape, stride, small, workspace=None):
     The windows are copied once: into a fresh array, or into a view of
     `workspace` that the next call through it overwrites.
     """
-    ap = np.pad(a, ((0, 0), *[(p, p) for p in pad]))
+    ap = np.zeros((a.shape[0], *(n + 2 * p for n, p in zip(a.shape[1:], pad))))
+    ap[(slice(None), *(slice(p, p + n) for p, n in zip(pad, a.shape[1:])))] = a
     c = ap.shape[0]
     spatial_strides = ap.strides[1:]
     shape = (c, *kshape, *small)
@@ -646,13 +647,13 @@ def conv_transpose3d(x, params):
 def grid_sample_bilinear(src, coords):
     """Bilinear sampling of (C, H, W) at continuous pixel coordinates.
 
-    `coords` is (2, *out) holding (x, y) in source pixel units where integer
-    values hit pixel centers exactly. Samples whose center falls outside
+    `coords` is a (2, *out) array holding (x, y) in source pixel units where
+    integer values hit pixel centers exactly. Samples whose center falls outside
     [0, W-1] x [0, H-1] return exactly 0.
     Gradients flow to `src` only; coordinates are treated as constants.
     """
     src = _as_tensor(src)
-    cd = coords.data if isinstance(coords, Tensor) else np.asarray(coords, dtype=np.float64)
+    cd = np.asarray(coords, dtype=np.float64)
     if cd.shape[0] != 2:
         raise DimensionError(f"coords must be (2, ...), got {cd.shape}")
     if src.ndim != 3:

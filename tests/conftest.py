@@ -1,11 +1,12 @@
 """Shared fixtures: cameras, calibrated pairs, plane-induced homographies,
-warp validity masks, textured plane scenes, and parameter-free photometric
-matching features."""
+warp validity masks, textured plane scenes, parameter-free photometric
+matching features, and loop-based references for vectorized kernels."""
 
 import numpy as np
 import pytest
 
 from minimvs import synth
+from minimvs import tensor as T
 from minimvs.errors import ParameterError
 from minimvs.geometry import Camera, relative_pose, warp_coords
 from minimvs.tensor import Tensor
@@ -214,3 +215,30 @@ def add_at_grid_sample_grad(shape, coords, g):
     for idx, wt in corners:
         np.add.at(acc, idx, (g2 * wt).T)
     return acc.T.reshape(shape)
+
+
+def per_source_cost(ref_feats, src_feats, ref_cam, src_cams, hyp, groups, temperature):
+    """The cost layer one source view at a time, folded pair by pair.
+
+    Per source: warp, product with the reference, group mean to (G, D, H, W),
+    and a softmax over depth of the group sum; then the weighted sums over
+    views accumulate left to right. Returns (correlations, weights, volume)
+    as lists of per-view tensors and the aggregated (G, D, H, W) volume. A
+    reference for the stacked (V, G, D, H, W) cost layer.
+    """
+    c, h, w = ref_feats.shape
+    d = hyp.num_depths
+    corrs, weights = [], []
+    for feats, cam in zip(src_feats, src_cams, strict=True):
+        flat = warp_coords(ref_cam, cam, hyp, h, w).reshape(2, d * h, w)
+        warped = T.reshape(T.grid_sample_bilinear(feats, flat), (c, d, h, w))
+        prod = T.mul(T.reshape(ref_feats, (c, 1, h, w)), warped)
+        corr = T.mean_axis(T.reshape(prod, (groups, c // groups, d, h, w)), 1)
+        corrs.append(corr)
+        weights.append(T.softmax_axis(T.mul(T.sum_axis(corr, 0), 1.0 / temperature), 0))
+    num = den = None
+    for corr, weight in zip(corrs, weights):
+        term = T.mul(corr, weight)
+        num = term if num is None else T.add(num, term)
+        den = weight if den is None else T.add(den, weight)
+    return corrs, weights, T.div(num, den)

@@ -115,21 +115,16 @@ class TestAcceptance:
         gt0 = renders[0][1][::8, ::8]
         nearest = np.argmin(np.abs(hyp.values[:, None, None] - gt0[None]), axis=0)
         f_ref = photometric_features(renders[0][0], 8, "ref")
-        corrs, weights, valids = [], [], []
+        f_src = [photometric_features(renders[i][0], 8, "src") for i in (1, 2)]
         with T.no_grad():
-            for i in (1, 2):
-                f_src = photometric_features(renders[i][0], 8, "src")
-                corr = C.warp_and_correlate(f_ref, f_src, stage_cams[0],
-                                            stage_cams[i], hyp, groups=1)
-                corrs.append(corr)
-                weights.append(C.view_weights(corr, 2.0))
-                valids.append(warp_valid(stage_cams[0], stage_cams[i], hyp,
-                                         *f_ref.shape[1:]))
-            volume = C.aggregate(corrs, weights)
+            corr = C.warp_and_correlate(f_ref, f_src, stage_cams[0], stage_cams[1:],
+                                        hyp, groups=1)
+            volume = C.aggregate(corr, C.view_weights(corr, 2.0))
         best = np.argmax(volume.data[0], axis=0)
         ok_mask = np.ones_like(best, dtype=bool)
-        for v in valids:
-            ok_mask &= np.take_along_axis(v, nearest[None], axis=0)[0]
+        for cam in stage_cams[1:]:
+            valid = warp_valid(stage_cams[0], cam, hyp, *f_ref.shape[1:])
+            ok_mask &= np.take_along_axis(valid, nearest[None], axis=0)[0]
         frac = float((best[ok_mask] == nearest[ok_mask]).mean())
         elapsed = time.perf_counter() - start
         ok = frac >= 0.95 and elapsed < 30.0

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fronto_plane_setup, make_camera, photometric_features, warp_valid
+from conftest import (fronto_plane_setup, make_camera, per_source_cost, photometric_features,
+                      warp_valid)
 from minimvs import tensor as T
 from minimvs.cost import VolumeGuidance, aggregate, view_weights, warp_and_correlate
 from minimvs.errors import ParameterError, UsageError
@@ -19,10 +20,10 @@ class TestWarpAndCorrelate:
         hyp = initial_hypotheses((1.0, 9.0), 4)
         f0 = Tensor(rng.standard_normal((4, 6, 7)))
         fi = Tensor(rng.standard_normal((4, 6, 7)))
-        corr = warp_and_correlate(f0, fi, cam, cam, hyp, groups=2)
+        corr = warp_and_correlate(f0, [fi], cam, [cam], hyp, groups=2)
         prod = (f0.data * fi.data).reshape(2, 2, 6, 7).mean(axis=1)
         for d in range(4):
-            assert np.abs(corr.data[:, d] - prod).max() < 1e-12
+            assert np.abs(corr.data[0, :, d] - prod).max() < 1e-12
         assert warp_valid(cam, cam, hyp, 6, 7).all()
 
     def test_group_equal_channels_is_elementwise(self, rng):
@@ -30,27 +31,34 @@ class TestWarpAndCorrelate:
         hyp = initial_hypotheses((1.0, 9.0), 4)
         f0 = Tensor(rng.standard_normal((3, 4, 5)))
         fi = Tensor(rng.standard_normal((3, 4, 5)))
-        corr = warp_and_correlate(f0, fi, cam, cam, hyp, groups=3)
+        corr = warp_and_correlate(f0, [fi], cam, [cam], hyp, groups=3)
         for d in range(4):
-            assert np.abs(corr.data[:, d] - f0.data * fi.data).max() < 1e-12
+            assert np.abs(corr.data[0, :, d] - f0.data * fi.data).max() < 1e-12
 
     def test_indivisible_groups_rejected(self, rng):
         cam = make_camera()
         hyp = initial_hypotheses((1.0, 9.0), 4)
         f = Tensor(rng.standard_normal((3, 4, 5)))
         with pytest.raises(ParameterError):
-            warp_and_correlate(f, f, cam, cam, hyp, groups=2)
+            warp_and_correlate(f, [f], cam, [cam], hyp, groups=2)
+
+    def test_no_source_view_rejected(self, rng):
+        cam = make_camera()
+        hyp = initial_hypotheses((1.0, 9.0), 4)
+        f = Tensor(rng.standard_normal((2, 4, 5)))
+        with pytest.raises(ParameterError):
+            warp_and_correlate(f, [], cam, [], hyp, groups=1)
 
     def test_invalid_warps_are_exact_zeros(self, rng):
         ref = make_camera()
         src = make_camera(t=(3.0, 0.0, 0.0))  # large baseline pushes warps outside
         hyp = initial_hypotheses((1.0, 2.0), 4)
         f = Tensor(rng.standard_normal((2, 6, 8)) + 5.0)
-        corr = warp_and_correlate(f, f, ref, src, hyp, groups=1)
+        corr = warp_and_correlate(f, [f], ref, [src], hyp, groups=1)
         invalid = ~warp_valid(ref, src, hyp, 6, 8)
         assert invalid.any()
-        assert np.all(corr.data[:, invalid] == 0.0)
-        assert np.all(corr.data[:, ~invalid] != 0.0)
+        assert np.all(corr.data[0][:, invalid] == 0.0)
+        assert np.all(corr.data[0][:, ~invalid] != 0.0)
 
     def test_correlation_peak_on_textured_plane(self):
         """Photometric features peak at the GT-nearest bin for >=95% of valid pixels."""
@@ -60,79 +68,102 @@ class TestWarpAndCorrelate:
         gt0 = renders[0][1][::8, ::8]
         nearest = np.argmin(np.abs(hyp.values[:, None, None] - gt0[None]), axis=0)
         f_ref = photometric_features(renders[0][0], 8, "ref")
-        corrs, weights, valids = [], [], []
+        f_src = [photometric_features(renders[i][0], 8, "src") for i in (1, 2)]
         with T.no_grad():
-            for i in (1, 2):
-                f_src = photometric_features(renders[i][0], 8, "src")
-                corr = warp_and_correlate(f_ref, f_src, stage_cams[0], stage_cams[i],
-                                          hyp, groups=1)
-                corrs.append(corr)
-                weights.append(view_weights(corr, 2.0))
-                valids.append(warp_valid(stage_cams[0], stage_cams[i], hyp,
-                                         *f_ref.shape[1:]))
-            vol = aggregate(corrs, weights)
+            corr = warp_and_correlate(f_ref, f_src, stage_cams[0], stage_cams[1:],
+                                      hyp, groups=1)
+            vol = aggregate(corr, view_weights(corr, 2.0))
         best = np.argmax(vol.data[0], axis=0)
         ok = np.ones_like(best, dtype=bool)
-        for v in valids:
+        for cam in stage_cams[1:]:
+            v = warp_valid(stage_cams[0], cam, hyp, *f_ref.shape[1:])
             ok &= np.take_along_axis(v, nearest[None], axis=0)[0]
         assert ok.sum() >= 30
         assert (best[ok] == nearest[ok]).mean() >= 0.95
 
 
+class TestStackedMatchesPerSource:
+    """The stacked cost layer equals the per-source path and its pairwise fold, bit for bit."""
+
+    @pytest.mark.parametrize("sources", [1, 2, 3])
+    def test_volume_weights_and_feature_gradients(self, rng, sources):
+        ref = make_camera()
+        # the last camera's large baseline sends some warps outside the image
+        cams = [make_camera(t=(0.3, 0.0, 0.0)), make_camera(t=(-0.2, 0.1, 0.0)),
+                make_camera(t=(3.0, 0.0, 0.0))][-sources:]
+        hyp = initial_hypotheses((1.0, 9.0), 4)
+        assert not warp_valid(ref, cams[-1], hyp, 6, 8).all()
+        f_ref = rng.standard_normal((4, 6, 8))
+        f_src = [rng.standard_normal((4, 6, 8)) for _ in cams]
+        probe = rng.standard_normal((2, 4, 6, 8))
+
+        def run(layer):
+            leaves = [Tensor(f, requires_grad=True) for f in [f_ref, *f_src]]
+            corr, weights, vol = layer(leaves[0], leaves[1:])
+            T.backward(T.sum_all(T.mul(vol, probe)))
+            return [corr, weights, vol.data, *(leaf.grad for leaf in leaves)]
+
+        def stacked(f0, fs):
+            corr = warp_and_correlate(f0, fs, ref, cams, hyp, groups=2)
+            weights = view_weights(corr, 2.0)
+            return corr.data, weights.data, aggregate(corr, weights)
+
+        def fold(f0, fs):
+            corrs, weights, vol = per_source_cost(f0, fs, ref, cams, hyp, 2, 2.0)
+            return np.stack([c.data for c in corrs]), np.stack([w.data for w in weights]), vol
+
+        for got, want in zip(run(stacked), run(fold), strict=True):
+            assert np.array_equal(got, want)
+
+
 class TestViewWeights:
     def test_constant_scores_uniform(self):
-        corr = Tensor(np.full((2, 4, 3, 3), 1.7))
+        corr = Tensor(np.full((2, 2, 4, 3, 3), 1.7))
         w = view_weights(corr, 2.0)
         assert np.abs(w.data - 0.25).max() < 1e-12
 
     def test_large_temperature_flattens(self, rng):
-        corr = Tensor(rng.standard_normal((2, 4, 3, 3)))
+        corr = Tensor(rng.standard_normal((2, 2, 4, 3, 3)))
         w = view_weights(corr, 1e6)
         assert np.abs(w.data - 0.25).max() < 1e-4
 
     def test_closed_form_two_bins(self):
-        scores = np.zeros((1, 2, 1, 1))
-        scores[0, 1] = math.log(3.0)
+        scores = np.zeros((1, 1, 2, 1, 1))
+        scores[0, 0, 1] = math.log(3.0)
         w = view_weights(Tensor(scores), 1.0)
         assert np.abs(w.data.ravel() - [0.25, 0.75]).max() < 1e-12
 
     def test_sums_to_one(self, rng):
         for _ in range(20):
-            corr = Tensor(rng.standard_normal((3, 8, 4, 5)))
+            corr = Tensor(rng.standard_normal((2, 3, 8, 4, 5)))
             w = view_weights(corr, 2.0)
-            assert np.abs(w.data.sum(axis=0) - 1.0).max() < 1e-6
+            assert np.abs(w.data.sum(axis=1) - 1.0).max() < 1e-6
 
     def test_nonpositive_temperature_rejected(self, rng):
         with pytest.raises(ParameterError):
-            view_weights(Tensor(rng.standard_normal((1, 4, 2, 2))), 0.0)
+            view_weights(Tensor(rng.standard_normal((1, 1, 4, 2, 2))), 0.0)
 
 
 class TestAggregate:
     def test_single_view_identity(self, rng):
-        corr = Tensor(rng.standard_normal((2, 4, 3, 3)))
+        corr = Tensor(rng.standard_normal((1, 2, 4, 3, 3)))
         w = view_weights(corr, 2.0)
-        out = aggregate([corr], [w])
-        assert np.abs(out.data - corr.data).max() < 1e-12
+        out = aggregate(corr, w)
+        assert np.abs(out.data - corr.data[0]).max() < 1e-12
 
     def test_identical_views(self, rng):
-        corr = Tensor(rng.standard_normal((2, 4, 3, 3)))
+        one = rng.standard_normal((2, 4, 3, 3))
+        corr = Tensor(np.stack([one, one]))
         w = view_weights(corr, 2.0)
-        out = aggregate([corr, corr], [w, w])
-        assert np.abs(out.data - corr.data).max() < 1e-12
+        out = aggregate(corr, w)
+        assert np.abs(out.data - one).max() < 1e-12
 
     def test_convex_combination(self, rng):
         for _ in range(20):
-            corrs = [Tensor(rng.standard_normal((2, 4, 3, 3))) for _ in range(3)]
-            weights = [view_weights(c, 2.0) for c in corrs]
-            out = aggregate(corrs, weights).data
-            lo = np.min([c.data for c in corrs], axis=0)
-            hi = np.max([c.data for c in corrs], axis=0)
-            assert np.all(out >= lo - 1e-12)
-            assert np.all(out <= hi + 1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ParameterError):
-            aggregate([], [])
+            corr = Tensor(rng.standard_normal((3, 2, 4, 3, 3)))
+            out = aggregate(corr, view_weights(corr, 2.0)).data
+            assert np.all(out >= corr.data.min(axis=0) - 1e-12)
+            assert np.all(out <= corr.data.max(axis=0) + 1e-12)
 
 
 class TestVolumeGuidance:

@@ -437,6 +437,19 @@ class TestCli:
             capsys.readouterr().err)
         assert os.listdir(out) == []
 
+    @pytest.mark.parametrize("command", ["infer", "train"])
+    def test_mixed_image_sizes_return_two(self, tmp_path, capsys, command):
+        """A scene whose images differ in size is refused before any work, naming the file."""
+        data = tmp_path / "data"
+        out = tmp_path / "out"
+        synth.make_dataset(str(data), 1, 3, 32, 40, seed=5, style="plane")
+        image = data / "scene_0000" / "images" / "0001.ppm"
+        formats.write_ppm(image, formats.read_ppm(image)[:, :16, :24])
+        assert main([command, "--data", str(data), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{image}: image is 16x24, the scene's first image is 32x40" in err
+        assert os.listdir(out) == []
+
     def test_unknown_config_key_returns_two(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[pipeline]\nnot_a_key = 1\n")

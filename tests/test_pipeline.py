@@ -115,6 +115,15 @@ class TestDatasetLoading:
         scene = pipeline.load_dataset(root, with_gt=False)[0]
         assert scene.gt_depths == [None, None, None]
 
+    def test_depth_map_of_another_size_raises_only_with_gt(self, tmp_path):
+        root = _dataset(tmp_path)
+        depth = os.path.join(root, "scene_0000", "depths", "0001.pfm")
+        formats.write_pfm(depth, formats.read_pfm(depth)[:8, :16])
+        image = os.path.join(root, "scene_0000", "images", "0001.ppm")
+        with pytest.raises(DatasetError, match=f"{image}: image is 16x24, its depth map"):
+            pipeline.load_dataset(root)
+        assert pipeline.load_dataset(root, with_gt=False)[0].images[1].shape == (3, 16, 24)
+
     def test_view_ids_ranked(self, tmp_path):
         root = _dataset(tmp_path, views=4)
         scene = pipeline.load_dataset(root)[0]
@@ -196,8 +205,8 @@ class TestGuidanceAblation:
         net.eval()
         volumes, reg_inputs = [], []
 
-        def aggregate(correlations, weights):
-            volumes.append(cost.aggregate(correlations, weights))
+        def aggregate(corr, weights):
+            volumes.append(cost.aggregate(corr, weights))
             return volumes[-1]
 
         def regularize(reg):
