@@ -13,17 +13,22 @@ import sys
 
 
 def _apply_thread_env(argv):
-    # must run before numpy is imported anywhere in this process
+    # must run before numpy is imported anywhere in this process; a value
+    # that is not an integer >= 1 exports nothing, and `main` refuses it
     value = None
     for i, arg in enumerate(argv):
         if arg == "--threads" and i + 1 < len(argv):
             value = argv[i + 1]
         elif arg.startswith("--threads="):
             value = arg.split("=", 1)[1]
-    if value is not None:
+    try:
+        count = int(value)
+    except (TypeError, ValueError):
+        return
+    if count >= 1:
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                     "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ[var] = value
+            os.environ[var] = str(count)
 
 
 _apply_thread_env(sys.argv)
@@ -92,6 +97,15 @@ def cmd_infer(args):
     return 0
 
 
+def _read_map(path, shape):
+    """A depth or confidence map of an (H, W) image, as float64."""
+    arr = formats.read_pfm(path).astype(np.float64)
+    if arr.shape != shape:
+        raise DatasetError(f"{path}: map is {arr.shape[0]}x{arr.shape[1]}, "
+                           f"its image is {shape[0]}x{shape[1]}")
+    return arr
+
+
 def cmd_fuse(args):
     out = _require_out(args)
     data_dir = args.data or args.cfg.dataset
@@ -101,8 +115,9 @@ def cmd_fuse(args):
     total = 0
     for scene in scenes:
         scene_dir = os.path.join(args.depths, scene.name)
-        depths, confs = ([formats.read_pfm(os.path.join(scene_dir, f"{v:04d}_{kind}.pfm"))
-                          .astype(np.float64) for v in range(len(scene.images))]
+        shape = scene.images[0].shape[1:]
+        depths, confs = ([_read_map(os.path.join(scene_dir, f"{v:04d}_{kind}.pfm"), shape)
+                          for v in range(len(scene.images))]
                          for kind in ("depth", "conf"))
         cloud = fusion.fuse(depths, confs, scene.images, scene.cameras, args.cfg.fusion)
         ply = os.path.join(out, f"{scene.name}.ply")
@@ -220,6 +235,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if args.threads is not None and args.threads < 1:
+            raise ParameterError(f"--threads must be >= 1, got {args.threads}")
         args.cfg = _load_cfg(args)  # any config error is fatal for every command
         return args.fn(args)
     except (ParameterError, ParseError, DatasetError) as exc:

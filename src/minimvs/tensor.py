@@ -17,13 +17,15 @@ passes on graphs that share no leaf tensors: `backward` accumulates into each
 leaf's `.grad` without a lock. Results are bit-identical across repeated
 single-threaded runs.
 
-The outermost `no_grad` block, and `backward`, open a workspace: one
-growable float64 buffer for transient matrices, in place of a fresh
-allocation per call. Convolutions copy their window matrices into it when no
-backward is recorded, and backward closures put their gradient windows and
-column matrices there. Nested blocks share it, and it is dropped when the
-outermost block (or the sweep) exits. Like grad mode it is held in a context
-variable, so each thread has its own; no operator result ever aliases it.
+A recorded convolution keeps its input and weight, never its window
+matrix: a direct 3D convolution unfolds and multiplies one output depth
+slice at a time, and its backward unfolds the output gradient (stride 1) or
+the input again (stride > 1). The outermost `no_grad` block, and `backward`,
+open a workspace: one growable float64 buffer for these transient matrices,
+in place of a fresh allocation per call; outside both, each is a fresh
+array. Nested blocks share it, and it is dropped when the outermost block
+(or the sweep) exits. Like grad mode it is held in a context variable, so
+each thread has its own; no operator result ever aliases it.
 """
 
 from __future__ import annotations
@@ -494,14 +496,19 @@ def _per_axis(value, n, name, low):
     return value
 
 
-def _windows(a, pad, kshape, stride, small, workspace=None):
-    """Zero-pad (C, *big) by `pad`, then unfold its (C * prod(k), prod(small)) window matrix.
-
-    The windows are copied once: into a fresh array, or into a view of
-    `workspace` that the next call through it overwrites.
-    """
+def _pad(a, pad):
+    """Zero-pad the spatial axes of (C, *spatial) by `pad` per axis, into a fresh array."""
     ap = np.zeros((a.shape[0], *(n + 2 * p for n, p in zip(a.shape[1:], pad))))
     ap[(slice(None), *(slice(p, p + n) for p, n in zip(pad, a.shape[1:])))] = a
+    return ap
+
+
+def _unfold(ap, kshape, stride, small, workspace):
+    """The (C * prod(k), prod(small)) window matrix of an already padded (C, *spatial).
+
+    The windows are copied once: into a fresh array when `workspace` is
+    None, else into a view of it that the next call through it overwrites.
+    """
     c = ap.shape[0]
     spatial_strides = ap.strides[1:]
     shape = (c, *kshape, *small)
@@ -517,7 +524,8 @@ def _windows(a, pad, kshape, stride, small, workspace=None):
 
 
 def _scatter(cols, big, pad, kshape, stride, small):
-    """Adjoint of `_windows`: scatter-add window columns onto the padded grid, then crop to big.
+    """Adjoint of `_unfold` after `_pad`: scatter-add window columns onto the padded grid,
+    then crop to big.
 
     Only strided input gradients (and strided transposed convolutions) use it.
     """
@@ -530,40 +538,58 @@ def _scatter(cols, big, pad, kshape, stride, small):
     return out[(slice(None), *(slice(p, p + n) for p, n in zip(pad, big)))]
 
 
+def _grad_windows(g, kshape, pad, big, workspace):
+    """Window matrix (C_out * prod(k), prod(big)) of a stride-1 output gradient (C_out, *small).
+
+    `g` is zero-padded by k - 1 - p per axis (cropped by p - k + 1 where
+    p >= k: those outputs see only padding), so that its windows line up
+    with the input grid. With the kernel flipped and its channel axes
+    swapped (`_flip_swap`), the input gradient is `w' @ gcols` and the
+    weight gradient is `x @ gcols.T`.
+    """
+    small = g.shape[1:]
+    cut = [max(p - k + 1, 0) for p, k in zip(pad, kshape)]
+    g = g[(slice(None), *(slice(e, n - e) for e, n in zip(cut, small)))]
+    grow = tuple(max(k - 1 - p, 0) for p, k in zip(pad, kshape))
+    return _unfold(_pad(g, grow), kshape, (1,) * len(kshape), big, workspace)
+
+
+def _flip_swap(a):
+    """(A, B, *k) -> (B, A, *k) with every kernel axis reversed."""
+    return np.flip(a, axis=tuple(range(2, a.ndim))).swapaxes(0, 1)
+
+
 def _input_grad(g, w, big, pad, stride, workspace):
     """Input gradient (C_in, *big) of a direct convolution with weight (C_out, C_in, *k).
 
-    At stride 1 it is itself a direct convolution: `g` (C_out, *small) is
-    zero-padded by k - 1 - p per axis (cropped by p - k + 1 where p >= k),
-    unfolded by `_windows`, and one GEMM applies the flipped kernel with its
-    channel axes swapped. A larger stride takes the transposed GEMM and
-    `_scatter`. Either matrix lives in `workspace` when one is given.
+    At stride 1 it is itself a direct convolution: one GEMM applies the
+    flipped, channel-swapped kernel to `_grad_windows`. A larger stride takes
+    the transposed GEMM and `_scatter`. Either matrix lives in `workspace`
+    when one is given.
     """
     c_out, c_in, *kshape = w.shape
-    small = g.shape[1:]
     if all(s == 1 for s in stride):
-        cut = [max(p - k + 1, 0) for p, k in zip(pad, kshape)]
-        g = g[(slice(None), *(slice(e, n - e) for e, n in zip(cut, small)))]
-        grow = tuple(max(k - 1 - p, 0) for p, k in zip(pad, kshape))
-        gcols = _windows(g, grow, kshape, stride, big, workspace)
-        flipped = np.flip(w, axis=tuple(range(2, w.ndim))).swapaxes(0, 1)
-        return (flipped.reshape(c_in, -1) @ gcols).reshape(c_in, *big)
+        gcols = _grad_windows(g, kshape, pad, big, workspace)
+        return (_flip_swap(w).reshape(c_in, -1) @ gcols).reshape(c_in, *big)
     wmat_t = w.reshape(c_out, -1).T
     gmat = g.reshape(c_out, -1)
     out = None if workspace is None else workspace.view((wmat_t.shape[0], gmat.shape[1]))
-    return _scatter(np.matmul(wmat_t, gmat, out=out), big, pad, kshape, stride, small)
+    return _scatter(np.matmul(wmat_t, gmat, out=out), big, pad, kshape, stride, g.shape[1:])
 
 
 def _conv(x, params, nsp, op, transposed=False):
     """Convolution of (C, *spatial) over `nsp` spatial axes, direct or transposed.
 
-    A direct convolution maps a big grid to a small one: `_windows` unfolds
-    its input and one GEMM applies the weight. Its input gradient is
-    `_input_grad`: at stride 1 a direct convolution of the padded gradient
-    through `_windows`, and only at stride > 1 the transposed GEMM followed
-    by `_scatter`. A transposed convolution is that input gradient as an
-    operator, so its forward is `_input_grad` and its backward `_windows`
-    plus GEMM.
+    A direct convolution maps a big grid to a small one: `_pad` once, then
+    `_unfold` its windows and apply the weight by GEMM; a 3D one unfolds and
+    multiplies one output depth slice at a time, so its window matrix is a
+    slice, not the whole volume. Its backward keeps no window matrix: at
+    stride 1 one `_grad_windows` matrix gives both the input and the weight
+    gradient; at stride > 1 the weight gradient unfolds the input again and
+    the input gradient is the transposed GEMM followed by `_scatter`
+    (`_input_grad`). A transposed convolution is that input gradient as an
+    operator, so its forward is `_input_grad` and its backward unfolds the
+    padded output gradient for one GEMM each.
     """
     x = _as_tensor(x)
     w = params.weight
@@ -591,14 +617,20 @@ def _conv(x, params, nsp, op, transposed=False):
         raise DimensionError(f"{op}: empty output for input {x.shape}, kernel {kshape}")
     parents = (x, w) if b is None else (x, w, b)
     wmat = w.data.reshape(w.shape[0], -1)
+    xmat = x.data.reshape(c_in, -1)
+    workspace = _WORKSPACE.get()  # None outside `no_grad` and `backward`: fresh matrices
     if transposed:
-        xmat = x.data.reshape(c_in, -1)
-        y = _input_grad(x.data, w.data, big, pad, stride, _WORKSPACE.get())
+        y = _input_grad(x.data, w.data, big, pad, stride, workspace)
+    elif nsp == 3:
+        ap = _pad(x.data, pad)
+        y = np.empty((c_out, *small))
+        for d in range(small[0]):
+            slab = ap[:, d * stride[0]:d * stride[0] + kshape[0]]
+            cols = _unfold(slab, kshape, stride, (1, *small[1:]), workspace)
+            y[:, d] = (wmat @ cols).reshape(c_out, *small[1:])
     else:
-        # a recorded backward keeps `cols`, so only an unrecorded call may borrow
-        workspace = None if _records(parents) else _WORKSPACE.get()
-        cols = _windows(x.data, pad, kshape, stride, small, workspace)
-        y = (wmat @ cols).reshape(c_out, *small)
+        y = (wmat @ _unfold(_pad(x.data, pad), kshape, stride, small, workspace)).reshape(
+            c_out, *small)
     if b is not None:
         y = y + b.data.reshape(c_out, *(1,) * nsp)
 
@@ -606,13 +638,24 @@ def _conv(x, params, nsp, op, transposed=False):
         # `backward` runs closures inside the workspace
         workspace = _WORKSPACE.get()
         gmat = g.reshape(c_out, -1)
+        dx = dw = None
         if transposed:
-            gcols = _windows(g, pad, kshape, stride, small, workspace)
+            gcols = _unfold(_pad(g, pad), kshape, stride, small, workspace)
             dx = (wmat @ gcols).reshape(x.shape) if x.requires_grad else None
             dw = (xmat @ gcols.T).reshape(w.shape) if w.requires_grad else None
+        elif all(s == 1 for s in stride):
+            gcols = _grad_windows(g, kshape, pad, big, workspace)
+            if x.requires_grad:
+                dx = (_flip_swap(w.data).reshape(c_in, -1) @ gcols).reshape(x.shape)
+            if w.requires_grad:
+                dw = _flip_swap((xmat @ gcols.T).reshape(c_in, c_out, *kshape))
         else:
-            dx = _input_grad(g, w.data, big, pad, stride, workspace) if x.requires_grad else None
-            dw = (gmat @ cols.T).reshape(w.shape) if w.requires_grad else None
+            # the weight gradient's windows leave the workspace before `_input_grad` reuses it
+            if w.requires_grad:
+                cols = _unfold(_pad(x.data, pad), kshape, stride, small, workspace)
+                dw = (gmat @ cols.T).reshape(w.shape)
+            if x.requires_grad:
+                dx = _input_grad(g, w.data, big, pad, stride, workspace)
         if b is None:
             return dx, dw
         return dx, dw, gmat.sum(axis=1) if b.requires_grad else None

@@ -187,6 +187,21 @@ def scatter_input_grad(g, w, big, pad, stride):
     return out[(slice(None), *(slice(p, p + n) for p, n in zip(pad, big)))]
 
 
+def window_matrix(a, kshape, pad, stride, small):
+    """The whole (C * prod(k), prod(small)) im2col matrix of (C, *big), one kernel offset at a time.
+
+    Row (c, offset) holds the strided slab of the zero-padded input that the
+    kernel tap at `offset` sees. A reference for the window matrices the
+    convolutions unfold: `w.reshape(C_out, -1) @ cols` is the forward and
+    `g.reshape(C_out, -1) @ cols.T` the weight gradient.
+    """
+    ap = np.pad(a, [(0, 0)] + [(p, p) for p in pad])
+    slabs = [ap[(slice(None), *(slice(o, o + (n - 1) * s + 1, s)
+                               for o, n, s in zip(off, small, stride)))]
+             for off in np.ndindex(*kshape)]
+    return np.stack(slabs, axis=1).reshape(a.shape[0] * len(slabs), -1)
+
+
 def add_at_grid_sample_grad(shape, coords, g):
     """Source gradient of `grid_sample_bilinear` from four `np.add.at` scatters.
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import minimvs
-from minimvs import formats, fusion, pipeline, synth
+from minimvs import cli, formats, fusion, pipeline, synth
 from minimvs.checkpoint import load_checkpoint, save_checkpoint
 from minimvs.cli import main
 from minimvs.config import (PipelineConfig, default_config_text, load_config,
@@ -449,6 +449,44 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"{image}: image is 16x24, the scene's first image is 32x40" in err
         assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("kind", ["depth", "conf"])
+    def test_fuse_wrong_size_map_returns_two(self, tmp_path, capsys, kind):
+        """A depth or confidence map whose size differs from its image is refused, naming it."""
+        data = tmp_path / "data"
+        synth.make_dataset(str(data), 1, 3, 32, 40, seed=5, style="plane")
+        maps = tmp_path / "depths" / "scene_0000"
+        maps.mkdir(parents=True)
+        for v in range(3):
+            formats.write_pfm(maps / f"{v:04d}_depth.pfm",
+                              formats.read_pfm(data / "scene_0000" / "depths" / f"{v:04d}.pfm"))
+            formats.write_pfm(maps / f"{v:04d}_conf.pfm", np.ones((32, 40)))
+        bad = maps / f"0001_{kind}.pfm"
+        formats.write_pfm(bad, formats.read_pfm(bad)[::2, ::2])
+        out = tmp_path / "clouds"
+        assert main(["fuse", "--data", str(data), "--depths", str(maps.parent),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: map is 16x20, its image is 32x40" in err and "Traceback" not in err
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("value", ["0", "-1", "abc"])
+    def test_bad_thread_count_returns_two(self, monkeypatch, capsys, value):
+        """--threads below 1 (or not a number) exits 2 and exports no BLAS thread variable."""
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        before = dict(os.environ)
+        argv = ["default-config", "--threads", value]
+        cli._apply_thread_env(["minimvs", *argv])
+        assert dict(os.environ) == before
+        if value == "abc":
+            with pytest.raises(SystemExit) as exc:  # argparse's usage error
+                main(argv)
+            assert exc.value.code == 2
+        else:
+            assert main(argv) == 2
+            assert f"--threads must be >= 1, got {value}" in capsys.readouterr().err
 
     def test_unknown_config_key_returns_two(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -9,7 +9,7 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import add_at_grid_sample_grad, scatter_input_grad
+from conftest import add_at_grid_sample_grad, scatter_input_grad, window_matrix
 
 from minimvs import gradcheck
 from minimvs import tensor as T
@@ -114,6 +114,35 @@ class TestConv:
             got = T.conv3d(Tensor(x), ConvParams(Tensor(w), Tensor(b), stride, pad))
             want = conv3d_naive(x, w, b, stride, pad)
             assert np.abs(got.data - want).max() < 1e-12
+
+    @pytest.mark.parametrize("kd, stride, pad", [
+        (3, 1, (1, 1, 1)),
+        (3, 1, (0, 1, 1)),
+        (1, 1, (1, 1, 1)),
+        (1, 1, (0, 1, 1)),
+        (3, (1, 2, 2), (1, 1, 1)),
+        (3, (1, 2, 2), (0, 1, 1)),
+        (1, (1, 2, 2), (1, 1, 1)),
+        (1, (1, 2, 2), (0, 1, 1)),
+    ])
+    def test_conv3d_depth_slices_match_whole_matrix(self, rng, kd, stride, pad):
+        # the forward unfolds one output depth slice at a time; one GEMM over
+        # the whole window matrix must agree with it, recorded or not
+        x = rng.standard_normal((3, 5, 7, 6))
+        w = rng.standard_normal((4, 3, kd, 3, 3))
+        b = rng.standard_normal(4)
+        s = T._per_axis(stride, 3, "stride", 1)
+        small = tuple((n + 2 * p - k) // st + 1
+                      for n, p, k, st in zip(x.shape[1:], pad, w.shape[2:], s))
+        cols = window_matrix(x, w.shape[2:], pad, s, small)
+        want = (w.reshape(4, -1) @ cols).reshape(4, *small) + b.reshape(4, 1, 1, 1)
+        params = ConvParams(Parameter(w), Parameter(b), stride, pad)
+        recorded = T.conv3d(Tensor(x), params)
+        with T.no_grad():
+            fast = T.conv3d(Tensor(x), params)
+        assert recorded.requires_grad and recorded.shape == want.shape
+        for got in (recorded, fast):
+            assert np.abs(got.data - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_conv3d_identity_kernel(self, rng):
         x = rng.standard_normal((1, 3, 4, 5))
@@ -552,23 +581,42 @@ class TestBackward:
         seen = {}
 
         def probe_bwd(g):
-            seen["cols"] = cols_ref()
+            seen["closure"] = closure_ref()
             seen["workspace"] = T._WORKSPACE.get()
             return (g,)
 
         mid = T._result(x.data * 2.0, (x,), probe_bwd, "probe")
         y = T.conv2d(mid, ConvParams(Tensor(np.ones((3, 2, 3, 3))), None, 1, 1))
-        fn = y._backward_fn
-        cols_ref = weakref.ref(fn.__closure__[fn.__code__.co_freevars.index("cols")].cell_contents)
-        del fn
-        assert cols_ref() is not None
+        closure_ref = weakref.ref(y._backward_fn)
         T.backward(T.sum_all(y))
-        # the conv's window matrix died with its closure, before mid's backward
-        assert seen["cols"] is None
+        # the conv's closure died before mid's backward ran
+        assert seen["closure"] is None
         assert y._backward_fn is None and y._parents == () and y.grad is None
         # the sweep ran in a workspace that closed with it
         assert seen["workspace"] is not None
         assert T._WORKSPACE.get() is None
+
+    @pytest.mark.parametrize("op, x_shape, w_shape, stride, pad", [
+        (T.conv2d, (2, 6, 7), (3, 2, 3, 3), 1, 1),
+        (T.conv2d, (2, 9, 8), (3, 2, 3, 3), 2, 1),
+        (T.conv3d, (3, 5, 9, 8), (4, 3, 3, 3, 3), 1, (0, 1, 1)),
+        (T.conv3d, (4, 6, 12, 10), (3, 4, 3, 3, 3), (1, 2, 2), (0, 1, 1)),
+    ], ids=["2d", "2d_strided", "3d", "3d_strided"])
+    def test_closure_holds_no_window_matrix(self, rng, op, x_shape, w_shape, stride, pad):
+        # the tape keeps a conv's input and weight, nothing the size of its windows
+        x = Parameter(rng.standard_normal(x_shape))
+        w = Parameter(rng.standard_normal(w_shape))
+        y = op(x, ConvParams(w, Parameter(np.zeros(w_shape[0])), stride, pad))
+        arrays = []
+        for cell in y._backward_fn.__closure__:
+            try:
+                value = cell.cell_contents
+            except ValueError:  # a name this kind of conv never binds
+                continue
+            if isinstance(value, np.ndarray):
+                arrays.append(value)
+        largest = max(a.size for a in arrays)
+        assert largest <= max(x.size, w.size), f"a {largest}-element array"
 
     def test_determinism_bit_identical(self, rng):
         x = rng.standard_normal((2, 8, 8))
