@@ -559,6 +559,16 @@ def _flip_swap(a):
     return np.flip(a, axis=tuple(range(2, a.ndim))).swapaxes(0, 1)
 
 
+def _windows_input_grad(gcols, w, big):
+    """Stride-1 input gradient (C_in, *big): the flipped, channel-swapped kernel times `gcols`.
+
+    The one place this GEMM is written, so a transposed convolution stays
+    equal to the direct convolution's input gradient bit for bit.
+    """
+    c_in = w.shape[1]
+    return (_flip_swap(w).reshape(c_in, -1) @ gcols).reshape(c_in, *big)
+
+
 def _input_grad(g, w, big, pad, stride, workspace):
     """Input gradient (C_in, *big) of a direct convolution with weight (C_out, C_in, *k).
 
@@ -567,10 +577,9 @@ def _input_grad(g, w, big, pad, stride, workspace):
     the transposed GEMM and `_scatter`. Either matrix lives in `workspace`
     when one is given.
     """
-    c_out, c_in, *kshape = w.shape
+    c_out, _, *kshape = w.shape
     if all(s == 1 for s in stride):
-        gcols = _grad_windows(g, kshape, pad, big, workspace)
-        return (_flip_swap(w).reshape(c_in, -1) @ gcols).reshape(c_in, *big)
+        return _windows_input_grad(_grad_windows(g, kshape, pad, big, workspace), w, big)
     wmat_t = w.reshape(c_out, -1).T
     gmat = g.reshape(c_out, -1)
     out = None if workspace is None else workspace.view((wmat_t.shape[0], gmat.shape[1]))
@@ -646,7 +655,7 @@ def _conv(x, params, nsp, op, transposed=False):
         elif all(s == 1 for s in stride):
             gcols = _grad_windows(g, kshape, pad, big, workspace)
             if x.requires_grad:
-                dx = (_flip_swap(w.data).reshape(c_in, -1) @ gcols).reshape(x.shape)
+                dx = _windows_input_grad(gcols, w.data, big)
             if w.requires_grad:
                 dw = _flip_swap((xmat @ gcols.T).reshape(c_in, c_out, *kshape))
         else:
