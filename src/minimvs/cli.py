@@ -131,6 +131,9 @@ def cmd_fuse(args):
 def cmd_eval_depth(args):
     pred = formats.read_pfm(args.pred).astype(np.float64)
     gt = formats.read_pfm(args.gt).astype(np.float64)
+    if pred.shape != gt.shape:
+        raise DatasetError(f"{args.pred}: depth map is {pred.shape[0]}x{pred.shape[1]}, "
+                           f"the ground truth {args.gt} is {gt.shape[0]}x{gt.shape[1]}")
     mask = gt > 0
     report = evaluation.depth_errors(pred, gt, mask)
     sys.stdout.write(evaluation.depth_report_text(report))
@@ -141,9 +144,17 @@ def cmd_eval_depth(args):
     return 0
 
 
+def _read_cloud(path):
+    """The points of a non-empty PLY cloud."""
+    points, _ = formats.read_ply(path)
+    if not len(points):
+        raise DatasetError(f"{path}: the cloud has no points")
+    return points
+
+
 def cmd_eval_cloud(args):
-    recon, _ = formats.read_ply(args.recon)
-    gt, _ = formats.read_ply(args.gt)
+    recon = _read_cloud(args.recon)
+    gt = _read_cloud(args.gt)
     dist = evaluation.cloud_distance_metrics(recon, gt, outlier_cap=args.cap)
     thr = evaluation.threshold_metrics(recon, gt, args.tau) if args.tau else None
     sys.stdout.write(evaluation.cloud_report_text(dist, thr))

@@ -41,6 +41,11 @@ def load_scene(scene_dir, with_gt=True):
     ids = sorted(os.path.splitext(f)[0] for f in os.listdir(img_dir) if f.endswith(".ppm"))
     if not ids:
         raise DatasetError(f"{scene_dir}: no images found")
+    # the pair file and the outputs count views by position
+    for i, vid in enumerate(ids):
+        if vid != f"{i:04d}":
+            raise DatasetError(f"{os.path.join(img_dir, vid + '.ppm')}: view ids must run "
+                               f"0000 to {len(ids) - 1:04d} without gaps")
     images, cams, depths = [], [], []
     for vid in ids:
         img_path = os.path.join(img_dir, f"{vid}.ppm")

@@ -20,16 +20,14 @@ single-threaded runs.
 A recorded convolution keeps its input and weight, never its window
 matrix: a direct 3D convolution unfolds and multiplies one output depth
 slice at a time, and its backward unfolds the output gradient (stride 1) or
-the input again (stride > 1). The outermost `no_grad` block, and `backward`,
-open a workspace: one growable float64 buffer for these transient matrices,
-in place of a fresh allocation per call; outside both, each is a fresh
-array. Nested blocks share it, and it is dropped when the outermost block
-(or the sweep) exits. Like grad mode it is held in a context variable, so
-each thread has its own; no operator result ever aliases it.
+the input again (stride > 1). Every window matrix, recorded or not, goes
+into `_scratch`: one growable float64 buffer per thread that lives as long
+as the thread, so threads never share one. No operator result aliases it.
 """
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -40,47 +38,25 @@ import numpy as np
 from .errors import DimensionError, NumericError, ParameterError, UsageError
 
 _GRAD_ENABLED = ContextVar("grad_enabled", default=True)
-_WORKSPACE = ContextVar("workspace", default=None)
+_SCRATCH = threading.local()
 
 
-class _Workspace:
-    """One growable float64 buffer handed out as scratch space."""
-
-    __slots__ = ("buffer",)
-
-    def __init__(self):
-        self.buffer = np.empty(0)
-
-    def view(self, shape):
-        """A C-contiguous (shape) view of the buffer; valid until the next call."""
-        n = int(np.prod(shape))
-        if self.buffer.size < n:
-            self.buffer = None  # release the old buffer before allocating the larger one
-            self.buffer = np.empty(n)
-        return self.buffer[:n].reshape(shape)
-
-
-@contextmanager
-def _workspace():
-    """Open this thread's workspace unless one is already open."""
-    token = _WORKSPACE.set(_Workspace()) if _WORKSPACE.get() is None else None
-    try:
-        yield
-    finally:
-        if token is not None:
-            _WORKSPACE.reset(token)
+def _scratch(shape):
+    """A C-contiguous (shape) view of this thread's scratch buffer; valid until the next call."""
+    n = int(np.prod(shape))
+    buffer = getattr(_SCRATCH, "buffer", None)
+    if buffer is None or buffer.size < n:
+        buffer = _SCRATCH.buffer = None  # release the old buffer before allocating the larger one
+        buffer = _SCRATCH.buffer = np.empty(n)
+    return buffer[:n].reshape(shape)
 
 
 @contextmanager
 def no_grad():
-    """Disable graph recording inside the block (inference / oracles).
-
-    The outermost block also opens the workspace that nested blocks share.
-    """
+    """Disable graph recording inside the block (inference / oracles)."""
     token = _GRAD_ENABLED.set(False)
     try:
-        with _workspace():
-            yield
+        yield
     finally:
         _GRAD_ENABLED.reset(token)
 
@@ -189,7 +165,7 @@ def backward(loss):
     Each interior node drops its gradient, closure and parent references as
     soon as its backward has run, so the arrays its closure captured are
     freed during the sweep. Deterministic: the accumulation order is fixed by
-    the recorded topological order. The sweep runs inside the workspace.
+    the recorded topological order.
     """
     if not isinstance(loss, Tensor):
         raise UsageError("backward expects a Tensor")
@@ -215,24 +191,23 @@ def backward(loss):
                 stack.append((parent, False))
 
     loss.grad = np.ones_like(loss.data)
-    with _workspace():
-        while topo:
-            node = topo.pop()  # reverse topological order; the list lets go of it
-            if node._backward_fn is None:
+    while topo:
+        node = topo.pop()  # reverse topological order; the list lets go of it
+        if node._backward_fn is None:
+            continue
+        grads = node._backward_fn(node.grad)
+        for parent, grad in zip(node._parents, grads):
+            if grad is None or not parent.requires_grad:
                 continue
-            grads = node._backward_fn(node.grad)
-            for parent, grad in zip(node._parents, grads):
-                if grad is None or not parent.requires_grad:
-                    continue
-                if parent.grad is None:
-                    # a fresh array holding 0.0 + grad, so -0.0 becomes 0.0
-                    parent.grad = grad + 0.0
-                else:
-                    parent.grad += grad
-            node.grad = None
-            node._parents = ()
-            node._backward_fn = None
-            grads = grad = None  # the next closure runs without these arrays
+            if parent.grad is None:
+                # a fresh array holding 0.0 + grad, so -0.0 becomes 0.0
+                parent.grad = grad + 0.0
+            else:
+                parent.grad += grad
+        node.grad = None
+        node._parents = ()
+        node._backward_fn = None
+        grads = grad = None  # the next closure runs without these arrays
 
 
 # ---------------------------------------------------------------------------
@@ -503,11 +478,10 @@ def _pad(a, pad):
     return ap
 
 
-def _unfold(ap, kshape, stride, small, workspace):
+def _unfold(ap, kshape, stride, small):
     """The (C * prod(k), prod(small)) window matrix of an already padded (C, *spatial).
 
-    The windows are copied once: into a fresh array when `workspace` is
-    None, else into a view of it that the next call through it overwrites.
+    The windows are copied once, into `_scratch`: the next unfold overwrites them.
     """
     c = ap.shape[0]
     spatial_strides = ap.strides[1:]
@@ -515,10 +489,7 @@ def _unfold(ap, kshape, stride, small, workspace):
     strides = (ap.strides[0], *spatial_strides,
                *(s * st for s, st in zip(spatial_strides, stride)))
     windows = np.lib.stride_tricks.as_strided(ap, shape=shape, strides=strides)
-    rows = c * int(np.prod(kshape))
-    if workspace is None:
-        return windows.reshape(rows, -1)  # forces the single copy
-    cols = workspace.view((rows, int(np.prod(small))))
+    cols = _scratch((c * int(np.prod(kshape)), int(np.prod(small))))
     np.copyto(cols.reshape(shape), windows)
     return cols
 
@@ -538,7 +509,7 @@ def _scatter(cols, big, pad, kshape, stride, small):
     return out[(slice(None), *(slice(p, p + n) for p, n in zip(pad, big)))]
 
 
-def _grad_windows(g, kshape, pad, big, workspace):
+def _grad_windows(g, kshape, pad, big):
     """Window matrix (C_out * prod(k), prod(big)) of a stride-1 output gradient (C_out, *small).
 
     `g` is zero-padded by k - 1 - p per axis (cropped by p - k + 1 where
@@ -551,7 +522,7 @@ def _grad_windows(g, kshape, pad, big, workspace):
     cut = [max(p - k + 1, 0) for p, k in zip(pad, kshape)]
     g = g[(slice(None), *(slice(e, n - e) for e, n in zip(cut, small)))]
     grow = tuple(max(k - 1 - p, 0) for p, k in zip(pad, kshape))
-    return _unfold(_pad(g, grow), kshape, (1,) * len(kshape), big, workspace)
+    return _unfold(_pad(g, grow), kshape, (1,) * len(kshape), big)
 
 
 def _flip_swap(a):
@@ -569,21 +540,20 @@ def _windows_input_grad(gcols, w, big):
     return (_flip_swap(w).reshape(c_in, -1) @ gcols).reshape(c_in, *big)
 
 
-def _input_grad(g, w, big, pad, stride, workspace):
+def _input_grad(g, w, big, pad, stride):
     """Input gradient (C_in, *big) of a direct convolution with weight (C_out, C_in, *k).
 
     At stride 1 it is itself a direct convolution: one GEMM applies the
     flipped, channel-swapped kernel to `_grad_windows`. A larger stride takes
-    the transposed GEMM and `_scatter`. Either matrix lives in `workspace`
-    when one is given.
+    the transposed GEMM into `_scratch`, then `_scatter`.
     """
     c_out, _, *kshape = w.shape
     if all(s == 1 for s in stride):
-        return _windows_input_grad(_grad_windows(g, kshape, pad, big, workspace), w, big)
+        return _windows_input_grad(_grad_windows(g, kshape, pad, big), w, big)
     wmat_t = w.reshape(c_out, -1).T
     gmat = g.reshape(c_out, -1)
-    out = None if workspace is None else workspace.view((wmat_t.shape[0], gmat.shape[1]))
-    return _scatter(np.matmul(wmat_t, gmat, out=out), big, pad, kshape, stride, g.shape[1:])
+    dcols = np.matmul(wmat_t, gmat, out=_scratch((wmat_t.shape[0], gmat.shape[1])))
+    return _scatter(dcols, big, pad, kshape, stride, g.shape[1:])
 
 
 def _conv(x, params, nsp, op, transposed=False):
@@ -627,44 +597,40 @@ def _conv(x, params, nsp, op, transposed=False):
     parents = (x, w) if b is None else (x, w, b)
     wmat = w.data.reshape(w.shape[0], -1)
     xmat = x.data.reshape(c_in, -1)
-    workspace = _WORKSPACE.get()  # None outside `no_grad` and `backward`: fresh matrices
     if transposed:
-        y = _input_grad(x.data, w.data, big, pad, stride, workspace)
+        y = _input_grad(x.data, w.data, big, pad, stride)
     elif nsp == 3:
         ap = _pad(x.data, pad)
         y = np.empty((c_out, *small))
         for d in range(small[0]):
             slab = ap[:, d * stride[0]:d * stride[0] + kshape[0]]
-            cols = _unfold(slab, kshape, stride, (1, *small[1:]), workspace)
+            cols = _unfold(slab, kshape, stride, (1, *small[1:]))
             y[:, d] = (wmat @ cols).reshape(c_out, *small[1:])
     else:
-        y = (wmat @ _unfold(_pad(x.data, pad), kshape, stride, small, workspace)).reshape(
-            c_out, *small)
+        y = (wmat @ _unfold(_pad(x.data, pad), kshape, stride, small)).reshape(c_out, *small)
     if b is not None:
         y = y + b.data.reshape(c_out, *(1,) * nsp)
 
     def bwd(g):
-        # `backward` runs closures inside the workspace
-        workspace = _WORKSPACE.get()
         gmat = g.reshape(c_out, -1)
         dx = dw = None
         if transposed:
-            gcols = _unfold(_pad(g, pad), kshape, stride, small, workspace)
+            gcols = _unfold(_pad(g, pad), kshape, stride, small)
             dx = (wmat @ gcols).reshape(x.shape) if x.requires_grad else None
             dw = (xmat @ gcols.T).reshape(w.shape) if w.requires_grad else None
         elif all(s == 1 for s in stride):
-            gcols = _grad_windows(g, kshape, pad, big, workspace)
+            gcols = _grad_windows(g, kshape, pad, big)
             if x.requires_grad:
                 dx = _windows_input_grad(gcols, w.data, big)
             if w.requires_grad:
                 dw = _flip_swap((xmat @ gcols.T).reshape(c_in, c_out, *kshape))
         else:
-            # the weight gradient's windows leave the workspace before `_input_grad` reuses it
+            # the weight gradient's windows leave `_scratch` before `_input_grad` reuses it
             if w.requires_grad:
-                cols = _unfold(_pad(x.data, pad), kshape, stride, small, workspace)
+                cols = _unfold(_pad(x.data, pad), kshape, stride, small)
                 dw = (gmat @ cols.T).reshape(w.shape)
             if x.requires_grad:
-                dx = _input_grad(g, w.data, big, pad, stride, workspace)
+                dx = _input_grad(g, w.data, big, pad, stride)
         if b is None:
             return dx, dw
         return dx, dw, gmat.sum(axis=1) if b.requires_grad else None

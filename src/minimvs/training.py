@@ -132,7 +132,8 @@ def train(scenes, cfg, out_dir, log=None):
                     losses, _ = stage_losses_for_sample(network, images, cams, gt, valid)
                     loss = total_loss(losses, tc.stage_weights)
                     sample_loss = T.mul(loss, 1.0 / tc.batch_size)
-                    T.backward(sample_loss)
+                    if sample_loss.requires_grad:  # no usable ground truth: zero loss, no gradient
+                        T.backward(sample_loss)
                 except NumericError as exc:
                     raise NumericError(
                         f"non-finite loss at iteration {iteration} "

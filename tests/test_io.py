@@ -1,5 +1,6 @@
 """File formats, the config parser, and the command-line surface."""
 
+import math
 import os
 import subprocess
 import sys
@@ -390,6 +391,24 @@ class TestCli:
                      "--out", str(out_dir)]) == 0
         assert (out_dir / "depth_report.csv").exists()
 
+    def test_eval_depth_size_mismatch_names_both_files(self, tmp_path, capsys):
+        pred, gt = tmp_path / "pred.pfm", tmp_path / "gt.pfm"
+        formats.write_pfm(pred, np.ones((8, 8)))
+        formats.write_pfm(gt, np.ones((4, 4)))
+        assert main(["eval-depth", "--pred", str(pred), "--gt", str(gt)]) == 2
+        assert f"{pred}: depth map is 8x8, the ground truth {gt} is 4x4" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("empty", ["recon", "gt"])
+    def test_eval_cloud_empty_cloud_names_the_file(self, tmp_path, capsys, rng, empty):
+        paths = {name: tmp_path / f"{name}.ply" for name in ("recon", "gt")}
+        for name, path in paths.items():
+            formats.write_ply(path, np.zeros((0, 3)) if name == empty
+                              else rng.uniform(-1, 1, (20, 3)))
+        assert main(["eval-cloud", "--recon", str(paths["recon"]),
+                     "--gt", str(paths["gt"])]) == 2
+        assert f"{paths[empty]}: the cloud has no points" in capsys.readouterr().err
+
     def test_synth_requires_out(self, capsys):
         assert main(["synth"]) == 2
 
@@ -449,6 +468,37 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"{image}: image is 16x24, the scene's first image is 32x40" in err
         assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("command", ["infer", "train"])
+    def test_gap_in_view_ids_returns_two(self, tmp_path, capsys, command):
+        """Views are counted by position, so ids must run 0000..N-1; a gap names the file."""
+        data = tmp_path / "data"
+        out = tmp_path / "out"
+        synth.make_dataset(str(data), 1, 3, 16, 24, seed=5, style="plane")
+        scene = data / "scene_0000"
+        for old, new in (("images/0002.ppm", "images/0005.ppm"),
+                         ("cams/0002_cam.txt", "cams/0005_cam.txt"),
+                         ("depths/0002.pfm", "depths/0005.pfm")):
+            os.rename(scene / old, scene / new)
+        assert main([command, "--data", str(data), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{scene / 'images' / '0005.ppm'}: view ids must run 0000 to 0002" in err
+        assert os.listdir(out) == []
+
+    def test_view_without_ground_truth_trains(self, tmp_path):
+        """A sample whose depth map is all 0 adds a zero loss and no gradient."""
+        data = tmp_path / "data"
+        out = tmp_path / "out"
+        synth.make_dataset(str(data), 1, 3, 16, 24, seed=5, style="plane")
+        formats.write_pfm(data / "scene_0000" / "depths" / "0001.pfm", np.zeros((16, 24)))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[train]\nviews = 3\nepochs = 1\n")
+        assert main(["train", "--config", str(cfg), "--data", str(data),
+                     "--out", str(out)]) == 0
+        rows = (out / "loss_trace.csv").read_text().splitlines()[1:]
+        totals = [float(row.split(",")[-1]) for row in rows]
+        assert len(totals) == 3 and all(math.isfinite(t) for t in totals)
+        assert sorted(totals)[0] == 0.0 < sorted(totals)[1]
 
     @pytest.mark.parametrize("kind", ["depth", "conf"])
     def test_fuse_wrong_size_map_returns_two(self, tmp_path, capsys, kind):

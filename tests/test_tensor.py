@@ -269,36 +269,43 @@ def run_threads(worker, seeds):
     assert not any(t.is_alive() for t in threads)
 
 
-class TestWorkspace:
+class TestScratch:
     def test_no_grad_convs_match_recorded_convs(self):
         calls = conv_sequence(1)
-        recorded = run_convs(calls)
-        assert all(y.requires_grad for y in recorded)
-        with T.no_grad():
-            workspace = T._WORKSPACE.get()
-            fast, snapshots = [], []
+
+        def run_checked():
+            results = []
             for op, x, params in calls:
                 y = op(x, params)
-                assert not np.shares_memory(y.data, workspace.buffer)
-                fast.append(y)
-                snapshots.append(y.data.copy())
-        for y, snap, want in zip(fast, snapshots, recorded):
+                # checked against the buffer as this call left it
+                assert not np.shares_memory(y.data, T._SCRATCH.buffer)
+                results.append((y, y.data.copy()))
+            return results
+
+        recorded = run_checked()
+        with T.no_grad():
+            fast = run_checked()
+        for (y, snap), (want, want_snap) in zip(fast, recorded):
+            assert want.requires_grad and not y.requires_grad
             # bit-identical, and no later call overwrote an earlier result
             assert np.array_equal(y.data, want.data)
             assert np.array_equal(y.data, snap)
+            assert np.array_equal(want.data, want_snap)
 
-    def test_lives_with_the_outermost_no_grad(self):
+    def test_a_new_thread_starts_without_a_buffer(self):
         op, x, params = conv_sequence(2)[1]
-        assert T._WORKSPACE.get() is None
-        with T.no_grad():
-            outer = T._WORKSPACE.get()
-            assert outer is not None
-            with T.no_grad():
-                assert T._WORKSPACE.get() is outer
-                op(x, params)
-            assert T._WORKSPACE.get() is outer
-            assert outer.buffer.size > 0
-        assert T._WORKSPACE.get() is None
+        op(x, params)
+        main = T._SCRATCH.buffer
+        seen = {}
+
+        def worker(_):
+            seen["start"] = getattr(T._SCRATCH, "buffer", None)
+            op(x, params)
+            seen["own"] = T._SCRATCH.buffer
+
+        run_threads(worker, [0])
+        assert seen["start"] is None
+        assert not np.shares_memory(seen["own"], main)
 
     def test_concurrent_threads_match_serial(self):
         seeds = range(4)  # four threads, so they interleave even on few cores
@@ -322,7 +329,7 @@ class TestWorkspace:
                 assert np.array_equal(got, want)
 
     def test_concurrent_backward_matches_serial(self):
-        # each thread's sweep has its own workspace: gradient windows, strided
+        # each thread has its own scratch buffer: gradient windows, strided
         # column matrices and the transposed conv's windows never cross threads
         seeds = range(4)
         serial = {seed: conv_graph_grads(seed) for seed in seeds}
@@ -582,7 +589,6 @@ class TestBackward:
 
         def probe_bwd(g):
             seen["closure"] = closure_ref()
-            seen["workspace"] = T._WORKSPACE.get()
             return (g,)
 
         mid = T._result(x.data * 2.0, (x,), probe_bwd, "probe")
@@ -592,9 +598,6 @@ class TestBackward:
         # the conv's closure died before mid's backward ran
         assert seen["closure"] is None
         assert y._backward_fn is None and y._parents == () and y.grad is None
-        # the sweep ran in a workspace that closed with it
-        assert seen["workspace"] is not None
-        assert T._WORKSPACE.get() is None
 
     @pytest.mark.parametrize("op, x_shape, w_shape, stride, pad", [
         (T.conv2d, (2, 6, 7), (3, 2, 3, 3), 1, 1),

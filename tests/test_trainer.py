@@ -3,6 +3,7 @@
 import math
 import os
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -247,18 +248,26 @@ def test_input_gradients_match_scatter_reference(tmp_path, monkeypatch):
 def test_recorded_sample_keeps_no_window_matrices(tmp_path):
     """The tracemalloc peak of one recorded training sample, forward and
     backward, on the 16x24 3-view config: about 10 MB when the tape holds
-    conv inputs only, 22 MB when every conv keeps its im2col windows."""
+    conv inputs only, 22 MB when every conv keeps its im2col windows.
+
+    The sample runs on a fresh thread, whose scratch buffer starts empty: a
+    buffer that earlier tests grew would hide the sample's own growth."""
     scenes = _tiny_dataset(str(tmp_path))
     cfg = _tiny_config()
     network = pipeline.build_network(cfg)
     network.train()
     images, cams = pipeline.view_set(scenes[0], 0, cfg.train.views)
     gt = scenes[0].gt_depths[0]
-    tracemalloc.start()
-    try:
+
+    def sample():
         losses, _ = training.stage_losses_for_sample(network, images, cams, gt, gt > 0)
         T.backward(training.total_loss(losses, cfg.train.stage_weights))
-        _, peak = tracemalloc.get_traced_memory()
+        return tracemalloc.get_traced_memory()[1]
+
+    tracemalloc.start()
+    try:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            peak = pool.submit(sample).result(timeout=120)
     finally:
         tracemalloc.stop()
     assert peak < 15e6, f"peak {peak / 1e6:.1f} MB"
