@@ -17,17 +17,18 @@ passes on graphs that share no leaf tensors: `backward` accumulates into each
 leaf's `.grad` without a lock. Results are bit-identical across repeated
 single-threaded runs.
 
-A recorded convolution keeps its input and weight, never its window
-matrix: a direct 3D convolution unfolds and multiplies one output depth
-slice at a time, and its backward unfolds the output gradient (stride 1) or
-the input again (stride > 1). Every window matrix, recorded or not, goes
-into `_scratch`: one growable float64 buffer per thread that lives as long
-as the thread, so threads never share one. No operator result aliases it.
+A recorded convolution keeps its input and weight, never a window matrix.
+Every convolution, forward and backward, direct and transposed, runs over
+output tiles (`_tile_grid`) of whole output rows, as many as keep the
+tile's window matrix within `_TILE_BYTES`, so no whole window matrix is
+ever built, and each tile's stays in cache for its GEMMs. A tile's window
+matrix is a fresh array that dies with the tile, so the engine keeps no
+per-thread state: a new thread needs no setup, and threads never share a
+buffer. The tile split depends on shapes only, never on the thread count.
 """
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -38,17 +39,6 @@ import numpy as np
 from .errors import DimensionError, NumericError, ParameterError, UsageError
 
 _GRAD_ENABLED = ContextVar("grad_enabled", default=True)
-_SCRATCH = threading.local()
-
-
-def _scratch(shape):
-    """A C-contiguous (shape) view of this thread's scratch buffer; valid until the next call."""
-    n = int(np.prod(shape))
-    buffer = getattr(_SCRATCH, "buffer", None)
-    if buffer is None or buffer.size < n:
-        buffer = _SCRATCH.buffer = None  # release the old buffer before allocating the larger one
-        buffer = _SCRATCH.buffer = np.empty(n)
-    return buffer[:n].reshape(shape)
 
 
 @contextmanager
@@ -446,6 +436,10 @@ def replicate_pad_axis(a, axis, before, after):
 # convolution family
 # ---------------------------------------------------------------------------
 
+# a tile's window matrix budget (half a 2 MiB per-core L2); a tile still holds one output row
+_TILE_BYTES = 1 << 20
+
+
 @dataclass
 class ConvParams:
     """Weights and geometry for one convolution.
@@ -478,51 +472,69 @@ def _pad(a, pad):
     return ap
 
 
-def _unfold(ap, kshape, stride, small):
-    """The (C * prod(k), prod(small)) window matrix of an already padded (C, *spatial).
+def _unfold(windows, tile):
+    """The (C * prod(k), n) window matrix of one output tile of (C, *k, *small) `windows`.
 
-    The windows are copied once, into `_scratch`: the next unfold overwrites them.
+    A fresh array, so it lives only as long as its tile's GEMMs.
     """
-    c = ap.shape[0]
-    spatial_strides = ap.strides[1:]
-    shape = (c, *kshape, *small)
-    strides = (ap.strides[0], *spatial_strides,
-               *(s * st for s, st in zip(spatial_strides, stride)))
-    windows = np.lib.stride_tricks.as_strided(ap, shape=shape, strides=strides)
-    cols = _scratch((c * int(np.prod(kshape)), int(np.prod(small))))
-    np.copyto(cols.reshape(shape), windows)
-    return cols
+    cols = windows[(Ellipsis, *tile)]
+    return cols.reshape(int(np.prod(cols.shape[:-len(tile)])), -1)
 
 
-def _scatter(cols, big, pad, kshape, stride, small):
-    """Adjoint of `_unfold` after `_pad`: scatter-add window columns onto the padded grid,
-    then crop to big.
+def _tile_grid(k_rows, small):
+    """The tiles of the output grid `small` for a window matrix of `k_rows` rows.
 
-    Only strided input gradients (and strided transposed convolutions) use it.
+    A tile spans whole output rows: as many as keep its (k_rows, n) window
+    matrix within `_TILE_BYTES`, never fewer than one, within one depth
+    slice of a 3D grid; where a whole depth slice fits, it spans as many
+    whole slices as fit. Yields per tile its columns of the flattened output
+    and its slices of the output grid.
     """
-    c = cols.shape[0] // int(np.prod(kshape))
-    out = np.zeros((c, *(n + 2 * p for n, p in zip(big, pad))))
-    cols = cols.reshape(c, *kshape, *small)
+    *lead, h, w = small
+    rows = max(1, _TILE_BYTES // (8 * k_rows * w))
+    depth = lead[0] if lead else 1
+    span = max(1, rows // h)  # whole depth slices per tile
+    for d in range(0, depth, span):
+        dn = min(span, depth - d)
+        for r in range(0, h, min(rows, h)):
+            n = min(rows, h - r)
+            start = (d * h + r) * w
+            tile = (slice(d, d + dn), slice(r, r + n), slice(0, w))[-len(small):]
+            yield slice(start, start + dn * n * w), tile
+
+
+def _tile_gemms(ap, kshape, stride, small, wmat=None, a=None):
+    """The two GEMMs on the window matrices of the padded (C, *spatial) `ap`, one tile at a time.
+
+    Returns `wmat @ cols` as (rows, *small), each tile's product written
+    into its own columns, and `a @ cols.T` for an (A, prod(small)) `a`, as
+    (A, C, *k), added up tile by tile in order. Either is None when its
+    operand is.
+    """
+    k_rows = ap.shape[0] * int(np.prod(kshape))
+    spatial = ap.strides[1:]
+    windows = np.lib.stride_tricks.as_strided(  # a view: entry (c, offset, output position)
+        ap, shape=(ap.shape[0], *kshape, *small),
+        strides=(ap.strides[0], *spatial, *(s * st for s, st in zip(spatial, stride))))
+    y = None if wmat is None else np.empty((wmat.shape[0], int(np.prod(small))))
+    acc = None if a is None else np.zeros((a.shape[0], k_rows))
+    for at, tile in _tile_grid(k_rows, small):
+        cols = _unfold(windows, tile)
+        if y is not None:
+            np.matmul(wmat, cols, out=y[:, at])
+        if acc is not None:
+            acc += a[:, at] @ cols.T
+    return (None if y is None else y.reshape(-1, *small),
+            None if acc is None else acc.reshape(-1, ap.shape[0], *kshape))
+
+
+def _scatter(cols, out, kshape, stride, tile):
+    """Adjoint of `_unfold`: add one tile's window columns onto the padded (C, *spatial) `out`."""
+    cols = cols.reshape(out.shape[0], *kshape, *(t.stop - t.start for t in tile))
     for off in np.ndindex(*kshape):
-        sel = tuple(slice(o, o + (n - 1) * st + 1, st) for o, n, st in zip(off, small, stride))
+        sel = tuple(slice(o + t.start * st, o + (t.stop - 1) * st + 1, st)
+                    for o, t, st in zip(off, tile, stride))
         out[(slice(None), *sel)] += cols[(slice(None), *off)]
-    return out[(slice(None), *(slice(p, p + n) for p, n in zip(pad, big)))]
-
-
-def _grad_windows(g, kshape, pad, big):
-    """Window matrix (C_out * prod(k), prod(big)) of a stride-1 output gradient (C_out, *small).
-
-    `g` is zero-padded by k - 1 - p per axis (cropped by p - k + 1 where
-    p >= k: those outputs see only padding), so that its windows line up
-    with the input grid. With the kernel flipped and its channel axes
-    swapped (`_flip_swap`), the input gradient is `w' @ gcols` and the
-    weight gradient is `x @ gcols.T`.
-    """
-    small = g.shape[1:]
-    cut = [max(p - k + 1, 0) for p, k in zip(pad, kshape)]
-    g = g[(slice(None), *(slice(e, n - e) for e, n in zip(cut, small)))]
-    grow = tuple(max(k - 1 - p, 0) for p, k in zip(pad, kshape))
-    return _unfold(_pad(g, grow), kshape, (1,) * len(kshape), big)
 
 
 def _flip_swap(a):
@@ -530,45 +542,61 @@ def _flip_swap(a):
     return np.flip(a, axis=tuple(range(2, a.ndim))).swapaxes(0, 1)
 
 
-def _windows_input_grad(gcols, w, big):
-    """Stride-1 input gradient (C_in, *big): the flipped, channel-swapped kernel times `gcols`.
+def _windows_input_grad(g, w, big, pad, want_dx=True, x=None):
+    """Stride-1 gradients of a direct convolution with weight (C_out, C_in, *k): (dx, dw).
 
-    The one place this GEMM is written, so a transposed convolution stays
-    equal to the direct convolution's input gradient bit for bit.
+    `g` is zero-padded by k - 1 - p per axis (cropped by p - k + 1 where
+    p >= k: those outputs see only padding), so that its windows line up
+    with the input grid `big`. With the kernel flipped and its channel axes
+    swapped (`_flip_swap`), the input gradient is `w' @ gcols` and, given
+    the input `x`, the weight gradient is `x @ gcols.T`, from the same tiles.
+    Either is None when not asked for. The one place the stride-1 input
+    gradient is computed, so a transposed convolution stays equal to the
+    direct convolution's input gradient bit for bit.
     """
-    c_in = w.shape[1]
-    return (_flip_swap(w).reshape(c_in, -1) @ gcols).reshape(c_in, *big)
+    _, c_in, *kshape = w.shape
+    small = g.shape[1:]
+    cut = [max(p - k + 1, 0) for p, k in zip(pad, kshape)]
+    g = g[(slice(None), *(slice(e, n - e) for e, n in zip(cut, small)))]
+    grow = tuple(max(k - 1 - p, 0) for p, k in zip(pad, kshape))
+    wmat = _flip_swap(w).reshape(c_in, -1) if want_dx else None
+    xmat = None if x is None else x.reshape(c_in, -1)
+    dx, dw = _tile_gemms(_pad(g, grow), kshape, (1,) * len(kshape), big, wmat, xmat)
+    return dx, None if dw is None else _flip_swap(dw)
 
 
 def _input_grad(g, w, big, pad, stride):
     """Input gradient (C_in, *big) of a direct convolution with weight (C_out, C_in, *k).
 
-    At stride 1 it is itself a direct convolution: one GEMM applies the
-    flipped, channel-swapped kernel to `_grad_windows`. A larger stride takes
-    the transposed GEMM into `_scratch`, then `_scatter`.
+    At stride 1 it is `_windows_input_grad`. A larger stride takes, tile by
+    tile, the transposed GEMM of the output gradient and `_scatter`s its
+    window columns onto the padded input grid, which it then crops.
     """
-    c_out, _, *kshape = w.shape
+    c_out, c_in, *kshape = w.shape
     if all(s == 1 for s in stride):
-        return _windows_input_grad(_grad_windows(g, kshape, pad, big), w, big)
+        return _windows_input_grad(g, w, big, pad)[0]
     wmat_t = w.reshape(c_out, -1).T
     gmat = g.reshape(c_out, -1)
-    dcols = np.matmul(wmat_t, gmat, out=_scratch((wmat_t.shape[0], gmat.shape[1])))
-    return _scatter(dcols, big, pad, kshape, stride, g.shape[1:])
+    out = np.zeros((c_in, *(n + 2 * p for n, p in zip(big, pad))))
+    for at, tile in _tile_grid(wmat_t.shape[0], g.shape[1:]):
+        _scatter(wmat_t @ gmat[:, at], out, kshape, stride, tile)
+    return out[(slice(None), *(slice(p, p + n) for p, n in zip(pad, big)))]
 
 
 def _conv(x, params, nsp, op, transposed=False):
     """Convolution of (C, *spatial) over `nsp` spatial axes, direct or transposed.
 
-    A direct convolution maps a big grid to a small one: `_pad` once, then
-    `_unfold` its windows and apply the weight by GEMM; a 3D one unfolds and
-    multiplies one output depth slice at a time, so its window matrix is a
-    slice, not the whole volume. Its backward keeps no window matrix: at
-    stride 1 one `_grad_windows` matrix gives both the input and the weight
-    gradient; at stride > 1 the weight gradient unfolds the input again and
-    the input gradient is the transposed GEMM followed by `_scatter`
-    (`_input_grad`). A transposed convolution is that input gradient as an
-    operator, so its forward is `_input_grad` and its backward unfolds the
-    padded output gradient for one GEMM each.
+    Every GEMM runs on output tiles (`_tile_grid`), so no whole window
+    matrix exists, forward or backward. A direct convolution maps a big grid
+    to a small one: `_pad` once, then per tile `_unfold` its windows and
+    apply the weight. Its backward keeps no window matrix: at stride 1 the
+    tiles of the padded output gradient give both the input and the weight
+    gradient (`_windows_input_grad`); at stride > 1 the weight gradient
+    unfolds the input again, tile by tile, and the input gradient is the
+    tiled transposed GEMM and `_scatter` (`_input_grad`). A transposed
+    convolution is that input gradient as an operator, so its forward is
+    `_input_grad` and its backward unfolds the padded output gradient's
+    tiles for both GEMMs.
     """
     x = _as_tensor(x)
     w = params.weight
@@ -596,39 +624,26 @@ def _conv(x, params, nsp, op, transposed=False):
         raise DimensionError(f"{op}: empty output for input {x.shape}, kernel {kshape}")
     parents = (x, w) if b is None else (x, w, b)
     wmat = w.data.reshape(w.shape[0], -1)
-    xmat = x.data.reshape(c_in, -1)
     if transposed:
         y = _input_grad(x.data, w.data, big, pad, stride)
-    elif nsp == 3:
-        ap = _pad(x.data, pad)
-        y = np.empty((c_out, *small))
-        for d in range(small[0]):
-            slab = ap[:, d * stride[0]:d * stride[0] + kshape[0]]
-            cols = _unfold(slab, kshape, stride, (1, *small[1:]))
-            y[:, d] = (wmat @ cols).reshape(c_out, *small[1:])
     else:
-        y = (wmat @ _unfold(_pad(x.data, pad), kshape, stride, small)).reshape(c_out, *small)
+        y, _ = _tile_gemms(_pad(x.data, pad), kshape, stride, small, wmat)
     if b is not None:
-        y = y + b.data.reshape(c_out, *(1,) * nsp)
+        y += b.data.reshape(c_out, *(1,) * nsp)
 
     def bwd(g):
         gmat = g.reshape(c_out, -1)
         dx = dw = None
         if transposed:
-            gcols = _unfold(_pad(g, pad), kshape, stride, small)
-            dx = (wmat @ gcols).reshape(x.shape) if x.requires_grad else None
-            dw = (xmat @ gcols.T).reshape(w.shape) if w.requires_grad else None
+            dx, dw = _tile_gemms(_pad(g, pad), kshape, stride, small,
+                                 wmat if x.requires_grad else None,
+                                 x.data.reshape(c_in, -1) if w.requires_grad else None)
         elif all(s == 1 for s in stride):
-            gcols = _grad_windows(g, kshape, pad, big)
-            if x.requires_grad:
-                dx = _windows_input_grad(gcols, w.data, big)
-            if w.requires_grad:
-                dw = _flip_swap((xmat @ gcols.T).reshape(c_in, c_out, *kshape))
+            dx, dw = _windows_input_grad(g, w.data, big, pad, x.requires_grad,
+                                         x.data if w.requires_grad else None)
         else:
-            # the weight gradient's windows leave `_scratch` before `_input_grad` reuses it
             if w.requires_grad:
-                cols = _unfold(_pad(x.data, pad), kshape, stride, small)
-                dw = (gmat @ cols.T).reshape(w.shape)
+                _, dw = _tile_gemms(_pad(x.data, pad), kshape, stride, small, a=gmat)
             if x.requires_grad:
                 dx = _input_grad(g, w.data, big, pad, stride)
         if b is None:

@@ -169,6 +169,11 @@ def rng():
     return np.random.default_rng(20240816)
 
 
+def assert_close(got, want):
+    """`got` within 1e-12 of `want`, relative to `want`'s largest magnitude."""
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def scatter_input_grad(g, w, big, pad, stride):
     """Input gradient of a direct conv, the transposed-GEMM-and-scatter way.
 

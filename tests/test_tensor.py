@@ -9,7 +9,7 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import add_at_grid_sample_grad, scatter_input_grad, window_matrix
+from conftest import add_at_grid_sample_grad, assert_close, scatter_input_grad, window_matrix
 
 from minimvs import gradcheck
 from minimvs import tensor as T
@@ -270,17 +270,13 @@ def run_threads(worker, seeds):
 
 
 class TestScratch:
+    """Each conv tile's window matrix is a fresh array that dies with the tile."""
+
     def test_no_grad_convs_match_recorded_convs(self):
         calls = conv_sequence(1)
 
         def run_checked():
-            results = []
-            for op, x, params in calls:
-                y = op(x, params)
-                # checked against the buffer as this call left it
-                assert not np.shares_memory(y.data, T._SCRATCH.buffer)
-                results.append((y, y.data.copy()))
-            return results
+            return [(y, y.data.copy()) for y in run_convs(calls)]
 
         recorded = run_checked()
         with T.no_grad():
@@ -291,21 +287,6 @@ class TestScratch:
             assert np.array_equal(y.data, want.data)
             assert np.array_equal(y.data, snap)
             assert np.array_equal(want.data, want_snap)
-
-    def test_a_new_thread_starts_without_a_buffer(self):
-        op, x, params = conv_sequence(2)[1]
-        op(x, params)
-        main = T._SCRATCH.buffer
-        seen = {}
-
-        def worker(_):
-            seen["start"] = getattr(T._SCRATCH, "buffer", None)
-            op(x, params)
-            seen["own"] = T._SCRATCH.buffer
-
-        run_threads(worker, [0])
-        assert seen["start"] is None
-        assert not np.shares_memory(seen["own"], main)
 
     def test_concurrent_threads_match_serial(self):
         seeds = range(4)  # four threads, so they interleave even on few cores
@@ -329,7 +310,7 @@ class TestScratch:
                 assert np.array_equal(got, want)
 
     def test_concurrent_backward_matches_serial(self):
-        # each thread has its own scratch buffer: gradient windows, strided
+        # every tile's window matrix is a fresh array: gradient windows, strided
         # column matrices and the transposed conv's windows never cross threads
         seeds = range(4)
         serial = {seed: conv_graph_grads(seed) for seed in seeds}
@@ -345,6 +326,96 @@ class TestScratch:
             assert len(results[seed]) == 5 * len(serial[seed])
             for got, want in zip(results[seed], serial[seed] * 5):
                 assert got.tobytes() == want.tobytes()
+
+
+class TestTiles:
+    """Convolutions split into many tiles by a budget of a few hundred bytes:
+    every tile seam, forward and backward, against the untiled references."""
+
+    @pytest.fixture(params=[256, 4096])
+    def tile_counts(self, request, monkeypatch):
+        """The tile count of every `_tile_grid` call under a budget of `request.param` bytes."""
+        monkeypatch.setattr(T, "_TILE_BYTES", request.param)
+        counts = []
+        tile_grid = T._tile_grid
+
+        def counted(*args):
+            tiles = list(tile_grid(*args))
+            counts.append(len(tiles))
+            return tiles
+
+        monkeypatch.setattr(T, "_tile_grid", counted)
+        return counts
+
+    @pytest.mark.parametrize("op, x_shape, w_shape, stride, pad", [
+        (T.conv2d, (2, 7, 6), (3, 2, 3, 3), 1, 1),
+        (T.conv3d, (3, 4, 6, 5), (2, 3, 3, 3, 3), 1, (0, 1, 1)),
+        (T.conv3d, (3, 4, 7, 6), (2, 3, 3, 3, 3), (1, 2, 2), (0, 1, 1)),
+        (T.conv3d, (5, 3, 7, 6), (4, 5, 1, 1, 1), 1, 0),
+        (T.conv3d, (3, 3, 4, 5), (2, 3, 2, 3, 1), 1, (2, 3, 0)),
+    ], ids=["2d", "regularizer", "strided", "1x1", "pad_ge_kernel"])
+    def test_direct_conv_matches_untiled_references(self, rng, tile_counts, op, x_shape,
+                                                    w_shape, stride, pad):
+        nsp = len(x_shape) - 1
+        s = T._per_axis(stride, nsp, "stride", 1)
+        p = T._per_axis(pad, nsp, "padding", 0)
+        w = Parameter(rng.standard_normal(w_shape))
+        b = Parameter(rng.standard_normal(w_shape[0]))
+        x = Parameter(rng.standard_normal(x_shape))
+        y = op(x, ConvParams(w, b, stride, pad))
+        g = rng.standard_normal(y.shape)
+        T.backward(T.sum_all(T.mul(y, g)))
+        cols = window_matrix(x.data, w_shape[2:], p, s, y.shape[1:])
+        gmat = g.reshape(len(g), -1)
+        assert_close(y.data, (w.data.reshape(len(g), -1) @ cols).reshape(y.shape)
+                     + b.data.reshape(-1, *(1,) * nsp))
+        assert_close(x.grad, scatter_input_grad(g, w.data, x_shape[1:], p, s))
+        assert_close(w.grad, (gmat @ cols.T).reshape(w_shape))
+        assert max(tile_counts) > 1
+
+    @pytest.mark.parametrize("x_shape, w_shape, stride, pad, outpad", [
+        ((3, 4, 4, 3), (3, 2, 1, 3, 3), (1, 2, 2), (0, 1, 1), (0, 1, 1)),
+        ((3, 4, 5, 6), (3, 2, 3, 3, 3), 1, (0, 1, 1), 0),
+    ], ids=["decoder", "stride1"])
+    def test_transposed_conv_matches_untiled_references(self, rng, tile_counts, x_shape,
+                                                        w_shape, stride, pad, outpad):
+        s = T._per_axis(stride, 3, "stride", 1)
+        p = T._per_axis(pad, 3, "padding", 0)
+        w = Parameter(rng.standard_normal(w_shape))
+        x = Parameter(rng.standard_normal(x_shape))
+        y = T.conv_transpose3d(x, ConvParams(w, None, stride, pad, outpad))
+        g = rng.standard_normal(y.shape)
+        T.backward(T.sum_all(T.mul(y, g)))
+        cols = window_matrix(g, w_shape[2:], p, s, x_shape[1:])
+        xmat = x.data.reshape(len(x.data), -1)
+        assert_close(y.data, scatter_input_grad(x.data, w.data, y.shape[1:], p, s))
+        assert_close(x.grad, (w.data.reshape(len(xmat), -1) @ cols).reshape(x_shape))
+        assert_close(w.grad, (xmat @ cols.T).reshape(w_shape))
+        assert max(tile_counts) > 1
+
+    @pytest.mark.parametrize("k_rows, small, nbytes", [
+        (10, (5, 6, 7), 8 * 10 * 6 * 7 * 2),   # two whole depth slices per tile
+        (10, (5, 6, 7), 8 * 10 * 7 * 4),       # four rows of one depth slice
+        (10, (5, 6, 7), 8),                    # one row, over budget
+        (3, (9, 4), 8 * 3 * 4 * 2),            # 2D, two rows
+        (3, (9, 4), 1 << 20),                  # 2D, the whole grid
+    ])
+    def test_tiles_cover_the_grid_in_order(self, monkeypatch, k_rows, small, nbytes):
+        monkeypatch.setattr(T, "_TILE_BYTES", nbytes)
+        flat = np.arange(int(np.prod(small))).reshape(small)
+        start = 0
+        for columns, tile in T._tile_grid(k_rows, small):
+            # a tile's box of the output grid is its run of flattened columns
+            assert np.array_equal(flat[tile].ravel(), np.arange(columns.start, columns.stop))
+            assert columns.start == start
+            start = columns.stop
+            assert 8 * k_rows * flat[tile].size <= max(nbytes, 8 * k_rows * small[-1])
+        assert start == flat.size
+
+    def test_every_operator_passes_fd(self, tile_counts):
+        for name, err, ok in gradcheck.run_op_checks():
+            assert ok, f"{name}: max relative error {err}"
+        assert max(tile_counts) > 1
 
 
 # ---------------------------------------------------------------------------

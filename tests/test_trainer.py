@@ -3,11 +3,10 @@
 import math
 import os
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from conftest import scatter_input_grad, window_matrix
+from conftest import assert_close, fronto_plane_setup, scatter_input_grad, window_matrix
 
 from minimvs import synth, pipeline, training
 from minimvs.errors import NumericError
@@ -182,10 +181,6 @@ class TestTrainLoop:
             training.train(scenes, cfg, str(tmp_path / "out"))
 
 
-def _close(got, want):
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-
-
 def test_input_gradients_match_scatter_reference(tmp_path, monkeypatch):
     """Every conv input gradient of a training sample, the transposed-conv
     forwards included, agrees with the scatter reference within 1e-12, and
@@ -207,7 +202,7 @@ def test_input_gradients_match_scatter_reference(tmp_path, monkeypatch):
         key = (stride, pad, w.shape[2:])
         if transposed:
             bias = 0.0 if params.bias is None else params.bias.data.reshape(-1, *(1,) * nsp)
-            _close(y.data, scatter_input_grad(x.data, w, y.shape[1:], pad, stride) + bias)
+            assert_close(y.data, scatter_input_grad(x.data, w, y.shape[1:], pad, stride) + bias)
             seen.add(key)
             return y
         fn = y._backward_fn
@@ -216,11 +211,11 @@ def test_input_gradients_match_scatter_reference(tmp_path, monkeypatch):
             grads = fn(g)
             dx, dw = grads[:2]
             if dx is not None:
-                _close(dx, scatter_input_grad(g, w, x.shape[1:], pad, stride))
+                assert_close(dx, scatter_input_grad(g, w, x.shape[1:], pad, stride))
                 seen.add(key)
             if dw is not None:
                 cols = window_matrix(x.data, w.shape[2:], pad, stride, g.shape[1:])
-                _close(dw, (g.reshape(len(g), -1) @ cols.T).reshape(w.shape))
+                assert_close(dw, (g.reshape(len(g), -1) @ cols.T).reshape(w.shape))
                 dw_seen.add(key)
             return grads
 
@@ -248,26 +243,59 @@ def test_input_gradients_match_scatter_reference(tmp_path, monkeypatch):
 def test_recorded_sample_keeps_no_window_matrices(tmp_path):
     """The tracemalloc peak of one recorded training sample, forward and
     backward, on the 16x24 3-view config: about 10 MB when the tape holds
-    conv inputs only, 22 MB when every conv keeps its im2col windows.
-
-    The sample runs on a fresh thread, whose scratch buffer starts empty: a
-    buffer that earlier tests grew would hide the sample's own growth."""
+    conv inputs only, 22 MB when every conv keeps its im2col windows."""
     scenes = _tiny_dataset(str(tmp_path))
     cfg = _tiny_config()
     network = pipeline.build_network(cfg)
     network.train()
     images, cams = pipeline.view_set(scenes[0], 0, cfg.train.views)
     gt = scenes[0].gt_depths[0]
-
-    def sample():
-        losses, _ = training.stage_losses_for_sample(network, images, cams, gt, gt > 0)
-        T.backward(training.total_loss(losses, cfg.train.stage_weights))
-        return tracemalloc.get_traced_memory()[1]
-
     tracemalloc.start()
     try:
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            peak = pool.submit(sample).result(timeout=120)
+        losses, _ = training.stage_losses_for_sample(network, images, cams, gt, gt > 0)
+        T.backward(training.total_loss(losses, cfg.train.stage_weights))
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 15e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_no_window_matrix_exceeds_the_tile_budget(monkeypatch):
+    """No conv window matrix, nor the column matrix of a strided input
+    gradient, is larger than `_TILE_BYTES` (or one output row, when that is
+    larger): in one recorded 64x80 3-view training sample, forward and
+    backward, and in one `no_grad` 7-view 128x160 forward."""
+    unfold, scatter = T._unfold, T._scatter
+    seen = {"unfold": 0, "scatter": 0}
+    over = []
+
+    def check(name, cols, width):
+        seen[name] += 1
+        if cols.nbytes > max(T._TILE_BYTES, 8 * cols.shape[0] * width):
+            over.append((name, cols.shape))
+
+    def spy_unfold(windows, tile):
+        cols = unfold(windows, tile)
+        check("unfold", cols, windows.shape[-1])
+        return cols
+
+    def spy_scatter(cols, out, kshape, stride, tile):
+        check("scatter", cols, tile[-1].stop - tile[-1].start)
+        return scatter(cols, out, kshape, stride, tile)
+
+    monkeypatch.setattr(T, "_unfold", spy_unfold)
+    monkeypatch.setattr(T, "_scatter", spy_scatter)
+    cfg = _tiny_config()
+    network = pipeline.build_network(cfg)
+    network.train()
+    cams, _, renders, _ = fronto_plane_setup(64, 80, 3)
+    gt = renders[0][1]
+    losses, _ = training.stage_losses_for_sample(network, [r[0] for r in renders], cams,
+                                                 gt, renders[0][2])
+    T.backward(training.total_loss(losses, cfg.train.stage_weights))
+    network.eval()
+    cams, _, renders, _ = fronto_plane_setup(128, 160, 7)
+    with T.no_grad():
+        network.forward_views([r[0] for r in renders], cams)
+    assert seen["unfold"] > 0 and seen["scatter"] > 0
+    assert over == []
