@@ -20,11 +20,11 @@ single-threaded runs.
 A recorded convolution keeps its input and weight, never a window matrix.
 Every convolution, forward and backward, direct and transposed, runs over
 output tiles (`_tile_grid`) of whole output rows, as many as keep the
-tile's window matrix within `_TILE_BYTES`, so no whole window matrix is
-ever built, and each tile's stays in cache for its GEMMs. A tile's window
-matrix is a fresh array that dies with the tile, so the engine keeps no
-per-thread state: a new thread needs no setup, and threads never share a
-buffer. The tile split depends on shapes only, never on the thread count.
+tile's window matrix within `_TILE_BYTES` (one row where a row is larger),
+so no whole window matrix is ever built, and each tile's stays in cache for
+its GEMMs. A tile's window matrix belongs to its call and dies with the
+tile, so the engine keeps no per-thread state: a new thread needs no setup,
+and threads never share a buffer. The tile split depends on shapes only, never on the thread count.
 """
 
 from __future__ import annotations
@@ -475,7 +475,8 @@ def _pad(a, pad):
 def _unfold(windows, tile):
     """The (C * prod(k), n) window matrix of one output tile of (C, *k, *small) `windows`.
 
-    A fresh array, so it lives only as long as its tile's GEMMs.
+    A copy of the tile's windows, or a view of the padded input where they
+    are already contiguous (a 1x1 kernel at stride 1): read it, never write it.
     """
     cols = windows[(Ellipsis, *tile)]
     return cols.reshape(int(np.prod(cols.shape[:-len(tile)])), -1)
@@ -542,7 +543,7 @@ def _flip_swap(a):
     return np.flip(a, axis=tuple(range(2, a.ndim))).swapaxes(0, 1)
 
 
-def _windows_input_grad(g, w, big, pad, want_dx=True, x=None):
+def _stride1_grads(g, w, big, pad, want_dx=True, x=None):
     """Stride-1 gradients of a direct convolution with weight (C_out, C_in, *k): (dx, dw).
 
     `g` is zero-padded by k - 1 - p per axis (cropped by p - k + 1 where
@@ -568,13 +569,13 @@ def _windows_input_grad(g, w, big, pad, want_dx=True, x=None):
 def _input_grad(g, w, big, pad, stride):
     """Input gradient (C_in, *big) of a direct convolution with weight (C_out, C_in, *k).
 
-    At stride 1 it is `_windows_input_grad`. A larger stride takes, tile by
+    At stride 1 it is `_stride1_grads`. A larger stride takes, tile by
     tile, the transposed GEMM of the output gradient and `_scatter`s its
     window columns onto the padded input grid, which it then crops.
     """
     c_out, c_in, *kshape = w.shape
     if all(s == 1 for s in stride):
-        return _windows_input_grad(g, w, big, pad)[0]
+        return _stride1_grads(g, w, big, pad)[0]
     wmat_t = w.reshape(c_out, -1).T
     gmat = g.reshape(c_out, -1)
     out = np.zeros((c_in, *(n + 2 * p for n, p in zip(big, pad))))
@@ -591,7 +592,7 @@ def _conv(x, params, nsp, op, transposed=False):
     to a small one: `_pad` once, then per tile `_unfold` its windows and
     apply the weight. Its backward keeps no window matrix: at stride 1 the
     tiles of the padded output gradient give both the input and the weight
-    gradient (`_windows_input_grad`); at stride > 1 the weight gradient
+    gradient (`_stride1_grads`); at stride > 1 the weight gradient
     unfolds the input again, tile by tile, and the input gradient is the
     tiled transposed GEMM and `_scatter` (`_input_grad`). A transposed
     convolution is that input gradient as an operator, so its forward is
@@ -639,7 +640,7 @@ def _conv(x, params, nsp, op, transposed=False):
                                  wmat if x.requires_grad else None,
                                  x.data.reshape(c_in, -1) if w.requires_grad else None)
         elif all(s == 1 for s in stride):
-            dx, dw = _windows_input_grad(g, w.data, big, pad, x.requires_grad,
+            dx, dw = _stride1_grads(g, w.data, big, pad, x.requires_grad,
                                          x.data if w.requires_grad else None)
         else:
             if w.requires_grad:

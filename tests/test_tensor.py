@@ -270,13 +270,18 @@ def run_threads(worker, seeds):
 
 
 class TestScratch:
-    """Each conv tile's window matrix is a fresh array that dies with the tile."""
+    """Each conv tile's window matrix belongs to its call and dies with the tile."""
 
     def test_no_grad_convs_match_recorded_convs(self):
         calls = conv_sequence(1)
 
         def run_checked():
-            return [(y, y.data.copy()) for y in run_convs(calls)]
+            # snapshot each result right after its own call
+            results = []
+            for op, x, params in calls:
+                y = op(x, params)
+                results.append((y, y.data.copy()))
+            return results
 
         recorded = run_checked()
         with T.no_grad():
@@ -310,7 +315,7 @@ class TestScratch:
                 assert np.array_equal(got, want)
 
     def test_concurrent_backward_matches_serial(self):
-        # every tile's window matrix is a fresh array: gradient windows, strided
+        # every tile's window matrix belongs to its call: gradient windows, strided
         # column matrices and the transposed conv's windows never cross threads
         seeds = range(4)
         serial = {seed: conv_graph_grads(seed) for seed in seeds}
