@@ -121,13 +121,6 @@ def _op_cases(seed=0):
         [pz],
     )
 
-    rp = rand_param(2, 4, 3)
-    rpw = Tensor(rng.standard_normal((2, 6, 3)))
-    cases["replicate_pad_axis"] = (
-        lambda: T.sum_all(T.mul(T.replicate_pad_axis(rp, 1, 1, 1), rpw)),
-        [rp],
-    )
-
     cx = rand_param(2, 6, 7)
     cwgt = rand_param(3, 2, 3, 3)
     cb = rand_param(3)
@@ -151,6 +144,18 @@ def _op_cases(seed=0):
         lambda: T.sum_all(T.relu(T.conv3d(vx, ConvParams(vw, vb, (1, 1, 1), (1, 1, 1))))),
         [vx, vw, vb],
     )
+
+    # depth padded by edge replication, as in the regularizer's blocks
+    rx = rand_param(2, 3, 5, 6)
+    rw = rand_param(3, 2, 3, 3, 3)
+    for name, stride, out_hw in (("conv3d_replicate", 1, (5, 6)),
+                                 ("conv3d_replicate_stride2", (1, 2, 2), (3, 3))):
+        rparams = ConvParams(rw, None, stride, (0, 1, 1), replicate_depth=1)
+        rww = Tensor(rng.standard_normal((3, 3, *out_hw)))
+        cases[name] = (
+            lambda p=rparams, g=rww: T.sum_all(T.mul(T.conv3d(rx, p), g)),
+            [rx, rw],
+        )
 
     tx = rand_param(3, 2, 3, 4)
     tw = rand_param(3, 2, 1, 3, 3)

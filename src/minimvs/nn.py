@@ -121,10 +121,11 @@ class Conv(Module):
 
     The weight is (out_ch, in_ch, *kernel), or (in_ch, out_ch, *kernel) when
     transposed; weight and bias are drawn in +-1/sqrt(in_ch * prod(kernel)).
+    `replicate_depth` pads depth by edge replication (`ConvParams`).
     """
 
     def __init__(self, in_ch, out_ch, kernel, stride=1, padding=0, output_padding=0,
-                 transposed=False, bias=True, rng=None):
+                 transposed=False, bias=True, rng=None, replicate_depth=0):
         super().__init__()
         rng = rng if rng is not None else np.random.default_rng(0)
         k = tuple(kernel)
@@ -133,7 +134,8 @@ class Conv(Module):
         channels = (in_ch, out_ch) if transposed else (out_ch, in_ch)
         self.weight = Parameter(_uniform_init(rng, (*channels, *k), fan_in))
         self.bias = Parameter(_uniform_init(rng, (out_ch,), fan_in)) if bias else None
-        self.params = ConvParams(self.weight, self.bias, stride, padding, output_padding)
+        self.params = ConvParams(self.weight, self.bias, stride, padding, output_padding,
+                                 replicate_depth)
 
     def forward(self, x):
         # resolved per call, so a wrapper installed on the tensor module sees it
@@ -170,8 +172,10 @@ class ConvBnReLU(Module):
 
     A direct 3D block pads depth by edge replication rather than zeros, so a
     volume that is constant along the hypothesis axis stays constant through
-    the block, which the regularizer relies on. A transposed block sets
-    output_padding = stride - 1, so stride 2 exactly doubles an extent.
+    the block, which the regularizer relies on. The replication is the conv's
+    `replicate_depth` padding mode, built in the same copy as the zero
+    padding. A transposed block sets output_padding = stride - 1, so stride
+    2 exactly doubles an extent.
     """
 
     def __init__(self, in_ch, out_ch, kernel, stride=1, transposed=False, rng=None):
@@ -179,15 +183,13 @@ class ConvBnReLU(Module):
         k = tuple(kernel)
         stride = (stride,) * len(k) if isinstance(stride, int) else tuple(stride)
         pad = tuple((n - 1) // 2 for n in k)
-        self.depth_pad = pad[0] if len(k) == 3 and not transposed else 0
+        edge = pad[0] if len(k) == 3 and not transposed else 0
         outpad = tuple(s - 1 for s in stride) if transposed else 0
-        self.conv = Conv(in_ch, out_ch, k, stride, (pad[0] - self.depth_pad, *pad[1:]),
-                         outpad, transposed, bias=False, rng=rng)
+        self.conv = Conv(in_ch, out_ch, k, stride, (pad[0] - edge, *pad[1:]),
+                         outpad, transposed, bias=False, rng=rng, replicate_depth=edge)
         self.bn = BatchNorm(out_ch)
 
     def forward(self, x):
-        if self.depth_pad:
-            x = T.replicate_pad_axis(x, 1, self.depth_pad, self.depth_pad)
         return T.relu(self.bn.forward(self.conv.forward(x)))
 
 

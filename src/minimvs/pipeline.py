@@ -130,6 +130,9 @@ class CascadeNetwork(Module):
         `pyramids`, when given, are the feature pyramids of `images` in the
         same order, computed once by a caller that shares them between
         reference views; otherwise they are computed here.
+
+        Under `no_grad` each stage's correlation is freed once aggregated,
+        before guidance and the regularizer run.
         """
         cfg = self.cfg
         if pyramids is None:
@@ -150,6 +153,7 @@ class CascadeNetwork(Module):
                                       cfg.groups[stage])
             weights = view_weights(corr, cfg.temperature)
             volume = aggregate(corr, weights)
+            del corr
             reg_input = volume
             if stage > 0:
                 reg_input = self.guidance[stage - 1].forward(prev_volume, volume)

@@ -31,7 +31,7 @@ class VolumeRegularizer(Module):
         # constant along depth stays constant through the decoder
         self.up5 = ConvBnReLU(4 * b, 2 * b, (1, 3, 3), (1, 2, 2), transposed=True, rng=rng)
         self.up6 = ConvBnReLU(2 * b, b, (1, 3, 3), (1, 2, 2), transposed=True, rng=rng)
-        self.prob = Conv(b, 1, (3, 3, 3), padding=(0, 1, 1), rng=rng)
+        self.prob = Conv(b, 1, (3, 3, 3), padding=(0, 1, 1), rng=rng, replicate_depth=1)
 
     def forward(self, volume):
         c, d, h, w = volume.shape
@@ -51,8 +51,7 @@ class VolumeRegularizer(Module):
         x2 = self.conv4.forward(self.conv3.forward(x1))  # (4b, D, H/4, W/4)
         y = T.add(x1, self.up5.forward(x2))
         y = T.add(x0, self.up6.forward(y))
-        logits = T.replicate_pad_axis(y, 1, 1, 1)
-        logits = self.prob.forward(logits)               # (1, D, H', W')
+        logits = self.prob.forward(y)                    # (1, D, H', W')
         if pad_h or pad_w:
             logits = T.narrow(logits, 2, 0, h)
             logits = T.narrow(logits, 3, 0, w)

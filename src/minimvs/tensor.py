@@ -22,9 +22,15 @@ Every convolution, forward and backward, direct and transposed, runs over
 output tiles (`_tile_grid`) of whole output rows, as many as keep the
 tile's window matrix within `_TILE_BYTES` (one row where a row is larger),
 so no whole window matrix is ever built, and each tile's stays in cache for
-its GEMMs. A tile's window matrix belongs to its call and dies with the
-tile, so the engine keeps no per-thread state: a new thread needs no setup,
-and threads never share a buffer. The tile split depends on shapes only, never on the thread count.
+its GEMMs. Bilinear grid sampling runs on chunks of sample points within
+the same `_TILE_BYTES` budget. A tile's window matrix belongs to its call and
+dies with the tile, so the engine keeps no per-thread state: a new thread
+needs no setup, and threads never share a buffer. The tile and chunk splits
+depend on shapes only, never on the thread count.
+
+Edge replication along depth is a convolution padding mode
+(`ConvParams.replicate_depth`), not an operator: the conv builds its
+depth-replicated, zero-padded input in one copy and records only its input.
 """
 
 from __future__ import annotations
@@ -408,30 +414,6 @@ def pad_zero(a, pads):
     return _result(np.pad(a.data, pads), (a,), bwd, "pad")
 
 
-def replicate_pad_axis(a, axis, before, after):
-    """Edge-replication padding along one axis.
-
-    Used by the volume regularizer along the depth axis so a volume that is
-    constant along depth stays constant after convolution.
-    """
-    a = _as_tensor(a)
-    pads = [(0, 0)] * a.ndim
-    pads[axis] = (before, after)
-    n = a.shape[axis]
-
-    def bwd(g):
-        g = np.moveaxis(g, axis, 0)
-        out = g[before:before + n].copy()
-        # guarded: adding an empty sum would turn -0.0 into 0.0
-        if before:
-            out[0] += g[:before].sum(axis=0)
-        if after:
-            out[-1] += g[before + n:].sum(axis=0)
-        return (np.moveaxis(out, 0, axis),)
-
-    return _result(np.pad(a.data, pads, mode="edge"), (a,), bwd, "replicate_pad")
-
-
 # ---------------------------------------------------------------------------
 # convolution family
 # ---------------------------------------------------------------------------
@@ -448,6 +430,9 @@ class ConvParams:
     (in_ch, out_ch, k...) for transposed ones. `stride` / `padding` /
     `output_padding` are per spatial axis (scalars broadcast);
     `output_padding` only lengthens the output of a transposed convolution.
+    `replicate_depth` pads the first spatial axis (depth) of a direct
+    convolution's input by that many copies of its edge slices at each end,
+    inside the zero `padding`.
     """
 
     weight: Tensor
@@ -455,6 +440,7 @@ class ConvParams:
     stride: tuple = 1
     padding: tuple = 0
     output_padding: tuple = 0
+    replicate_depth: int = 0
 
 
 def _per_axis(value, n, name, low):
@@ -465,11 +451,28 @@ def _per_axis(value, n, name, low):
     return value
 
 
-def _pad(a, pad):
-    """Zero-pad the spatial axes of (C, *spatial) by `pad` per axis, into a fresh array."""
-    ap = np.zeros((a.shape[0], *(n + 2 * p for n, p in zip(a.shape[1:], pad))))
-    ap[(slice(None), *(slice(p, p + n) for p, n in zip(pad, a.shape[1:])))] = a
+def _pad(a, pad, edge=0):
+    """Zero-pad the spatial axes of (C, *spatial) by `pad` per axis, into a fresh array.
+
+    Inside the zeros, the first spatial axis grows by `edge` copies of its
+    first and last slices at either end.
+    """
+    grown = (a.shape[1] + 2 * edge, *a.shape[2:])
+    ap = np.zeros((a.shape[0], *(n + 2 * p for n, p in zip(grown, pad))))
+    inner = ap[(slice(None), *(slice(p, p + n) for p, n in zip(pad, grown)))]
+    inner[:, edge:edge + a.shape[1]] = a
+    if edge:
+        inner[:, :edge] = a[:, :1]
+        inner[:, -edge:] = a[:, -1:]
     return ap
+
+
+def _fold_edges(dx, edge):
+    """Adjoint of `_pad`'s edge replication: (C, n + 2 * edge, ...) -> (C, n, ...)."""
+    out = dx[:, edge:-edge].copy()
+    out[:, 0] += dx[:, :edge].sum(axis=1)
+    out[:, -1] += dx[:, -edge:].sum(axis=1)
+    return out
 
 
 def _unfold(windows, tile):
@@ -598,6 +601,10 @@ def _conv(x, params, nsp, op, transposed=False):
     convolution is that input gradient as an operator, so its forward is
     `_input_grad` and its backward unfolds the padded output gradient's
     tiles for both GEMMs.
+
+    `replicate_depth` edges are built in the same `_pad` copy; the backward
+    folds the input gradient over that extended grid (`_fold_edges`) and
+    rebuilds the extended input for the weight gradient.
     """
     x = _as_tensor(x)
     w = params.weight
@@ -607,6 +614,10 @@ def _conv(x, params, nsp, op, transposed=False):
     outpad = _per_axis(params.output_padding, nsp, "output_padding", 0)
     if any(o >= s for o, s in zip(outpad, stride)):
         raise ParameterError(f"output_padding {outpad} must be smaller than stride {stride}")
+    edge = int(params.replicate_depth)
+    if edge < 0 or (edge and transposed):
+        raise ParameterError(f"{op}: replicate_depth must be >= 0, and 0 when transposed; "
+                             f"got {edge}")
     if x.ndim != nsp + 1 or w.ndim != nsp + 2:
         raise DimensionError(f"{op}: input {x.shape} or weight {w.shape} has the wrong rank")
     c_out, c_in = w.shape[1::-1] if transposed else w.shape[:2]
@@ -618,7 +629,7 @@ def _conv(x, params, nsp, op, transposed=False):
         big = out_sp = tuple((n - 1) * s - 2 * p + k + o
                              for n, s, p, k, o in zip(small, stride, pad, kshape, outpad))
     else:
-        big = x.shape[1:]
+        big = (x.shape[1] + 2 * edge, *x.shape[2:])
         small = out_sp = tuple((n + 2 * p - k) // s + 1
                                for n, s, p, k in zip(big, stride, pad, kshape))
     if min(out_sp) < 1:
@@ -628,7 +639,7 @@ def _conv(x, params, nsp, op, transposed=False):
     if transposed:
         y = _input_grad(x.data, w.data, big, pad, stride)
     else:
-        y, _ = _tile_gemms(_pad(x.data, pad), kshape, stride, small, wmat)
+        y, _ = _tile_gemms(_pad(x.data, pad, edge), kshape, stride, small, wmat)
     if b is not None:
         y += b.data.reshape(c_out, *(1,) * nsp)
 
@@ -640,13 +651,17 @@ def _conv(x, params, nsp, op, transposed=False):
                                  wmat if x.requires_grad else None,
                                  x.data.reshape(c_in, -1) if w.requires_grad else None)
         elif all(s == 1 for s in stride):
-            dx, dw = _stride1_grads(g, w.data, big, pad, x.requires_grad,
-                                         x.data if w.requires_grad else None)
+            xe = None
+            if w.requires_grad:
+                xe = _pad(x.data, (0,) * nsp, edge) if edge else x.data
+            dx, dw = _stride1_grads(g, w.data, big, pad, x.requires_grad, xe)
         else:
             if w.requires_grad:
-                _, dw = _tile_gemms(_pad(x.data, pad), kshape, stride, small, a=gmat)
+                _, dw = _tile_gemms(_pad(x.data, pad, edge), kshape, stride, small, a=gmat)
             if x.requires_grad:
                 dx = _input_grad(g, w.data, big, pad, stride)
+        if edge and dx is not None:
+            dx = _fold_edges(dx, edge)
         if b is None:
             return dx, dw
         return dx, dw, gmat.sum(axis=1) if b.requires_grad else None
@@ -685,6 +700,13 @@ def grid_sample_bilinear(src, coords):
     integer values hit pixel centers exactly. Samples whose center falls outside
     [0, W-1] x [0, H-1] return exactly 0.
     Gradients flow to `src` only; coordinates are treated as constants.
+
+    The points run in chunks of `_TILE_BYTES // (8 * C)`, the conv tile
+    budget, so a chunk's (C, n) gather and its per-point index and weight
+    temporaries stay cache-sized; each chunk writes its own columns of the
+    output, and a call under budget is one chunk. Every value is computed
+    point by point, so the chunk split changes no bit. Only a recorded call
+    keeps its chunks' corner indices and weights, for the backward.
     """
     src = _as_tensor(src)
     cd = np.asarray(coords, dtype=np.float64)
@@ -694,44 +716,47 @@ def grid_sample_bilinear(src, coords):
         raise DimensionError(f"src must be (C, H, W), got {src.shape}")
     c, h, w = src.shape
     out_sp = cd.shape[1:]
-    x = cd[0].ravel()
-    y = cd[1].ravel()
-    valid = (x >= 0.0) & (x <= w - 1.0) & (y >= 0.0) & (y <= h - 1.0)
-    xs = np.where(valid, x, 0.0)
-    ys = np.where(valid, y, 0.0)
-    x0 = np.floor(xs).astype(np.int64)
-    y0 = np.floor(ys).astype(np.int64)
-    x0 = np.clip(x0, 0, w - 1)
-    y0 = np.clip(y0, 0, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    tx = xs - x0
-    ty = ys - y0
-    vf = valid.astype(np.float64)
-    w00 = (1.0 - tx) * (1.0 - ty) * vf
-    w01 = tx * (1.0 - ty) * vf
-    w10 = (1.0 - tx) * ty * vf
-    w11 = tx * ty * vf
-    i00 = y0 * w + x0
-    i01 = y0 * w + x1
-    i10 = y1 * w + x0
-    i11 = y1 * w + x1
+    xs_all = cd[0].ravel()
+    ys_all = cd[1].ravel()
     flat = src.data.reshape(c, h * w)
-    # corner terms accumulate left to right: ((c00 + c01) + c10) + c11
-    out = np.take(flat, i00, axis=1)
-    out *= w00
-    term = np.empty_like(out)
-    for idx, wt in ((i01, w01), (i10, w10), (i11, w11)):
-        np.take(flat, idx, axis=1, out=term)
-        term *= wt
-        out += term
+    out = np.empty((c, xs_all.size))
+    step = max(1, _TILE_BYTES // (8 * c))
+    chunks = [] if _records((src,)) else None
+    for start in range(0, xs_all.size, step):
+        at = slice(start, start + step)
+        x = xs_all[at]
+        y = ys_all[at]
+        valid = (x >= 0.0) & (x <= w - 1.0) & (y >= 0.0) & (y <= h - 1.0)
+        xs = np.where(valid, x, 0.0)
+        ys = np.where(valid, y, 0.0)
+        x0 = np.clip(np.floor(xs).astype(np.int64), 0, w - 1)
+        y0 = np.clip(np.floor(ys).astype(np.int64), 0, h - 1)
+        x1 = np.minimum(x0 + 1, w - 1)
+        y1 = np.minimum(y0 + 1, h - 1)
+        tx = xs - x0
+        ty = ys - y0
+        vf = valid.astype(np.float64)
+        idx = (y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1)
+        wts = ((1.0 - tx) * (1.0 - ty) * vf, tx * (1.0 - ty) * vf,
+               (1.0 - tx) * ty * vf, tx * ty * vf)
+        # corner terms accumulate left to right: ((c00 + c01) + c10) + c11
+        dst = out[:, at]
+        term = np.take(flat, idx[0], axis=1)
+        np.multiply(term, wts[0], out=dst)
+        for i, wt in zip(idx[1:], wts[1:]):
+            np.take(flat, i, axis=1, out=term)
+            term *= wt
+            dst += term
+        if chunks is not None:
+            chunks.append((idx, wts))
     out = out.reshape((c, *out_sp))
 
     def bwd(g):
-        # one bincount over the corners in order: each pixel receives the same
-        # additions in the same order as a scatter-add per corner
-        idx = np.concatenate((i00, i01, i10, i11))
-        wts = np.concatenate((w00, w01, w10, w11))
+        # one bincount over the corners in order, corner-major across the
+        # chunks: each pixel receives the same additions in the same order as
+        # a scatter-add per corner
+        idx = np.concatenate([ci[k] for k in range(4) for ci, _ in chunks])
+        wts = np.concatenate([cw[k] for k in range(4) for _, cw in chunks])
         vals = np.tile(g.reshape(c, -1), 4)
         vals *= wts
         acc = np.stack([np.bincount(idx, v, minlength=h * w) for v in vals])

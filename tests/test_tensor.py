@@ -209,6 +209,32 @@ class TestConv:
         want = scatter_input_grad(g, w.data, x_shape[1:], pad, stride)
         assert np.abs(x.grad - want).max() <= 1e-12 * np.abs(want).max()
 
+    @pytest.mark.parametrize("stride, x_shape", [
+        (1, (3, 4, 6, 5)),
+        ((1, 2, 2), (3, 4, 7, 6)),
+        (1, (3, 1, 4, 5)),
+    ], ids=["stride1", "strided", "one_slice"])
+    def test_replicated_depth_is_edge_pad_then_conv(self, rng, stride, x_shape):
+        """A conv with replicated depth padding equals np.pad(mode="edge") along
+        depth followed by the zero-padded conv, bit for bit, forward and
+        backward; the edge slices' input gradients fold onto the end slices."""
+        xd = rng.standard_normal(x_shape)
+        wd = rng.standard_normal((2, 3, 3, 3, 3))
+        x, w = Parameter(xd), Parameter(wd)
+        y = T.conv3d(x, ConvParams(w, None, stride, (0, 1, 1), replicate_depth=1))
+        g = rng.standard_normal(y.shape)
+        T.backward(T.sum_all(T.mul(y, g)))
+        xe = Parameter(np.pad(xd, ((0, 0), (1, 1), (0, 0), (0, 0)), mode="edge"))
+        we = Parameter(wd)
+        ye = T.conv3d(xe, ConvParams(we, None, stride, (0, 1, 1)))
+        T.backward(T.sum_all(T.mul(ye, g)))
+        want = xe.grad[:, 1:-1].copy()
+        want[:, 0] += xe.grad[:, 0]
+        want[:, -1] += xe.grad[:, -1]
+        assert y.data.tobytes() == ye.data.tobytes()
+        assert w.grad.tobytes() == we.grad.tobytes()
+        assert x.grad.tobytes() == want.tobytes()
+
     def test_channel_mismatch_raises(self, rng):
         x = Tensor(rng.standard_normal((3, 4, 4)))
         w = Tensor(rng.standard_normal((2, 2, 3, 3)))
@@ -499,6 +525,8 @@ class TestElementwise:
 
 
 class TestGridSample:
+    """Bilinear sampling; under the default budget every call here is one chunk."""
+
     def test_integer_lattice_identity(self, rng):
         src = rng.standard_normal((2, 4, 5))
         ys, xs = np.meshgrid(np.arange(4.0), np.arange(5.0), indexing="ij")
@@ -547,6 +575,43 @@ class TestGridSample:
             assert min(nb) - 1e-12 <= out[k] <= max(nb) + 1e-12
 
 
+class TestGridSampleChunks(TestGridSample):
+    """Every grid-sample test again with the sample points split into many
+    chunks: one point per chunk, and 7 points per 5-channel chunk."""
+
+    @pytest.fixture(autouse=True, params=[8, 8 * 5 * 7])
+    def budget(self, request, monkeypatch):
+        monkeypatch.setattr(T, "_TILE_BYTES", request.param)
+
+    def test_chunks_match_one_chunk(self, rng, monkeypatch):
+        """Output and source gradient equal the one-chunk result byte for byte,
+        recorded or not, across out-of-range points, pixel centres and the far
+        corner."""
+        shape = (5, 6, 7)
+        data = rng.standard_normal(shape)
+        coords = np.stack([rng.uniform(-1.5, 7.5, (4, 9, 11)),
+                           rng.uniform(-1.5, 6.5, (4, 9, 11))])
+        coords[:, 0, 0, :3] = ((6.0, 3.0, -1.0), (5.0, 2.0, 1.0))
+        g = rng.standard_normal((5, 4, 9, 11))
+
+        def run():
+            src = Tensor(data, requires_grad=True)
+            out = T.grid_sample_bilinear(src, coords)
+            T.backward(T.sum_all(T.mul(out, g)))
+            with T.no_grad():
+                assert T.grid_sample_bilinear(src, coords).data.tobytes() == out.data.tobytes()
+            return out.data.tobytes(), src.grad.tobytes()
+
+        assert T._TILE_BYTES // (8 * shape[0]) < coords[0].size // 10
+        chunked = run()
+        monkeypatch.setattr(T, "_TILE_BYTES", 1 << 20)
+        assert chunked == run()
+
+    def test_every_operator_passes_fd(self):
+        for name, err, ok in gradcheck.run_op_checks():
+            assert ok, f"{name}: max relative error {err}"
+
+
 # ---------------------------------------------------------------------------
 # gradients
 # ---------------------------------------------------------------------------
@@ -585,19 +650,6 @@ class TestBackward:
 
         err = gradcheck.max_relative_error(loss, [x, w, b])
         assert err <= 1e-3
-
-    @pytest.mark.parametrize("axis", [0, 2])
-    @pytest.mark.parametrize("before, after", [(0, 2), (2, 0)])
-    def test_one_sided_replicate_pad_finite_differences(self, rng, axis, before, after):
-        x = Parameter(rng.standard_normal((3, 4, 5)))
-        shape = list(x.shape)
-        shape[axis] += before + after
-        w = Tensor(rng.standard_normal(shape))
-
-        def loss():
-            return T.sum_all(T.mul(T.replicate_pad_axis(x, axis, before, after), w))
-
-        assert gradcheck.max_relative_error(loss, [x]) <= 1e-3
 
     def test_no_grad_in_another_thread_keeps_recording_here(self):
         inside = threading.Event()

@@ -185,7 +185,9 @@ def test_input_gradients_match_scatter_reference(tmp_path, monkeypatch):
     """Every conv input gradient of a training sample, the transposed-conv
     forwards included, agrees with the scatter reference within 1e-12, and
     every direct conv's weight gradient with the window-matrix reference
-    `gmat @ cols.T` within 1e-12."""
+    `gmat @ cols.T` within 1e-12. A conv with replicated depth padding is
+    checked on its edge-padded input, its edge slices' input gradients folded
+    onto the end slices."""
     scenes = _tiny_dataset(str(tmp_path))
     cfg = _tiny_config()
     network = pipeline.build_network(cfg)
@@ -199,22 +201,29 @@ def test_input_gradients_match_scatter_reference(tmp_path, monkeypatch):
         w = params.weight.data
         stride = T._per_axis(params.stride, nsp, "stride", 1)
         pad = T._per_axis(params.padding, nsp, "padding", 0)
-        key = (stride, pad, w.shape[2:])
+        edge = params.replicate_depth
+        key = (stride, pad, w.shape[2:], edge)
         if transposed:
             bias = 0.0 if params.bias is None else params.bias.data.reshape(-1, *(1,) * nsp)
             assert_close(y.data, scatter_input_grad(x.data, w, y.shape[1:], pad, stride) + bias)
             seen.add(key)
             return y
         fn = y._backward_fn
+        xe = np.pad(x.data, [(0, 0), (edge, edge)] + [(0, 0)] * (nsp - 1), mode="edge")
 
         def bwd(g):
             grads = fn(g)
             dx, dw = grads[:2]
             if dx is not None:
-                assert_close(dx, scatter_input_grad(g, w, x.shape[1:], pad, stride))
+                want = scatter_input_grad(g, w, xe.shape[1:], pad, stride)
+                if edge:
+                    want, ends = want[:, edge:-edge].copy(), want
+                    want[:, 0] += ends[:, :edge].sum(axis=1)
+                    want[:, -1] += ends[:, -edge:].sum(axis=1)
+                assert_close(dx, want)
                 seen.add(key)
             if dw is not None:
-                cols = window_matrix(x.data, w.shape[2:], pad, stride, g.shape[1:])
+                cols = window_matrix(xe, w.shape[2:], pad, stride, g.shape[1:])
                 assert_close(dw, (g.reshape(len(g), -1) @ cols.T).reshape(w.shape))
                 dw_seen.add(key)
             return grads
@@ -228,13 +237,13 @@ def test_input_gradients_match_scatter_reference(tmp_path, monkeypatch):
     gt = scene.gt_depths[0]
     losses, _ = training.stage_losses_for_sample(network, images, cams, gt, gt > 0)
     T.backward(training.total_loss(losses, cfg.train.stage_weights))
-    decoder = ((1, 2, 2), (0, 1, 1), (1, 3, 3))    # the transposed forward
+    decoder = ((1, 2, 2), (0, 1, 1), (1, 3, 3), 0)    # the transposed forward
     assert seen == {
-        ((1, 1), (1, 1), (3, 3)),                  # 2D stride-1 blocks and heads
-        ((1, 1), (0, 0), (1, 1)),                  # lateral and gate 1x1 convs
-        ((2, 2), (1, 1), (3, 3)),                  # strided encoder
-        ((1, 1, 1), (0, 1, 1), (3, 3, 3)),         # regularizer blocks, depth replicated
-        ((1, 2, 2), (0, 1, 1), (3, 3, 3)),         # regularizer downsampling
+        ((1, 1), (1, 1), (3, 3), 0),                  # 2D stride-1 blocks and heads
+        ((1, 1), (0, 0), (1, 1), 0),                  # lateral and gate 1x1 convs
+        ((2, 2), (1, 1), (3, 3), 0),                  # strided encoder
+        ((1, 1, 1), (0, 1, 1), (3, 3, 3), 1),         # regularizer blocks, depth replicated
+        ((1, 2, 2), (0, 1, 1), (3, 3, 3), 1),         # regularizer downsampling
         decoder,
     }
     assert dw_seen == seen - {decoder}
@@ -258,6 +267,30 @@ def test_recorded_sample_keeps_no_window_matrices(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 15e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_inferred_view_working_set():
+    """The tracemalloc peak of one `no_grad` 3-view 128x160 `forward_views`
+    whose feature pyramids are computed beforehand: about 35 MB when grid
+    sampling runs in tile-sized chunks, each 3D conv builds its depth-replicated
+    and zero-padded input in one copy, and each stage frees its correlation
+    once aggregated; about 48 MB when sampling holds every point's
+    temporaries at once, depth replication makes a second padded copy and
+    the correlation lives through guidance and the regularizer."""
+    cfg = _tiny_config()
+    network = pipeline.build_network(cfg)
+    network.eval()
+    cams, _, renders, _ = fronto_plane_setup(128, 160, 3)
+    images = [r[0] for r in renders]
+    with T.no_grad():
+        pyramids = [network.features.forward(image) for image in images]
+        tracemalloc.start()
+        try:
+            network.forward_views(images, cams, pyramids=pyramids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_no_window_matrix_exceeds_the_tile_budget(monkeypatch):
