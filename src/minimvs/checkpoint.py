@@ -49,6 +49,8 @@ def load_checkpoint(path):
             array = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
         except ValueError as exc:  # a name that is not UTF-8, or extents numpy cannot hold
             raise cur.error("malformed record", record_at, str(exc)) from exc
+        if name in out:
+            raise cur.error(f"repeated record '{name}'", record_at)
         finite = np.isfinite(array.ravel())
         if not finite.all():
             raise cur.error(f"non-finite value in '{name}'", cur.mark + 8 * int(np.argmin(finite)))

@@ -144,6 +144,11 @@ CAMERA = (b"extrinsic\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n\n"
           b"intrinsic\n100 0 12\n0 100 8\n0 0 1\n\n1 10\n")
 THREE_COLUMN_CAMERA = (b"extrinsic\n1 0 0\n0 1 0\n0 0 1\n0 0 0\n\n"
                        b"intrinsic\n100 0 12\n0 100 8\n0 0 1\n\n1 10\n")
+# magic, version 1, two records; each is name length 1, "w", rank 1, extent 1
+# and one f64, 25 bytes, so the second record starts at byte 37
+REPEATED_CHECKPOINT = (b"ICGW" + np.array([1, 2], dtype="<u4").tobytes()
+                       + 2 * (b"\x01\x00\x00\x00w\x01\x00\x00\x00"
+                              + np.array([1], dtype="<u8").tobytes() + np.zeros(1).tobytes()))
 
 
 def test_camera_fixture_is_valid(tmp_path):
@@ -182,6 +187,7 @@ def test_camera_fixture_is_valid(tmp_path):
     ("cam.txt", CAMERA.replace(b"0 0 1 0\n", b"0 0 1 nan\n"), read_camera),
     ("cam.txt", CAMERA.replace(b"1 10", b"1 inf"), read_camera),
     ("cam.txt", CAMERA.replace(b"100 0 12", b"100 \xff 12"), read_camera),
+    ("w.bin", REPEATED_CHECKPOINT, load_checkpoint),
 ], ids=["pfm-negative-dims", "pair-truncated", "pair-non-integer", "pair-empty",
         "pair-reference-out-of-range", "pair-missing-reference", "pair-source-out-of-range",
         "pair-source-negative", "pair-negative-view-count", "pair-negative-source-count",
@@ -190,7 +196,7 @@ def test_camera_fixture_is_valid(tmp_path):
         "ply-property-no-name", "ply-negative-vertex-count", "ply-ascii-nan",
         "ply-ascii-not-a-number", "ply-binary-nan", "ppm-negative-dims",
         "camera-three-columns", "camera-nan-translation", "camera-inf-depth-max",
-        "camera-not-utf8"])
+        "camera-not-utf8", "checkpoint-repeated-name"])
 def test_malformed_input_raises_parse_error(tmp_path, name, blob, reader):
     path = tmp_path / name
     path.write_bytes(blob)
@@ -212,6 +218,12 @@ class TestCheckpointInput:
         blob = path.read_bytes()
         path.write_bytes(blob[:16] + b"\xff" + blob[17:])  # the name is byte 16
         with pytest.raises(ParseError, match="malformed record at byte 12 .*utf-8"):
+            load_checkpoint(str(path))
+
+    def test_repeated_name(self, tmp_path):
+        path = tmp_path / "w.bin"
+        path.write_bytes(REPEATED_CHECKPOINT)
+        with pytest.raises(ParseError, match="repeated record 'w' at byte 37"):
             load_checkpoint(str(path))
 
 

@@ -3,6 +3,8 @@ reverse-mode gradients against central finite differences, and the checkpoint
 container."""
 
 import math
+import os
+import subprocess
 import sys
 import threading
 import weakref
@@ -686,6 +688,23 @@ class TestBackward:
                 worst[name] = max(worst.get(name, 0.0), err)
                 assert ok, f"{name} (instance {i}): relative error {err}"
         assert max(worst.values()) <= 1e-3
+
+    def test_each_case_reads_the_same_alone(self):
+        """A case's error does not depend on which other cases run."""
+        full = gradcheck.run_op_checks(max_entries=10)
+        for name, err, _ in full:
+            assert gradcheck.run_op_checks([name], max_entries=10)[0][1] == err, name
+        assert {"reshape", "sum_all"} <= {name for name, _, _ in full}
+
+    def test_cases_do_not_depend_on_the_hash_seed(self):
+        code = ("from minimvs import gradcheck; "
+                "print(gradcheck.run_op_checks(['add', 'conv3d'], max_entries=4))")
+        src = os.path.dirname(os.path.dirname(gradcheck.__file__))
+        listed = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                 check=True, env=dict(os.environ, PYTHONPATH=src,
+                                                      PYTHONHASHSEED=seed)).stdout
+                  for seed in ("1", "2")}
+        assert len(listed) == 1
 
     def test_composite_graph_on_twenty_random_instances(self):
         def build(seed_rng):
