@@ -64,16 +64,14 @@ class VolumeGuidance(Module):
     passes through untouched.
     """
 
-    def __init__(self, prev_flat_channels, curr_flat_channels, num_coarse, num_fine,
-                 rng=None):
+    def __init__(self, prev_flat_channels, curr_flat_channels, num_coarse, num_fine, *, rng):
         super().__init__()
         if num_coarse < 0 or num_fine < 0:
             raise ParameterError("guidance channel counts must be >= 0")
         self.num_coarse = int(num_coarse)
         self.num_fine = int(num_fine)
         if self.num_coarse:
-            self.conv_coarse = ConvBnReLU(prev_flat_channels, self.num_coarse, (3, 3),
-                                          rng=rng)
+            self.conv_coarse = ConvBnReLU(prev_flat_channels, self.num_coarse, (3, 3), rng=rng)
         if self.num_fine:
             self.conv_fine = ConvBnReLU(curr_flat_channels, self.num_fine, (3, 3), rng=rng)
 

@@ -20,8 +20,9 @@ class DepthErrorReport:
     empty: bool = False
 
 
-def depth_errors(pred, gt, mask=None, thresholds=DEFAULT_TDE_THRESHOLDS):
-    """Mean absolute depth error and the percentage of pixels above each threshold.
+def depth_errors(pred, gt, mask=None):
+    """Mean absolute depth error and the percentage of pixels above each threshold
+    of `DEFAULT_TDE_THRESHOLDS`.
 
     `tde(X)` uses a strict inequality (errors exactly equal to X do not count).
     """
@@ -32,8 +33,9 @@ def depth_errors(pred, gt, mask=None, thresholds=DEFAULT_TDE_THRESHOLDS):
     mask = np.ones(pred.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     err = np.abs(pred - gt)[mask]
     if err.size == 0:
-        return DepthErrorReport(0.0, {x: 0.0 for x in thresholds}, 0, empty=True)
-    tde = {x: 100.0 * float(np.count_nonzero(err > x)) / err.size for x in thresholds}
+        return DepthErrorReport(0.0, {x: 0.0 for x in DEFAULT_TDE_THRESHOLDS}, 0, empty=True)
+    tde = {x: 100.0 * float(np.count_nonzero(err > x)) / err.size
+           for x in DEFAULT_TDE_THRESHOLDS}
     return DepthErrorReport(float(err.mean()), tde, int(err.size))
 
 

@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import tensor as T
 from .errors import ParameterError
 from .nn import Conv, ConvBnReLU, Module, ModuleList
 
-DEFAULT_STAGE_CHANNELS = (32, 16, 8, 8)
 _ENCODER_CHANNELS = (8, 16, 32, 32)  # strides 1, 2, 2, 2
 
 
@@ -30,7 +27,7 @@ class CoordinateGate(Module):
     through a shared squeeze/restore 1x1 stack, split back, and gated.
     """
 
-    def __init__(self, channels, reduction=4, rng=None):
+    def __init__(self, channels, reduction, *, rng):
         super().__init__()
         mid = max(channels // reduction, 1)
         self.reduce = Conv(channels, mid, (1, 1), rng=rng)
@@ -40,7 +37,7 @@ class CoordinateGate(Module):
         c, h, _ = t_h.shape
         w = t_w.shape[2]
         stacked = T.concat_axis([t_h, T.reshape(t_w, (c, w, 1))], 1)  # (C, H+W, 1)
-        z = self.restore.forward(T.relu(self.reduce.forward(stacked)))
+        z = self.restore.forward(T.clamp_min(self.reduce.forward(stacked), 0.0))
         a_h = T.sigmoid(T.narrow(z, 1, 0, h))                          # (C, H, 1)
         a_w = T.sigmoid(T.reshape(T.narrow(z, 1, h, w), (c, 1, w)))    # (C, 1, W)
         return a_h, a_w
@@ -58,9 +55,8 @@ def gated_fuse(coarse, fine, a_h, a_w):
 class FeatureExtractor(Module):
     """Four-stage pyramid at 1/8, 1/4, 1/2, 1/1 of the input resolution."""
 
-    def __init__(self, stage_channels=DEFAULT_STAGE_CHANNELS, reduction=4, rng=None):
+    def __init__(self, stage_channels, reduction, *, rng):
         super().__init__()
-        rng = rng if rng is not None else np.random.default_rng(0)
         e0, e1, e2, e3 = _ENCODER_CHANNELS
         self.enc0 = ConvBnReLU(3, e0, (3, 3), rng=rng)
         self.enc1 = ConvBnReLU(e0, e1, (3, 3), 2, rng=rng)
@@ -78,10 +74,10 @@ class FeatureExtractor(Module):
             CoordinateGate(e0, reduction, rng=rng),
         ])
         self.heads = ModuleList([
-            Conv(e3, stage_channels[0], (3, 3), padding=1, rng=rng),
-            Conv(e2, stage_channels[1], (3, 3), padding=1, rng=rng),
-            Conv(e1, stage_channels[2], (3, 3), padding=1, rng=rng),
-            Conv(e0, stage_channels[3], (3, 3), padding=1, rng=rng),
+            Conv(e3, stage_channels[0], (3, 3), rng=rng),
+            Conv(e2, stage_channels[1], (3, 3), rng=rng),
+            Conv(e1, stage_channels[2], (3, 3), rng=rng),
+            Conv(e0, stage_channels[3], (3, 3), rng=rng),
         ])
 
     def forward(self, image):

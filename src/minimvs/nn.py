@@ -120,22 +120,28 @@ class Conv(Module):
     """2D or 3D convolution, direct or transposed; the rank comes from `kernel`.
 
     The weight is (out_ch, in_ch, *kernel), or (in_ch, out_ch, *kernel) when
-    transposed; weight and bias are drawn in +-1/sqrt(in_ch * prod(kernel)).
-    `replicate_depth` pads depth by edge replication (`ConvParams`).
+    transposed; weight and bias are drawn from `rng` in +-1/sqrt(in_ch * prod(kernel)).
+
+    Each axis is padded by (k - 1) // 2, so an odd kernel at stride s maps an
+    extent n to ceil(n / s), or to n * s when transposed (output_padding
+    s - 1). A direct 3D conv replicates its depth edges instead of zeros, so
+    a volume constant along depth stays constant through it.
     """
 
-    def __init__(self, in_ch, out_ch, kernel, stride=1, padding=0, output_padding=0,
-                 transposed=False, bias=True, rng=None, replicate_depth=0):
+    def __init__(self, in_ch, out_ch, kernel, stride=1, transposed=False, bias=True, *, rng):
         super().__init__()
-        rng = rng if rng is not None else np.random.default_rng(0)
         k = tuple(kernel)
+        stride = (stride,) * len(k) if np.ndim(stride) == 0 else tuple(stride)
+        pad = [(n - 1) // 2 for n in k]
+        edge = pad[0] if len(k) == 3 and not transposed else 0
+        pad[0] -= edge
+        outpad = tuple(s - 1 for s in stride) if transposed else 0
         self.op = _CONV_OPS[len(k), transposed]
         fan_in = in_ch * int(np.prod(k))
         channels = (in_ch, out_ch) if transposed else (out_ch, in_ch)
         self.weight = Parameter(_uniform_init(rng, (*channels, *k), fan_in))
         self.bias = Parameter(_uniform_init(rng, (out_ch,), fan_in)) if bias else None
-        self.params = ConvParams(self.weight, self.bias, stride, padding, output_padding,
-                                 replicate_depth)
+        self.params = ConvParams(self.weight, self.bias, stride, tuple(pad), outpad, edge)
 
     def forward(self, x):
         # resolved per call, so a wrapper installed on the tensor module sees it
@@ -148,7 +154,7 @@ class BatchNorm(Module):
     `eval_stats` picks the statistics used outside training: "instance"
     normalizes each sample by its own spatial statistics (no side effects;
     matches the single-sample training distribution), "running" uses the
-    tracked averages. Momentum and eps are the `tensor.batch_norm` defaults.
+    tracked averages, with `tensor.BN_MOMENTUM` and `tensor.BN_EPS`.
     """
 
     def __init__(self, num_features):
@@ -168,29 +174,15 @@ class BatchNorm(Module):
 
 
 class ConvBnReLU(Module):
-    """Bias-free `Conv`, batch norm and ReLU; each axis is padded by (k - 1) // 2.
+    """Bias-free `Conv`, batch norm and ReLU; the conv sets the geometry."""
 
-    A direct 3D block pads depth by edge replication rather than zeros, so a
-    volume that is constant along the hypothesis axis stays constant through
-    the block, which the regularizer relies on. The replication is the conv's
-    `replicate_depth` padding mode, built in the same copy as the zero
-    padding. A transposed block sets output_padding = stride - 1, so stride
-    2 exactly doubles an extent.
-    """
-
-    def __init__(self, in_ch, out_ch, kernel, stride=1, transposed=False, rng=None):
+    def __init__(self, in_ch, out_ch, kernel, stride=1, transposed=False, *, rng):
         super().__init__()
-        k = tuple(kernel)
-        stride = (stride,) * len(k) if isinstance(stride, int) else tuple(stride)
-        pad = tuple((n - 1) // 2 for n in k)
-        edge = pad[0] if len(k) == 3 and not transposed else 0
-        outpad = tuple(s - 1 for s in stride) if transposed else 0
-        self.conv = Conv(in_ch, out_ch, k, stride, (pad[0] - edge, *pad[1:]),
-                         outpad, transposed, bias=False, rng=rng, replicate_depth=edge)
+        self.conv = Conv(in_ch, out_ch, kernel, stride, transposed, bias=False, rng=rng)
         self.bn = BatchNorm(out_ch)
 
     def forward(self, x):
-        return T.relu(self.bn.forward(self.conv.forward(x)))
+        return T.clamp_min(self.bn.forward(self.conv.forward(x)), 0.0)
 
 
 class Adam:
@@ -200,7 +192,7 @@ class Adam:
     beta2 = 0.999
     eps = 1e-8
 
-    def __init__(self, params, lr=1e-3):
+    def __init__(self, params, lr):
         if lr < 0:
             raise ParameterError(f"learning rate must be >= 0, got {lr}")
         self.params = list(params)

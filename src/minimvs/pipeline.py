@@ -99,9 +99,9 @@ class StageOutput:
 class CascadeNetwork(Module):
     """Feature pyramid + per-stage correlation, guidance, and regularization."""
 
-    def __init__(self, cfg: PipelineConfig, rng=None):
+    def __init__(self, cfg: PipelineConfig):
         super().__init__()
-        rng = rng if rng is not None else np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(cfg.seed)
         self.cfg = cfg
         self.features = FeatureExtractor(cfg.feature_channels, cfg.attention_reduction, rng=rng)
         guidance = []
@@ -166,9 +166,8 @@ class CascadeNetwork(Module):
         return outputs
 
 
-def build_network(cfg: PipelineConfig, seed=None):
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    return CascadeNetwork(cfg, rng=rng)
+def build_network(cfg: PipelineConfig):
+    return CascadeNetwork(cfg)
 
 
 def view_ids(scene, ref_id, n_views):

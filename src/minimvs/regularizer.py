@@ -18,7 +18,7 @@ class VolumeRegularizer(Module):
     so any desk-scale resolution is legal.
     """
 
-    def __init__(self, in_channels, base_channels=8, rng=None):
+    def __init__(self, in_channels, base_channels, *, rng):
         super().__init__()
         self.in_channels = in_channels
         b = base_channels
@@ -31,7 +31,7 @@ class VolumeRegularizer(Module):
         # constant along depth stays constant through the decoder
         self.up5 = ConvBnReLU(4 * b, 2 * b, (1, 3, 3), (1, 2, 2), transposed=True, rng=rng)
         self.up6 = ConvBnReLU(2 * b, b, (1, 3, 3), (1, 2, 2), transposed=True, rng=rng)
-        self.prob = Conv(b, 1, (3, 3, 3), padding=(0, 1, 1), rng=rng, replicate_depth=1)
+        self.prob = Conv(b, 1, (3, 3, 3), rng=rng)
 
     def forward(self, volume):
         c, d, h, w = volume.shape

@@ -241,14 +241,17 @@ def render(scene, cam, height, width):
 # cameras and scene construction
 # ---------------------------------------------------------------------------
 
-def look_at(position, target, world_up=(0.0, 1.0, 0.0)):
-    """World-to-camera rotation/translation, x right, y down, z forward."""
+_WORLD_UP = np.array([0.0, 1.0, 0.0])
+_ARC_RISE = 0.35  # height swing of the camera arc
+
+
+def look_at(position, target):
+    """World-to-camera rotation/translation, x right, y down, z forward; +y is up."""
     position = np.asarray(position, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    up = np.asarray(world_up, dtype=np.float64)
     z = target - position
     z = z / np.linalg.norm(z)
-    y = -(up - (up @ z) * z)
+    y = -(_WORLD_UP - (_WORLD_UP @ z) * z)
     ny = np.linalg.norm(y)
     if ny < 1e-12:
         raise ParameterError("look_at: view direction parallel to world up")
@@ -265,19 +268,19 @@ def default_intrinsics(height, width, focal_factor=1.1):
                      [0.0, 0.0, 1.0]])
 
 
-def arc_cameras(n_views, height, width, radius=4.0, span_deg=24.0, rise=0.35,
-                target=(0.0, 0.0, 0.0), depth_range=(1.0, 10.0), focal_factor=1.1):
-    """Cameras on an arc facing the target, mimicking a turntable rig."""
+def arc_cameras(n_views, height, width, radius=4.0, span_deg=24.0, depth_range=(1.0, 10.0),
+                focal_factor=1.1):
+    """Cameras on an arc facing the origin, mimicking a turntable rig."""
     k = default_intrinsics(height, width, focal_factor)
     cams = []
     angles = (
         np.linspace(-span_deg / 2.0, span_deg / 2.0, n_views) if n_views > 1 else [0.0]
     )
-    for i, deg in enumerate(angles):
+    for deg in angles:
         a = np.deg2rad(deg)
-        pos = np.array([radius * np.sin(a), rise * np.sin(2.3 * a + 0.4) - 0.1,
+        pos = np.array([radius * np.sin(a), _ARC_RISE * np.sin(2.3 * a + 0.4) - 0.1,
                         -radius * np.cos(a)])
-        r, t = look_at(pos, target)
+        r, t = look_at(pos, np.zeros(3))
         cams.append(Camera(k.copy(), r, t, depth_range[0], depth_range[1]))
     return cams
 

@@ -254,16 +254,6 @@ def div(a, b):
     return _result(data, (a, b), bwd, "div")
 
 
-def relu(a):
-    a = _as_tensor(a)
-    mask = a.data > 0.0
-
-    def bwd(g):
-        return (g * mask,)
-
-    return _result(np.where(mask, a.data, 0.0), (a,), bwd, "relu")
-
-
 def sigmoid(a):
     a = _as_tensor(a)
     x = a.data
@@ -291,13 +281,14 @@ def log(a):
 
 
 def clamp_min(a, floor):
+    """max(a, floor), passing no gradient at or below the floor; floor 0.0 is the ReLU."""
     a = _as_tensor(a)
     mask = a.data > floor
 
     def bwd(g):
         return (g * mask,)
 
-    return _result(np.maximum(a.data, floor), (a,), bwd, "clamp_min")
+    return _result(np.where(mask, a.data, floor), (a,), bwd, "clamp_min")
 
 
 def sum_all(a):
@@ -811,13 +802,16 @@ def resize_bilinear(array, out_hw):
 # normalization
 # ---------------------------------------------------------------------------
 
-def batch_norm(x, gamma, beta, running_mean, running_var, training,
-               momentum=0.9, eps=1e-5, update_running=None):
+BN_MOMENTUM = 0.9  # weight of the old running statistics per update
+BN_EPS = 1e-5       # added to the variance before its square root
+
+
+def batch_norm(x, gamma, beta, running_mean, running_var, training, update_running=None):
     """Per-channel normalization over all spatial axes of (C, *spatial).
 
     Train mode normalizes with batch statistics and (by default) updates the
     running buffers in place
-    (`running = momentum * running + (1 - momentum) * batch`); eval mode
+    (`running = BN_MOMENTUM * running + (1 - BN_MOMENTUM) * batch`); eval mode
     normalizes with the running statistics. `update_running=False` keeps
     batch statistics without the side effect, for per-sample normalization
     at inference.
@@ -831,14 +825,14 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
         mu = x.data.mean(axis=axes)
         var = x.data.var(axis=axes)
         if update_running:
-            running_mean *= momentum
-            running_mean += (1.0 - momentum) * mu
-            running_var *= momentum
-            running_var += (1.0 - momentum) * var
+            running_mean *= BN_MOMENTUM
+            running_mean += (1.0 - BN_MOMENTUM) * mu
+            running_var *= BN_MOMENTUM
+            running_var += (1.0 - BN_MOMENTUM) * var
     else:
         mu = running_mean
         var = running_var
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat = x.data - mu.reshape(bshape)
     xhat *= inv.reshape(bshape)
     # the backward reads xhat; without one, y may overwrite it

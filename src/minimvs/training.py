@@ -75,6 +75,7 @@ def total_loss(stage_losses, weights):
 
 
 def stage_losses_for_sample(network, images, cams, gt_depth, valid):
+    """The cross-entropy objective of every cascade stage for one sample, coarsest first."""
     outputs = network.forward_views(images, cams)
     losses = []
     for out in outputs:
@@ -82,14 +83,15 @@ def stage_losses_for_sample(network, images, cams, gt_depth, valid):
         f = STAGE_SCALES[out.stage]
         gt_enc = encode_gt(gt_depth[::f, ::f], valid[::f, ::f], out.hypotheses)
         losses.append(pixelwise_ce(out.prob, gt_enc))
-    return losses, outputs
+    return losses
 
 
 def train(scenes, cfg, out_dir, log=None):
     """Train the cascade on a list of SceneData; returns (trace, checkpoint path).
 
     Adam (beta1 0.9, beta2 0.999, eps 1e-8) at cfg.train.learning_rate. One
-    iteration is one optimizer step over `batch_size` accumulated samples.
+    iteration is one optimizer step over `batch_size` accumulated samples;
+    an epoch is the whole batches of a fresh permutation of the samples.
     A dataset with fewer samples than one batch is a `ParameterError`.
     A fixed seed makes the loss trace and checkpoints bit-reproducible. The
     trace is written to <out_dir>/loss_trace.csv, checkpoints per epoch plus
@@ -111,15 +113,11 @@ def train(scenes, cfg, out_dir, log=None):
 
     trace = []
     iteration = 0
-    stop = False
     network.train()
     for epoch in range(tc.epochs):
         order = order_rng.permutation(len(samples))
-        batch = []
-        for oi in order:
-            batch.append(samples[oi])
-            if len(batch) < tc.batch_size:
-                continue
+        for b in range(len(samples) // tc.batch_size):
+            batch = [samples[oi] for oi in order[b * tc.batch_size:(b + 1) * tc.batch_size]]
             stage_sums = np.zeros(STAGE_COUNT)
             total_val = 0.0
             optimizer.zero_grad()
@@ -129,7 +127,7 @@ def train(scenes, cfg, out_dir, log=None):
                 gt = scene.gt_depths[ref]
                 valid = gt > 0
                 try:
-                    losses, _ = stage_losses_for_sample(network, images, cams, gt, valid)
+                    losses = stage_losses_for_sample(network, images, cams, gt, valid)
                     loss = total_loss(losses, tc.stage_weights)
                     sample_loss = T.mul(loss, 1.0 / tc.batch_size)
                     if sample_loss.requires_grad:  # no usable ground truth: zero loss, no gradient
@@ -151,12 +149,10 @@ def train(scenes, cfg, out_dir, log=None):
             if log is not None and iteration % 10 == 0:
                 log(f"iter {iteration:5d}  loss {trace[-1]['total']:.4f}")
             iteration += 1
-            batch = []
-            if tc.max_iterations and iteration >= tc.max_iterations:
-                stop = True
+            if iteration == tc.max_iterations:
                 break
         save_network(os.path.join(out_dir, f"checkpoint_ep{epoch:03d}.bin"), network)
-        if stop:
+        if iteration == tc.max_iterations:
             break
 
     final_path = os.path.join(out_dir, "checkpoint.bin")

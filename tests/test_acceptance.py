@@ -79,15 +79,16 @@ class TestAcceptance:
                 for c in cams]
         cfg = PipelineConfig()
         cfg.train.views = 2
+        cfg.seed = 5
         cfg.validate()
-        net = pipeline.build_network(cfg, seed=5)
+        net = pipeline.build_network(cfg)
         net.train()
         images = [r[0] for r in renders]
         gt = renders[0][1]
         valid = renders[0][2]
 
         def loss():
-            losses, _ = training.stage_losses_for_sample(net, images, cams, gt, valid)
+            losses = training.stage_losses_for_sample(net, images, cams, gt, valid)
             return training.total_loss(losses, cfg.train.stage_weights)
 
         params = net.parameters()

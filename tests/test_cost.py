@@ -168,7 +168,7 @@ class TestAggregate:
 
 class TestVolumeGuidance:
     def test_zero_channels_is_identity_object(self, rng):
-        guide = VolumeGuidance(8, 8, 0, 0)
+        guide = VolumeGuidance(8, 8, 0, 0, rng=rng)
         vol = Tensor(rng.standard_normal((2, 4, 4, 4)))
         assert guide.forward(None, vol) is vol
 

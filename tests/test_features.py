@@ -6,6 +6,7 @@ import pytest
 from conftest import photometric_features
 from minimvs import gradcheck
 from minimvs import tensor as T
+from minimvs.config import PipelineConfig
 from minimvs.errors import ParameterError
 from minimvs.features import CoordinateGate, FeatureExtractor, coordinate_pool, gated_fuse
 from minimvs.tensor import Tensor
@@ -43,7 +44,7 @@ class TestCoordinateGate:
         assert np.allclose(a_h.data, 0.5) and np.allclose(a_w.data, 0.5)
 
     def test_gates_strictly_inside_unit_interval(self, rng):
-        gate = CoordinateGate(8, rng=np.random.default_rng(5))
+        gate = CoordinateGate(8, 4, rng=np.random.default_rng(5))
         t_h, t_w = coordinate_pool(Tensor(rng.standard_normal((8, 6, 6)) * 3))
         a_h, a_w = gate.forward(t_h, t_w)
         for a in (a_h, a_w):
@@ -92,16 +93,22 @@ class TestGatedFuse:
 
     def test_attention_term_bounded_by_fine(self, rng):
         fine = rng.standard_normal((2, 4, 4))
-        gate = CoordinateGate(2, rng=np.random.default_rng(3))
+        gate = CoordinateGate(2, 4, rng=np.random.default_rng(3))
         t_h, t_w = coordinate_pool(Tensor(fine))
         a_h, a_w = gate.forward(t_h, t_w)
         term = T.mul(T.mul(a_h, a_w), Tensor(fine))
         assert np.all(np.abs(term.data) <= np.abs(fine) + 1e-15)
 
 
+def _extractor(seed):
+    cfg = PipelineConfig()
+    return FeatureExtractor(cfg.feature_channels, cfg.attention_reduction,
+                            rng=np.random.default_rng(seed))
+
+
 class TestFeatureExtractor:
     def test_stage_shapes_and_channels(self, rng):
-        net = FeatureExtractor(rng=np.random.default_rng(1))
+        net = _extractor(1)
         net.eval()
         pyr = net.forward(Tensor(rng.uniform(size=(3, 64, 64))))
         assert pyr[0].shape == (32, 8, 8)
@@ -110,12 +117,12 @@ class TestFeatureExtractor:
         assert pyr[3].shape == (8, 64, 64)
 
     def test_indivisible_resolution_rejected(self, rng):
-        net = FeatureExtractor(rng=np.random.default_rng(1))
+        net = _extractor(1)
         with pytest.raises(ParameterError):
             net.forward(Tensor(np.zeros((3, 60, 64))))
 
     def test_offset_images_stay_finite(self, rng):
-        net = FeatureExtractor(rng=np.random.default_rng(2))
+        net = _extractor(2)
         net.eval()
         base = rng.uniform(size=(3, 16, 16))
         for offset in (0.0, 0.25):
@@ -124,7 +131,7 @@ class TestFeatureExtractor:
                 assert np.all(np.isfinite(pyr[stage].data))
 
     def test_gradient_reaches_first_layer(self, rng):
-        net = FeatureExtractor(rng=np.random.default_rng(3))
+        net = _extractor(3)
         net.train()
         img = Tensor(rng.uniform(size=(3, 16, 16)))
         w = net.enc0.conv.weight

@@ -11,7 +11,7 @@ from minimvs import tensor as T
 from minimvs.checkpoint import save_checkpoint
 from minimvs.config import PipelineConfig
 from minimvs.errors import DatasetError
-from minimvs.nn import BatchNorm
+from minimvs.nn import BatchNorm, Conv
 
 
 def _dataset(tmp_path, scenes=1, views=3, h=16, w=24, seed=5):
@@ -89,6 +89,43 @@ class TestCheckpointLayout:
         path = tmp_path / "untrained.bin"
         save_checkpoint(path, pipeline.build_network(PipelineConfig()).state_dict())
         assert hashlib.sha256(path.read_bytes()).hexdigest() == UNTRAINED_SHA256
+
+
+class TestConvGeometry:
+    """`nn.Conv` padding on every kernel, stride and direction the network builds."""
+
+    GEOMETRIES = sorted({
+        (conv.weight.shape[2:], conv.params.stride, conv.op == "conv_transpose3d")
+        for conv in pipeline.build_network(PipelineConfig()).modules() if isinstance(conv, Conv)
+    })
+
+    def test_the_network_builds_six_geometries(self):
+        assert self.GEOMETRIES == [
+            ((1, 1), (1, 1), False),             # lateral and gate convs
+            ((1, 3, 3), (1, 2, 2), True),        # regularizer decoder
+            ((3, 3), (1, 1), False),             # encoder, heads, guidance
+            ((3, 3), (2, 2), False),             # strided encoder
+            ((3, 3, 3), (1, 1, 1), False),       # regularizer blocks and prob
+            ((3, 3, 3), (1, 2, 2), False),       # regularizer downsampling
+        ]
+
+    @pytest.mark.parametrize("kernel, stride, transposed", GEOMETRIES)
+    def test_output_extent(self, kernel, stride, transposed, rng):
+        conv = Conv(2, 3, kernel, stride, transposed, rng=rng)
+        extent = (5, 6, 7)[-len(kernel):]
+        y = conv.forward(T.Tensor(rng.standard_normal((2, *extent))))
+        if transposed:
+            assert y.shape[1:] == tuple(n * s for n, s in zip(extent, stride))
+        else:
+            assert y.shape[1:] == tuple(-(-n // s) for n, s in zip(extent, stride))
+
+    @pytest.mark.parametrize("kernel, stride",
+                             [g[:2] for g in GEOMETRIES if len(g[0]) == 3 and not g[2]])
+    def test_depth_constant_volume_stays_constant(self, kernel, stride, rng):
+        conv = Conv(2, 3, kernel, stride, rng=rng)
+        volume = np.repeat(rng.standard_normal((2, 1, 6, 7)), 5, axis=1)
+        y = conv.forward(T.Tensor(volume)).data
+        assert np.abs(y - y[:, :1]).max() <= 1e-12 * np.abs(y).max()
 
 
 class TestDatasetLoading:

@@ -1,5 +1,5 @@
-"""Source rules checked with `ast`: no unused imports, and only the I/O layer
-opens files."""
+"""Source rules checked with `ast`: no unused imports, only the I/O layer
+opens files, and no generator is seeded with a literal."""
 
 import ast
 import pathlib
@@ -57,6 +57,36 @@ def test_no_unused_imports(path):
 def test_unused_import_is_found():
     tree = ast.parse("import os\nimport sys as system\nfrom a import b, c\nprint(c)\n")
     assert unused_imports(tree) == [(1, "os"), (2, "system"), (3, "b")]
+
+
+def literal_seeds(tree):
+    """Lines that call `default_rng` with a literal seed."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name != "default_rng" or not node.args:
+            continue
+        try:
+            ast.literal_eval(node.args[0])
+        except ValueError:
+            continue
+        lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_literal_seeds(path):
+    """A missing generator never falls back to one every caller shares."""
+    assert literal_seeds(_parse(path)) == []
+
+
+def test_literal_seed_is_found():
+    tree = ast.parse("a = np.random.default_rng(0)\nb = default_rng([1, 2])\n"
+                     "c = np.random.default_rng(seed)\nd = default_rng([seed, 1])\n")
+    assert literal_seeds(tree) == [1, 2]
 
 
 def test_only_formats_opens_files():

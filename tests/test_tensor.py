@@ -477,8 +477,17 @@ class TestSoftmax:
 
 
 class TestElementwise:
-    def test_relu(self):
-        assert np.array_equal(T.relu(Tensor([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
+    def test_clamp_min_at_zero_is_relu(self):
+        """The ReLU's outputs (+0.0 at and below zero) and gradient mask."""
+        x = Parameter([-1.0, -0.0, 0.0, 2.0])
+        y = T.clamp_min(x, 0.0)
+        assert y.data.tobytes() == np.array([0.0, 0.0, 0.0, 2.0]).tobytes()
+        T.backward(T.sum_all(y))
+        assert x.grad.tobytes() == np.array([0.0, 0.0, 0.0, 1.0]).tobytes()
+
+    def test_clamp_min_equals_maximum(self, rng):
+        x = np.concatenate([rng.standard_normal(50), [0.3, -0.0, 0.0]])
+        assert T.clamp_min(Tensor(x), 0.3).data.tobytes() == np.maximum(x, 0.3).tobytes()
 
     def test_broadcast_shape_contract(self, rng):
         a = Tensor(rng.standard_normal((3, 4, 1)))
@@ -642,13 +651,13 @@ class TestBackward:
         with pytest.raises(UsageError):
             T.backward(T.mul(x, x))
 
-    def test_conv_relu_sum_finite_differences(self, rng):
+    def test_conv_clamp_sum_finite_differences(self, rng):
         x = Parameter(rng.standard_normal((1, 3, 3)))
         w = Parameter(rng.standard_normal((2, 1, 3, 3)))
         b = Parameter(rng.standard_normal(2))
 
         def loss():
-            return T.sum_all(T.relu(T.conv2d(x, ConvParams(w, b, 1, 1))))
+            return T.sum_all(T.clamp_min(T.conv2d(x, ConvParams(w, b, 1, 1)), 0.0))
 
         err = gradcheck.max_relative_error(loss, [x, w, b])
         assert err <= 1e-3
@@ -675,6 +684,11 @@ class TestBackward:
         with T.no_grad():
             assert not T.mul(p, p).requires_grad
         assert T.mul(p, p).requires_grad
+
+    def test_capped_check_needs_an_rng(self):
+        p = Parameter(np.ones(4))
+        with pytest.raises(UsageError, match="rng"):
+            gradcheck.max_relative_error(lambda: T.sum_all(p), [p], max_entries=2)
 
     def test_every_operator_passes_fd(self):
         for name, err, ok in gradcheck.run_op_checks():
@@ -793,7 +807,8 @@ class TestBatchNorm:
         beta = Tensor(np.zeros(3))
         rm = np.zeros(3)
         rv = np.ones(3)
-        T.batch_norm(Tensor(x), gamma, beta, rm, rv, training=True, momentum=0.9)
+        T.batch_norm(Tensor(x), gamma, beta, rm, rv, training=True)
+        assert T.BN_MOMENTUM == 0.9
         assert np.allclose(rm, 0.1 * x.mean(axis=(1, 2)))
         assert np.allclose(rv, 0.9 + 0.1 * x.var(axis=(1, 2)))
 
@@ -809,8 +824,8 @@ class TestBatchNorm:
         rm = np.array([1.0, -1.0])
         rv = np.array([4.0, 0.25])
         out = T.batch_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)),
-                           rm, rv, training=False, eps=0.0)
-        want = (x - rm[:, None, None]) / np.sqrt(rv)[:, None, None]
+                           rm, rv, training=False)
+        want = (x - rm[:, None, None]) / np.sqrt(rv + T.BN_EPS)[:, None, None]
         assert np.abs(out.data - want).max() < 1e-12
 
 

@@ -235,7 +235,7 @@ def test_input_gradients_match_scatter_reference(tmp_path, monkeypatch):
     scene = scenes[0]
     images, cams = pipeline.view_set(scene, 0, cfg.train.views)
     gt = scene.gt_depths[0]
-    losses, _ = training.stage_losses_for_sample(network, images, cams, gt, gt > 0)
+    losses = training.stage_losses_for_sample(network, images, cams, gt, gt > 0)
     T.backward(training.total_loss(losses, cfg.train.stage_weights))
     decoder = ((1, 2, 2), (0, 1, 1), (1, 3, 3), 0)    # the transposed forward
     assert seen == {
@@ -261,7 +261,7 @@ def test_recorded_sample_keeps_no_window_matrices(tmp_path):
     gt = scenes[0].gt_depths[0]
     tracemalloc.start()
     try:
-        losses, _ = training.stage_losses_for_sample(network, images, cams, gt, gt > 0)
+        losses = training.stage_losses_for_sample(network, images, cams, gt, gt > 0)
         T.backward(training.total_loss(losses, cfg.train.stage_weights))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -323,8 +323,8 @@ def test_no_window_matrix_exceeds_the_tile_budget(monkeypatch):
     network.train()
     cams, _, renders, _ = fronto_plane_setup(64, 80, 3)
     gt = renders[0][1]
-    losses, _ = training.stage_losses_for_sample(network, [r[0] for r in renders], cams,
-                                                 gt, renders[0][2])
+    losses = training.stage_losses_for_sample(network, [r[0] for r in renders], cams,
+                                              gt, renders[0][2])
     T.backward(training.total_loss(losses, cfg.train.stage_weights))
     network.eval()
     cams, _, renders, _ = fronto_plane_setup(128, 160, 7)

@@ -60,7 +60,7 @@ def _fixed_losses(network, images, cams, gt_depth, valid):
     # zero gradient, so Adam leaves every weight as it was built
     weight = next(iter(network.parameters()))
     zero = T.mul(T.sum_all(weight), 0.0)
-    return [T.add(zero, Tensor(0.25 * (s + 1))) for s in range(4)], None
+    return [T.add(zero, Tensor(0.25 * (s + 1))) for s in range(4)]
 
 
 def test_loss_trace_bytes_are_pinned(tmp_path, monkeypatch):
