@@ -115,6 +115,11 @@ class PipelineConfig:
         for d in self.depths:
             if d < 2 or d % 4:
                 raise ParameterError("pipeline.depths entries must be multiples of 4, >= 4")
+        # the spacing halves per stage: window k is (depths[k] - 1) / ((depths[0] - 1) * 2**k)
+        for k, d in enumerate(self.depths[1:], start=1):
+            if d - 1 > (self.depths[0] - 1) * 2 ** k:
+                raise ParameterError(f"pipeline.depths: stage {k}'s {d} hypotheses span more "
+                                     "than the depth range")
         for g, c in zip(self.groups, self.feature_channels):
             if g < 1 or c % g:
                 raise ParameterError(

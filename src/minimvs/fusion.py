@@ -70,10 +70,10 @@ def geometric_check(ref_cam, src_cam, ref_depth, src_depth):
 
     pts = backproject(ref_cam, pix, np.where(has_depth, d_ref, 1.0))
     q, z_src = project(src_cam, pts)
-    in_src = (z_src > 0) & (q[0] >= 0) & (q[0] <= w - 1) & (q[1] >= 0) & (q[1] <= h - 1)
+    # sample_ok covers the source bounds and a positive sample: it mixes four positive depths
     d_sample, sample_ok = _sample_depth(np.asarray(src_depth, dtype=np.float64),
                                         q[0], q[1])
-    valid = has_depth & in_src & sample_ok & (d_sample > 0)
+    valid = has_depth & (z_src > 0) & sample_ok
 
     pts_back = backproject(src_cam, q, np.where(valid, d_sample, 1.0))
     p2, d2 = project(ref_cam, pts_back)

@@ -108,7 +108,6 @@ class HypothesisSet:
     refined stages; strictly increasing along D, spacing in scene units.
     """
 
-    stage: int
     values: np.ndarray
     spacing: float
     depth_range: tuple = field(default=None)
@@ -148,7 +147,7 @@ def initial_hypotheses(depth_range, num_depths):
         raise ParameterError(f"need at least 2 depth hypotheses, got {num_depths}")
     values = np.linspace(lo, hi, num_depths)
     spacing = (hi - lo) / (num_depths - 1)
-    return HypothesisSet(0, values, spacing, (lo, hi))
+    return HypothesisSet(values, spacing, (lo, hi))
 
 
 def refine_hypotheses(prev, center_depth, num_depths, out_hw):
@@ -172,7 +171,7 @@ def refine_hypotheses(prev, center_depth, num_depths, out_hw):
     values = values + shift_up[None]
     shift_down = np.maximum(values[-1] - hi, 0.0)
     values = values - shift_down[None]
-    return HypothesisSet(prev.stage + 1, values, spacing, (lo, hi))
+    return HypothesisSet(values, spacing, (lo, hi))
 
 
 def warp_coords(ref, src, hyp, height, width):

@@ -32,7 +32,6 @@ class Module:
         array = np.asarray(array, dtype=np.float64)
         self._buffers[name] = array
         object.__setattr__(self, name, array)
-        return array
 
     def named_parameters(self, prefix=""):
         for name, p in self._params.items():
@@ -148,13 +147,16 @@ class Conv(Module):
         return getattr(T, self.op)(x, self.params)
 
 
+BN_MOMENTUM = 0.9  # weight of the old running statistics per update
+
+
 class BatchNorm(Module):
     """Per-channel normalization; spatial rank is inferred from the input.
 
-    `eval_stats` picks the statistics used outside training: "instance"
-    normalizes each sample by its own spatial statistics (no side effects;
-    matches the single-sample training distribution), "running" uses the
-    tracked averages, with `tensor.BN_MOMENTUM` and `tensor.BN_EPS`.
+    The one place that picks the statistics. Training normalizes with the
+    sample's own and moves the running buffers by `BN_MOMENTUM`; outside it,
+    `eval_stats` "instance" also uses the sample's own (the single-sample
+    training distribution), and "running" uses the buffers unchanged.
     """
 
     def __init__(self, num_features):
@@ -166,11 +168,15 @@ class BatchNorm(Module):
         self.eval_stats = "instance"
 
     def forward(self, x):
-        batch_stats = self.training or self.eval_stats == "instance"
-        return T.batch_norm(
-            x, self.gamma, self.beta, self.running_mean, self.running_var,
-            training=batch_stats, update_running=self.training,
-        )
+        own = self.training or self.eval_stats == "instance"
+        stats = () if own else (self.running_mean, self.running_var)
+        y, mean, var = T.batch_norm(x, self.gamma, self.beta, *stats)
+        if self.training:
+            self.running_mean *= BN_MOMENTUM
+            self.running_mean += (1.0 - BN_MOMENTUM) * mean
+            self.running_var *= BN_MOMENTUM
+            self.running_var += (1.0 - BN_MOMENTUM) * var
+        return y
 
 
 class ConvBnReLU(Module):

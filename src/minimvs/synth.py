@@ -16,10 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import formats
+from .config import SynthSettings
 from .errors import ParameterError
 from .geometry import Camera, backproject, pixel_grid, project
 
 _EPS = 1e-9
+_AMBIENT = 0.4  # share of the albedo lit whatever the light direction
+_BACKGROUND = (0.05, 0.05, 0.08)  # color of rays that hit nothing
 
 
 def _hash01(ix, iy, seed):
@@ -185,8 +188,6 @@ class Box:
 class Scene:
     primitives: list
     light_dir: np.ndarray = (0.35, 0.25, -0.9)
-    ambient: float = 0.4
-    background: tuple = (0.05, 0.05, 0.08)
 
     def __post_init__(self):
         ld = np.asarray(self.light_dir, dtype=np.float64)
@@ -207,7 +208,7 @@ def trace(scene, cam, pixels):
     origin = cam.center()
 
     best_s = np.full(n, np.inf)
-    colors = np.tile(np.asarray(scene.background, dtype=np.float64)[:, None], (1, n))
+    colors = np.tile(np.asarray(_BACKGROUND)[:, None], (1, n))
     for prim in scene.primitives:
         s, hit, uv, normal = prim.intersect(origin, dirs)
         closer = hit & (s < best_s)
@@ -218,7 +219,7 @@ def trace(scene, cam, pixels):
         view = dirs[:, closer]
         facing = np.where((np.einsum("ij,ij->j", nrm, view) > 0)[None], -nrm, nrm)
         lam = np.maximum(0.0, -(scene.light_dir @ facing))
-        shade = scene.ambient + (1.0 - scene.ambient) * lam
+        shade = _AMBIENT + (1.0 - _AMBIENT) * lam
         colors[:, closer] = albedo * shade[None]
         best_s[closer] = s[closer]
 
@@ -243,6 +244,7 @@ def render(scene, cam, height, width):
 
 _WORLD_UP = np.array([0.0, 1.0, 0.0])
 _ARC_RISE = 0.35  # height swing of the camera arc
+_PAIR_STEP = 4    # pixel stride of the overlap grid that ranks source views
 
 
 def look_at(position, target):
@@ -261,15 +263,15 @@ def look_at(position, target):
     return r, -(r @ position)
 
 
-def default_intrinsics(height, width, focal_factor=1.1):
+def default_intrinsics(height, width, focal_factor):
     f = focal_factor * max(height, width)
     return np.array([[f, 0.0, (width - 1) / 2.0],
                      [0.0, f, (height - 1) / 2.0],
                      [0.0, 0.0, 1.0]])
 
 
-def arc_cameras(n_views, height, width, radius=4.0, span_deg=24.0, depth_range=(1.0, 10.0),
-                focal_factor=1.1):
+def arc_cameras(n_views, height, width, radius, span_deg, focal_factor,
+                depth_range=(1.0, 10.0)):
     """Cameras on an arc facing the origin, mimicking a turntable rig."""
     k = default_intrinsics(height, width, focal_factor)
     cams = []
@@ -285,7 +287,7 @@ def arc_cameras(n_views, height, width, radius=4.0, span_deg=24.0, depth_range=(
     return cams
 
 
-def random_scene(rng, with_flat_patch=False, style="objects"):
+def random_scene(rng, with_flat_patch, style):
     """Backdrop quad, optionally with foreground primitives (style="objects").
 
     Palettes keep per-channel contrast and tilts stay moderate so every scene
@@ -333,19 +335,19 @@ def random_scene(rng, with_flat_patch=False, style="objects"):
     return Scene(prims, light_dir=light)
 
 
-def rank_source_views(cams, depths, valids, step=4):
+def rank_source_views(cams, depths, valids):
     """Ranked source ids per reference view by view-frustum overlap.
 
     Overlap is the fraction of the reference view's valid ground-truth points
-    that project inside the source image with positive depth.
+    (every `_PAIR_STEP`-th pixel) that project inside the source image.
     """
     n = len(cams)
     h, w = depths[0].shape
-    grid = pixel_grid(h, w, step)
+    grid = pixel_grid(h, w, _PAIR_STEP)
     pairs = []
     for r in range(n):
-        m = valids[r][::step, ::step]
-        pts = backproject(cams[r], grid[:, m], depths[r][::step, ::step][m])
+        m = valids[r][::_PAIR_STEP, ::_PAIR_STEP]
+        pts = backproject(cams[r], grid[:, m], depths[r][::_PAIR_STEP, ::_PAIR_STEP][m])
         scores = []
         for s in range(n):
             if s == r:
@@ -359,8 +361,9 @@ def rank_source_views(cams, depths, valids, step=4):
 
 
 def make_dataset(out_dir, n_scenes, views_per_scene, height, width, seed=0,
-                 radius=4.0, span_deg=32.0, style="objects", focal_factor=1.5,
-                 range_margin=1.6):
+                 radius=SynthSettings.radius, span_deg=SynthSettings.span_deg,
+                 style=SynthSettings.style, focal_factor=SynthSettings.focal_factor,
+                 range_margin=SynthSettings.range_margin):
     """Render scenes to disk: images, camera files, GT depth PFMs, pair lists.
 
     Layout: <out>/scene_0000/{images/0000.ppm, cams/0000_cam.txt,
@@ -377,8 +380,7 @@ def make_dataset(out_dir, n_scenes, views_per_scene, height, width, seed=0,
         for sub in ("images", "cams", "depths"):
             os.makedirs(os.path.join(scene_dir, sub), exist_ok=True)
 
-        cams = arc_cameras(views_per_scene, height, width, radius=radius,
-                           span_deg=span_deg, focal_factor=focal_factor)
+        cams = arc_cameras(views_per_scene, height, width, radius, span_deg, focal_factor)
         images, depths, valids = [], [], []
         for cam in cams:
             img, dep, val = render(scene, cam, height, width)

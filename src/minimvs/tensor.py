@@ -10,9 +10,9 @@ Gradients are exact analytic adjoints; `gradcheck` verifies every operator
 against central finite differences.
 
 Grad mode is a context variable, so `no_grad` in one thread leaves graph
-recording in every other thread on. Operators are pure with respect to their
-inputs (batch norm's running-buffer update in training is the one documented
-exception), so threads may run forward passes concurrently, and backward
+recording in every other thread on. Operators never write their arguments
+(batch norm returns the statistics it used and leaves any running average
+to its caller), so threads may run forward passes concurrently, and backward
 passes on graphs that share no leaf tensors: `backward` accumulates into each
 leaf's `.grad` without a lock. Results are bit-identical across repeated
 single-threaded runs.
@@ -802,38 +802,26 @@ def resize_bilinear(array, out_hw):
 # normalization
 # ---------------------------------------------------------------------------
 
-BN_MOMENTUM = 0.9  # weight of the old running statistics per update
-BN_EPS = 1e-5       # added to the variance before its square root
+BN_EPS = 1e-5  # added to the variance before its square root
 
 
-def batch_norm(x, gamma, beta, running_mean, running_var, training, update_running=None):
+def batch_norm(x, gamma, beta, mean=None, var=None):
     """Per-channel normalization over all spatial axes of (C, *spatial).
 
-    Train mode normalizes with batch statistics and (by default) updates the
-    running buffers in place
-    (`running = BN_MOMENTUM * running + (1 - BN_MOMENTUM) * batch`); eval mode
-    normalizes with the running statistics. `update_running=False` keeps
-    batch statistics without the side effect, for per-sample normalization
-    at inference.
+    Returns `(y, mean, var)`: the output and the per-channel statistics it
+    used. Without `mean` and `var` it normalizes with `x`'s own statistics
+    and the gradient flows through them; given statistics are constants.
+    No argument is written.
     """
     x = _as_tensor(x)
     axes = tuple(range(1, x.ndim))
     bshape = (x.shape[0],) + (1,) * (x.ndim - 1)
-    if update_running is None:
-        update_running = training
-    if training:
-        mu = x.data.mean(axis=axes)
+    batch_stats = mean is None
+    if batch_stats:
+        mean = x.data.mean(axis=axes)
         var = x.data.var(axis=axes)
-        if update_running:
-            running_mean *= BN_MOMENTUM
-            running_mean += (1.0 - BN_MOMENTUM) * mu
-            running_var *= BN_MOMENTUM
-            running_var += (1.0 - BN_MOMENTUM) * var
-    else:
-        mu = running_mean
-        var = running_var
     inv = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = x.data - mu.reshape(bshape)
+    xhat = x.data - mean.reshape(bshape)
     xhat *= inv.reshape(bshape)
     # the backward reads xhat; without one, y may overwrite it
     y = np.empty_like(xhat) if _records((x, gamma, beta)) else xhat
@@ -847,7 +835,7 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training, update_runni
         dx = None
         if x.requires_grad:
             gr = gamma.data.reshape(bshape) * inv.reshape(bshape)
-            if training:
+            if batch_stats:
                 gs = g.sum(axis=axes, keepdims=True)
                 gx = (g * xhat).sum(axis=axes, keepdims=True)
                 dx = gr * (g - gs / n - xhat * gx / n)
@@ -855,4 +843,4 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training, update_runni
                 dx = gr * g
         return dx, dgamma, dbeta
 
-    return _result(y, (x, gamma, beta), bwd, "batch_norm")
+    return _result(y, (x, gamma, beta), bwd, "batch_norm"), mean, var

@@ -65,6 +65,14 @@ class TestGeometricCheck:
         chk = geometric_check(cam_a, cam_b, depth, depth * 1.1)
         assert np.all(chk.err_d[chk.valid] > 0.05)
 
+    def test_source_of_another_size(self):
+        """The source bounds are the source map's, not the reference map's."""
+        ref = make_camera(fx=40.0, fy=40.0, cx=9.5, cy=7.5)
+        chk = geometric_check(ref, ref.scaled(2.0), np.full((16, 20), 4.0),
+                              np.full((32, 40), 4.0))
+        assert chk.valid.all()
+        assert chk.err_c.max() < 1e-12
+
     def test_holes_marked_invalid(self):
         cam = make_camera(fx=80.0, fy=80.0, cx=19.5, cy=15.5)
         depth = np.full((32, 40), 4.0)

@@ -126,7 +126,6 @@ class TestHypotheses:
         prev = initial_hypotheses((1.0, 9.0), 8)
         center = np.full((4, 5), 5.0)
         ref = refine_hypotheses(prev, center, 8, (8, 10))
-        assert ref.stage == 1
         assert abs(ref.spacing - prev.spacing / 2.0) < 1e-15
         assert np.abs(ref.values.mean(axis=0) - 5.0).max() < 1e-12
 
@@ -171,7 +170,7 @@ class TestHypotheses:
 
     def test_nonmonotone_values_rejected(self):
         with pytest.raises(ParameterError):
-            HypothesisSet(0, np.array([1.0, 1.0, 2.0]), 0.5)
+            HypothesisSet(np.array([1.0, 1.0, 2.0]), 0.5)
 
 
 class TestWarpCoords:
@@ -197,7 +196,7 @@ class TestWarpCoords:
         cams, scene, renders, depth_range = fronto_plane_setup(depth=4.5, spacing=0.95)
         h, w = renders[0][1].shape
         gt = renders[0][1]
-        hyp = HypothesisSet(0, np.stack([gt, gt + 1e-7]), 1.0, None)
+        hyp = HypothesisSet(np.stack([gt, gt + 1e-7]), 1.0, None)
         coords = warp_coords(cams[0], cams[1], hyp, h, w)[:, 0]
         colors, _, valid = synth.trace(scene, cams[1], coords.reshape(2, -1))
         ref_img = renders[0][0].reshape(3, -1)
@@ -210,7 +209,7 @@ class TestWarpCoords:
         ref_img = renders[0][0].reshape(3, -1)
 
         def mean_err(d):
-            hyp = HypothesisSet(0, np.array([d, d + 1e-7]), 1.0, None)
+            hyp = HypothesisSet(np.array([d, d + 1e-7]), 1.0, None)
             coords = warp_coords(cams[0], cams[1], hyp, h, w)[:, 0]
             colors, _, valid = synth.trace(scene, cams[1], coords.reshape(2, -1))
             return np.abs(colors - ref_img)[:, valid].mean()

@@ -300,6 +300,15 @@ class TestConfig:
         with pytest.raises(ParameterError):
             parse_config_text("[pipeline]\ntemperature = 0\n")
 
+    @pytest.mark.parametrize("depths, stage", [("4 16 4 4", 1), ("8 8 32 4", 2),
+                                               ("4 4 12 28", 3)])
+    def test_hypothesis_window_fits_the_depth_range(self, depths, stage):
+        with pytest.raises(ParameterError, match=f"^pipeline.depths: stage {stage}'s"):
+            parse_config_text(f"[pipeline]\ndepths = {depths}\n")
+
+    def test_widest_hypothesis_windows_validate(self):
+        assert parse_config_text("[pipeline]\ndepths = 4 4 12 24\n").depths == (4, 4, 12, 24)
+
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("[pipeline]\nseed = 7\n")

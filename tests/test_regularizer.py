@@ -96,7 +96,7 @@ class TestWinnerTakesAll:
         hyp = initial_hypotheses((2.0, 8.0), 8)
         refined_vals = np.sort(rng.uniform(2.0, 8.0, (4, 3, 3)), axis=0)
         refined_vals += np.arange(4)[:, None, None] * 1e-6
-        per_pixel = HypothesisSet(1, refined_vals, 0.5, None)
+        per_pixel = HypothesisSet(refined_vals, 0.5, None)
         p = rng.uniform(0.01, 1.0, (4, 3, 3))
         depth, _ = wta_depth(p, per_pixel)
         vals = per_pixel.per_pixel(3, 3)

@@ -1,5 +1,6 @@
 """Source rules checked with `ast`: no unused imports, only the I/O layer
-opens files, and no generator is seeded with a literal."""
+opens files, no generator is seeded with a literal, and no tensor operator
+writes its arguments."""
 
 import ast
 import pathlib
@@ -93,3 +94,53 @@ def test_only_formats_opens_files():
     found = {(path.stem, function) for path in sorted(PACKAGE.glob("*.py"))
              for function, _ in open_calls(_parse(path))}
     assert found == {("formats", "read_file"), ("formats", "write_file")}
+
+
+def argument_writes(tree):
+    """(function, line) of each augmented or subscript assignment to one of a
+    function's own parameters, in functions not named with a leading `_`.
+
+    Nested functions (a backward closure) are judged by their own name and
+    parameters.
+    """
+    found = []
+
+    def written_name(target):
+        while isinstance(target, (ast.Subscript, ast.Attribute)):
+            target = target.value
+        return target.id if isinstance(target, ast.Name) else None
+
+    def visit(node, function, params):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+                names |= {a.arg for a in (args.vararg, args.kwarg) if a is not None}
+                visit(child, child.name, names)
+                continue
+            if isinstance(child, ast.AugAssign):
+                targets = [child.target]
+            elif isinstance(child, ast.Assign):
+                targets = [t for t in child.targets if isinstance(t, ast.Subscript)]
+            else:
+                targets = []
+            if function and not function.startswith("_") and any(
+                    written_name(t) in params for t in targets):
+                found.append((function, child.lineno))
+            visit(child, function, params)
+
+    visit(tree, None, set())
+    return found
+
+
+def test_tensor_operators_write_no_argument():
+    """Operators are pure, so threads may share their inputs."""
+    assert argument_writes(_parse(PACKAGE / "tensor.py")) == []
+
+
+def test_argument_write_is_found():
+    tree = ast.parse("def op(a, b):\n    a *= 2\n    a[0] = 1\n    c = b.copy()\n"
+                     "    c *= 2\n    c[0] = 1\n    b.data[0] += 1\n"
+                     "    def bwd(g):\n        g += 1\n        a[1] = 0\n    return bwd\n"
+                     "def _helper(a):\n    a *= 2\n")
+    assert argument_writes(tree) == [("op", 2), ("op", 3), ("op", 7), ("bwd", 9)]

@@ -2,13 +2,16 @@
 dataset generation determinism."""
 
 import hashlib
+import inspect
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from conftest import make_camera, plane_scene
 from minimvs import synth
+from minimvs.config import SynthSettings
 from minimvs.errors import ParameterError
 from minimvs.formats import read_camera, read_pair_file
 
@@ -83,7 +86,7 @@ class TestRender:
 
     def test_cross_view_consistency_at_gt(self):
         cams = synth.arc_cameras(2, 32, 40, radius=3.5, span_deg=20.0,
-                                 depth_range=(1.0, 99.0))
+                                 depth_range=(1.0, 99.0), focal_factor=1.1)
         scene = plane_scene(0.5, extent=12.0, tilt=(0.05, -0.03))
         img0, gt0, valid0 = synth.render(scene, cams[0], 32, 40)
         from minimvs.geometry import backproject, project
@@ -98,6 +101,14 @@ class TestRender:
 
 
 class TestDataset:
+    def test_defaults_are_synth_settings(self):
+        keywords = {name: p.default for name, p in
+                    inspect.signature(synth.make_dataset).parameters.items()
+                    if p.default is not p.empty and name != "seed"}
+        settings = {f.name: f.default for f in fields(SynthSettings) if f.name in keywords}
+        assert set(keywords) == {"radius", "span_deg", "style", "focal_factor", "range_margin"}
+        assert keywords == settings
+
     def test_file_count_contract(self, tmp_path):
         synth.make_dataset(str(tmp_path), 1, 3, 64, 80, seed=4)
         scene = tmp_path / "scene_0000"

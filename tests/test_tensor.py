@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from conftest import add_at_grid_sample_grad, assert_close, scatter_input_grad, window_matrix
 
-from minimvs import gradcheck
+from minimvs import gradcheck, nn
 from minimvs import tensor as T
 from minimvs.checkpoint import load_checkpoint, save_checkpoint
 from minimvs.errors import DimensionError, NumericError, ParseError, UsageError
@@ -801,21 +801,9 @@ class TestBackward:
 # ---------------------------------------------------------------------------
 
 class TestBatchNorm:
-    def test_running_stats_update(self, rng):
-        x = rng.standard_normal((3, 6, 5)) * 2.0 + 1.0
-        gamma = Tensor(np.ones(3))
-        beta = Tensor(np.zeros(3))
-        rm = np.zeros(3)
-        rv = np.ones(3)
-        T.batch_norm(Tensor(x), gamma, beta, rm, rv, training=True)
-        assert T.BN_MOMENTUM == 0.9
-        assert np.allclose(rm, 0.1 * x.mean(axis=(1, 2)))
-        assert np.allclose(rv, 0.9 + 0.1 * x.var(axis=(1, 2)))
-
     def test_train_mode_normalizes(self, rng):
         x = rng.standard_normal((2, 16, 16)) * 3.0 + 5.0
-        out = T.batch_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)),
-                           np.zeros(2), np.ones(2), training=True)
+        out, _, _ = T.batch_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)))
         assert np.abs(out.data.mean(axis=(1, 2))).max() < 1e-12
         assert np.abs(out.data.var(axis=(1, 2)) - 1.0).max() < 1e-3
 
@@ -823,10 +811,38 @@ class TestBatchNorm:
         x = rng.standard_normal((2, 4, 4))
         rm = np.array([1.0, -1.0])
         rv = np.array([4.0, 0.25])
-        out = T.batch_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)),
-                           rm, rv, training=False)
+        out, _, _ = T.batch_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)), rm, rv)
         want = (x - rm[:, None, None]) / np.sqrt(rv + T.BN_EPS)[:, None, None]
         assert np.abs(out.data - want).max() < 1e-12
+
+    def test_returns_its_statistics_and_writes_no_argument(self, rng):
+        x = rng.standard_normal((3, 6, 5)) * 2.0 + 1.0
+        gamma = Parameter(rng.uniform(0.5, 1.5, 3))
+        beta = Parameter(rng.standard_normal(3))
+        given = (rng.standard_normal(3), rng.uniform(0.5, 2.0, 3))
+        before = [a.tobytes() for a in (x, gamma.data, beta.data, *given)]
+        _, mean, var = T.batch_norm(Tensor(x), gamma, beta)
+        assert np.array_equal(mean, x.mean(axis=(1, 2)))
+        assert np.array_equal(var, x.var(axis=(1, 2)))
+        _, mean, var = T.batch_norm(Tensor(x), gamma, beta, *given)
+        assert mean is given[0] and var is given[1]
+        assert [a.tobytes() for a in (x, gamma.data, beta.data, *given)] == before
+
+    def test_running_stats_update(self, rng):
+        """nn.BatchNorm moves its buffers in training and leaves them in eval."""
+        x = rng.standard_normal((3, 6, 5)) * 2.0 + 1.0
+        bn = nn.BatchNorm(3)
+        bn.forward(Tensor(x))
+        assert nn.BN_MOMENTUM == 0.9
+        assert np.allclose(bn.running_mean, 0.1 * x.mean(axis=(1, 2)))
+        assert np.allclose(bn.running_var, 0.9 + 0.1 * x.var(axis=(1, 2)))
+        trained = (bn.running_mean.copy(), bn.running_var.copy())
+        bn.eval()
+        for mode in ("instance", "running"):
+            bn.eval_stats = mode
+            bn.forward(Tensor(x * 3.0 - 2.0))
+            assert np.array_equal(bn.running_mean, trained[0])
+            assert np.array_equal(bn.running_var, trained[1])
 
 
 # ---------------------------------------------------------------------------
