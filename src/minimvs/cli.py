@@ -62,6 +62,13 @@ def _require_out(args):
     return args.out
 
 
+def _data_dir(args):
+    data_dir = args.data or args.cfg.dataset
+    if not data_dir:
+        raise ParameterError("--data <dataset dir> is required (or [pipeline] dataset)")
+    return data_dir
+
+
 def cmd_synth(args):
     out = _require_out(args)
     s = args.cfg.synth
@@ -74,13 +81,9 @@ def cmd_synth(args):
 
 
 def cmd_train(args):
-    cfg = args.cfg
     out = _require_out(args)
-    data_dir = args.data or cfg.dataset
-    if not data_dir:
-        raise ParameterError("--data <dataset dir> is required (or [pipeline] dataset)")
-    scenes = pipeline.load_dataset(data_dir)
-    trace, ckpt = training.train(scenes, cfg, out, log=print)
+    scenes = pipeline.load_dataset(_data_dir(args))
+    trace, ckpt = training.train(scenes, args.cfg, out, log=print)
     print(f"trained {len(trace)} iterations; checkpoint at {ckpt}")
     return 0
 
@@ -88,11 +91,7 @@ def cmd_train(args):
 def cmd_infer(args):
     cfg = args.cfg
     out = _require_out(args)
-    data_dir = args.data or cfg.dataset
-    ckpt = args.checkpoint or cfg.checkpoint
-    if not data_dir:
-        raise ParameterError("--data <dataset dir> is required (or [pipeline] dataset)")
-    records = pipeline.run_inference(cfg, data_dir, ckpt, out)
+    records = pipeline.run_inference(cfg, _data_dir(args), args.checkpoint or cfg.checkpoint, out)
     print(f"wrote depth + confidence maps for {len(records)} view(s) under {out}")
     return 0
 
@@ -108,9 +107,9 @@ def _read_map(path, shape):
 
 def cmd_fuse(args):
     out = _require_out(args)
-    data_dir = args.data or args.cfg.dataset
-    if not data_dir or not args.depths:
-        raise ParameterError("fuse needs --data <dataset dir> and --depths <infer output dir>")
+    data_dir = _data_dir(args)
+    if not args.depths:
+        raise ParameterError("--depths <infer output dir> is required")
     scenes = pipeline.load_dataset(data_dir, with_gt=False)
     total = 0
     for scene in scenes:

@@ -13,7 +13,7 @@ from operator import attrgetter
 
 from .errors import ParameterError, ParseError
 from .formats import read_file
-from .geometry import STAGE_COUNT
+from .geometry import STAGE_COUNT, STAGE_SCALES
 
 MAX_SIZE = 4096  # upper bound on every count or extent that sizes an allocation
 _SIZES = ("depths", "groups", "feature_channels", "regularizer_base", "train.views",
@@ -82,8 +82,9 @@ class SynthSettings:
     def validate(self):
         if self.scenes < 1 or self.views < 2:
             raise ParameterError("synth needs >= 1 scene and >= 2 views")
-        if self.height % 8 or self.width % 8:
-            raise ParameterError("synth.height and synth.width must be divisible by 8")
+        if self.height % STAGE_SCALES[0] or self.width % STAGE_SCALES[0]:
+            raise ParameterError("synth.height and synth.width must be divisible by "
+                                 f"{STAGE_SCALES[0]}")
         if self.style not in ("objects", "plane"):
             raise ParameterError("synth.style must be 'objects' or 'plane'")
         if self.focal_factor <= 0 or self.range_margin < 1.0:

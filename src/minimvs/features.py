@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from . import tensor as T
 from .errors import ParameterError
+from .geometry import STAGE_SCALES
 from .nn import Conv, ConvBnReLU, Module, ModuleList
 
 _ENCODER_CHANNELS = (8, 16, 32, 32)  # strides 1, 2, 2, 2
@@ -83,8 +84,9 @@ class FeatureExtractor(Module):
     def forward(self, image):
         """The four stage feature maps of a (3, H, W) image, coarsest first."""
         _, h, w = image.shape
-        if h % 8 or w % 8:
-            raise ParameterError(f"input resolution must be divisible by 8, got {h}x{w}")
+        if h % STAGE_SCALES[0] or w % STAGE_SCALES[0]:
+            raise ParameterError(f"input resolution must be divisible by {STAGE_SCALES[0]}, "
+                                 f"got {h}x{w}")
         e0 = self.enc0.forward(image)   # (8,  H,   W)
         e1 = self.enc1.forward(e0)      # (16, H/2, W/2)
         e2 = self.enc2.forward(e1)      # (32, H/4, W/4)

@@ -9,6 +9,7 @@ import numpy as np
 
 from .config import FusionSettings
 from .geometry import backproject, pixel_grid, project
+from .tensor import bilinear_taps
 
 
 @dataclass
@@ -34,24 +35,16 @@ def photometric_filter(confidence, conf_thresh):
 
 
 def _sample_depth(depth, x, y):
-    """Bilinear depth lookup; samples touching the border or holes are invalid."""
+    """Bilinear depth lookup through `bilinear_taps`; a sample is valid inside the
+    map with four positive corner depths, a corner of weight 0 included."""
     h, w = depth.shape
-    inside = (x >= 0) & (x <= w - 1) & (y >= 0) & (y <= h - 1)
-    xs = np.clip(np.where(inside, x, 0.0), 0, w - 1)
-    ys = np.clip(np.where(inside, y, 0.0), 0, h - 1)
-    x0 = np.minimum(np.floor(xs).astype(np.int64), w - 1)
-    y0 = np.minimum(np.floor(ys).astype(np.int64), h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    tx = xs - x0
-    ty = ys - y0
-    d00 = depth[y0, x0]
-    d01 = depth[y0, x1]
-    d10 = depth[y1, x0]
-    d11 = depth[y1, x1]
-    value = (d00 * (1 - tx) * (1 - ty) + d01 * tx * (1 - ty)
-             + d10 * (1 - tx) * ty + d11 * tx * ty)
-    ok = inside & (d00 > 0) & (d01 > 0) & (d10 > 0) & (d11 > 0)
+    idx, wts, ok = bilinear_taps(x, y, h, w)
+    value = np.zeros(ok.shape)
+    for i, wt in zip(idx, wts):
+        corner = depth.ravel()[i]
+        ok &= corner > 0
+        corner *= wt
+        value += corner
     return value, ok
 
 
@@ -90,27 +83,21 @@ def geometric_check(ref_cam, src_cam, ref_depth, src_depth):
 def _consistency(checks, cfg):
     """Survivor mask and per-source consistency masks under the configured rule.
 
-    Static rule: at least `min_consistent_views` sources pass the base
-    thresholds. Dynamic rule: some n >= min_consistent_views has at least n
-    sources passing thresholds relaxed linearly to n * thresh.
+    `passing(n)` holds, per source, the pixels within n times the base
+    thresholds. Static rule: at least `min_consistent_views` sources pass at
+    n = 1. Dynamic rule: some n >= min_consistent_views has at least n sources
+    passing at n.
     """
-    n_src = len(checks)
-    base = [
-        (c.err_c < cfg.pixel_threshold) & (c.err_d < cfg.depth_threshold) & c.valid
-        for c in checks
-    ]
+    def passing(scale):
+        return [(c.err_c < scale * cfg.pixel_threshold)
+                & (c.err_d < scale * cfg.depth_threshold) & c.valid for c in checks]
+
+    base = passing(1)
     if not cfg.dynamic:
-        count = np.sum(base, axis=0)
-        return count >= cfg.min_consistent_views, base
-    shape = checks[0].err_c.shape if checks else (0, 0)
-    survives = np.zeros(shape, dtype=bool)
-    for n in range(cfg.min_consistent_views, n_src + 1):
-        passing = [
-            (c.err_c < n * cfg.pixel_threshold) & (c.err_d < n * cfg.depth_threshold) & c.valid
-            for c in checks
-        ]
-        count = np.sum(passing, axis=0)
-        survives |= count >= n
+        return np.sum(base, axis=0) >= cfg.min_consistent_views, base
+    survives = np.zeros_like(base[0])
+    for n in range(cfg.min_consistent_views, len(checks) + 1):
+        survives |= np.sum(passing(n), axis=0) >= n
     return survives, base
 
 

@@ -207,7 +207,6 @@ def run_inference(cfg, dataset_dir, checkpoint_path, out_dir, network=None, coll
     with T.no_grad():
         for scene in scenes:
             scene_out = os.path.join(out_dir, scene.name)
-            os.makedirs(scene_out, exist_ok=True)
             pyramids = [network.features.forward(img) for img in scene.images]
             for ref_id in range(len(scene.images)):
                 ids = view_ids(scene, ref_id, cfg.train.views)
@@ -218,6 +217,7 @@ def run_inference(cfg, dataset_dir, checkpoint_path, out_dir, network=None, coll
                 final = outputs[-1]
                 depth_path = os.path.join(scene_out, f"{ref_id:04d}_depth.pfm")
                 conf_path = os.path.join(scene_out, f"{ref_id:04d}_conf.pfm")
+                os.makedirs(scene_out, exist_ok=True)
                 formats.write_pfm(depth_path, final.depth)
                 formats.write_pfm(conf_path, final.confidence)
                 records.append({

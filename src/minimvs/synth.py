@@ -18,7 +18,7 @@ import numpy as np
 from . import formats
 from .config import SynthSettings
 from .errors import ParameterError
-from .geometry import Camera, backproject, pixel_grid, project
+from .geometry import STAGE_SCALES, Camera, backproject, pixel_grid, project
 
 _EPS = 1e-9
 _AMBIENT = 0.4  # share of the albedo lit whatever the light direction
@@ -230,8 +230,9 @@ def trace(scene, cam, pixels):
 
 def render(scene, cam, height, width):
     """Render pixel centers: image (3, H, W), depth (H, W), valid (H, W)."""
-    if height % 8 or width % 8:
-        raise ParameterError(f"render resolution must be divisible by 8, got {height}x{width}")
+    if height % STAGE_SCALES[0] or width % STAGE_SCALES[0]:
+        raise ParameterError(f"render resolution must be divisible by {STAGE_SCALES[0]}, "
+                             f"got {height}x{width}")
     colors, depth, valid = trace(scene, cam, pixel_grid(height, width).reshape(2, -1))
     return (colors.reshape(3, height, width),
             depth.reshape(height, width),

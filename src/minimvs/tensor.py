@@ -684,12 +684,34 @@ def conv_transpose3d(x, params):
 # sampling and resizing
 # ---------------------------------------------------------------------------
 
+def bilinear_taps(x, y, h, w):
+    """Corners of pixel-center samples in an (h, w) map: `(indices, weights, inside)`.
+
+    Flat indices and weights of corners (y0, x0), (y0, x1), (y1, x0), (y1, x1);
+    `inside` marks [0, w-1] x [0, h-1], and outside it all four weights are 0."""
+    inside = (x >= 0.0) & (x <= w - 1.0) & (y >= 0.0) & (y <= h - 1.0)
+    xs = np.where(inside, x, 0.0)
+    ys = np.where(inside, y, 0.0)
+    x0 = np.clip(np.floor(xs).astype(np.int64), 0, w - 1)
+    y0 = np.clip(np.floor(ys).astype(np.int64), 0, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    tx = xs - x0
+    ty = ys - y0
+    vf = inside.astype(np.float64)
+    idx = (y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1)
+    wts = ((1.0 - tx) * (1.0 - ty) * vf, tx * (1.0 - ty) * vf,
+           (1.0 - tx) * ty * vf, tx * ty * vf)
+    return idx, wts, inside
+
+
 def grid_sample_bilinear(src, coords):
     """Bilinear sampling of (C, H, W) at continuous pixel coordinates.
 
     `coords` is a (2, *out) array holding (x, y) in source pixel units where
-    integer values hit pixel centers exactly. Samples whose center falls outside
-    [0, W-1] x [0, H-1] return exactly 0.
+    integer values hit pixel centers exactly. Corners and weights come from
+    `bilinear_taps`, so samples whose center falls outside [0, W-1] x [0, H-1]
+    return exactly 0.
     Gradients flow to `src` only; coordinates are treated as constants.
 
     The points run in chunks of `_TILE_BYTES // (8 * C)`, the conv tile
@@ -715,21 +737,7 @@ def grid_sample_bilinear(src, coords):
     chunks = [] if _records((src,)) else None
     for start in range(0, xs_all.size, step):
         at = slice(start, start + step)
-        x = xs_all[at]
-        y = ys_all[at]
-        valid = (x >= 0.0) & (x <= w - 1.0) & (y >= 0.0) & (y <= h - 1.0)
-        xs = np.where(valid, x, 0.0)
-        ys = np.where(valid, y, 0.0)
-        x0 = np.clip(np.floor(xs).astype(np.int64), 0, w - 1)
-        y0 = np.clip(np.floor(ys).astype(np.int64), 0, h - 1)
-        x1 = np.minimum(x0 + 1, w - 1)
-        y1 = np.minimum(y0 + 1, h - 1)
-        tx = xs - x0
-        ty = ys - y0
-        vf = valid.astype(np.float64)
-        idx = (y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1)
-        wts = ((1.0 - tx) * (1.0 - ty) * vf, tx * (1.0 - ty) * vf,
-               (1.0 - tx) * ty * vf, tx * ty * vf)
+        idx, wts, _ = bilinear_taps(xs_all[at], ys_all[at], h, w)
         # corner terms accumulate left to right: ((c00 + c01) + c10) + c11
         dst = out[:, at]
         term = np.take(flat, idx[0], axis=1)
@@ -780,12 +788,11 @@ def upsample_bilinear2x(a):
     _, h, w = a.shape
     mh = _interp_matrix(2 * h, h)
     mw = _interp_matrix(2 * w, w)
-    data = np.einsum("ih,chw,jw->cij", mh, a.data, mw, optimize=True)
 
     def bwd(g):
         return (np.einsum("ih,cij,jw->chw", mh, g, mw, optimize=True),)
 
-    return _result(data, (a,), bwd, "upsample2x")
+    return _result(resize_bilinear(a.data, (2 * h, 2 * w)), (a,), bwd, "upsample2x")
 
 
 def resize_bilinear(array, out_hw):

@@ -1,10 +1,11 @@
 """Photometric/geometric depth filtering and point-cloud fusion."""
 
 import numpy as np
+import pytest
 from conftest import make_camera
 from minimvs import synth
 from minimvs.config import FusionSettings
-from minimvs.fusion import fuse, geometric_check, photometric_filter
+from minimvs.fusion import _sample_depth, fuse, geometric_check, photometric_filter
 from minimvs.geometry import Camera
 
 
@@ -39,6 +40,17 @@ class TestPhotometricFilter:
     def test_half_threshold(self):
         assert np.array_equal(photometric_filter(np.array([[0.3, 0.7]]), 0.5),
                               [[False, True]])
+
+
+class TestSampleDepth:
+    def test_zero_weight_corner_in_a_hole_is_invalid(self):
+        """At an integer coordinate the right and lower corners weigh 0; a hole
+        there still invalidates the sample."""
+        depth = np.full((3, 4), 2.0)
+        depth[1, 2] = 0.0
+        value, ok = _sample_depth(depth, np.array([1.0, 0.0]), np.array([0.0, 0.0]))
+        assert ok.tolist() == [False, True]
+        assert value[1] == 2.0
 
 
 class TestGeometricCheck:
@@ -95,10 +107,11 @@ class TestFuse:
         assert np.isfinite(cloud.points).all()
         assert cloud.colors.min() >= 0.0 and cloud.colors.max() <= 1.0
 
-    def test_min_views_above_available_gives_empty(self):
+    @pytest.mark.parametrize("dynamic", [True, False])
+    def test_min_views_above_available_gives_empty(self, dynamic):
         cams, images, depths, _ = _plane_rig(n_views=2)
         confs = [np.ones_like(d) for d in depths]
-        cfg = FusionSettings(min_consistent_views=2, dynamic=False)
+        cfg = FusionSettings(min_consistent_views=2, dynamic=dynamic)
         cloud = fuse(depths, confs, images, cams, cfg)
         assert len(cloud.points) == 0
 

@@ -490,6 +490,19 @@ class TestCli:
         assert f"{image}: image is 16x24, the scene's first image is 32x40" in err
         assert os.listdir(out) == []
 
+    def test_failed_first_forward_leaves_out_empty(self, tmp_path, capsys):
+        """A scene's directory is made just before its first map is written, so
+        a resolution off the stage ladder leaves --out empty."""
+        data = tmp_path / "data"
+        out = tmp_path / "out"
+        synth.make_dataset(str(data), 1, 3, 32, 40, seed=5, style="plane")
+        for path in sorted((data / "scene_0000" / "images").iterdir()):
+            image = formats.read_ppm(path)
+            formats.write_ppm(path, np.concatenate([image, image[:, :4]], axis=1))
+        assert main(["infer", "--data", str(data), "--out", str(out)]) == 2
+        assert "input resolution must be divisible by 8, got 36x40" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
     @pytest.mark.parametrize("command", ["infer", "train"])
     def test_gap_in_view_ids_returns_two(self, tmp_path, capsys, command):
         """Views are counted by position, so ids must run 0000..N-1; a gap names the file."""

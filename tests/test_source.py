@@ -1,15 +1,19 @@
 """Source rules checked with `ast`: no unused imports, only the I/O layer
-opens files, no generator is seeded with a literal, and no tensor operator
-writes its arguments."""
+opens files, no generator is seeded with a literal, no tensor operator
+writes its arguments, and no definition goes unused."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "minimvs"
 SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+# the benchmark's harness, which names program code in "module:attr" bindings
+BENCH = [path for path in sorted((ROOT / "perfbench").rglob("*.py"))
+         if "tests" not in path.relative_to(ROOT / "perfbench").parts]
 
 
 def _parse(path):
@@ -144,3 +148,72 @@ def test_argument_write_is_found():
                      "    def bwd(g):\n        g += 1\n        a[1] = 0\n    return bwd\n"
                      "def _helper(a):\n    a *= 2\n")
     assert argument_writes(tree) == [("op", 2), ("op", 3), ("op", 7), ("bwd", 9)]
+
+
+def definitions(tree):
+    """Top-level functions and classes, and the methods of top-level classes
+    whose names are not dunders, as `name` or `Class.method`."""
+    found = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        found.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            found += [f"{node.name}.{item.name}" for item in node.body
+                      if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and not (item.name.startswith("__") and item.name.endswith("__"))]
+    return found
+
+
+_BINDING = re.compile(r"[\w.]*:([\w.]+)")  # "module:attr" or "module:Class.attr"
+
+
+def references(tree):
+    """Every name a module reads: names, attributes, imported names, and the
+    attribute path of each "module:attr" binding string."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            match = _BINDING.fullmatch(node.value)
+            if match:
+                names.update(match.group(1).split("."))
+    return names
+
+
+def unused_definitions(modules, readers):
+    """`module.name` of each definition in `modules` (name -> tree) whose last
+    name part no tree in `readers` reads."""
+    read = set().union(*(references(tree) for tree in readers))
+    return sorted(f"{module}.{name}" for module, tree in modules.items()
+                  for name in definitions(tree) if name.rsplit(".", 1)[-1] not in read)
+
+
+# definitions that only the tests call, each with its reason
+USED_BY_TESTS_ONLY = {
+    "evaluation.scene_mean": "the per-scene mean that acceptance criterion 7 checks",
+}
+
+
+def test_every_definition_is_used():
+    """Each definition is read by the package or the benchmark; test-only
+    helpers live in tests/."""
+    modules = {path.stem: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    readers = list(modules.values()) + [_parse(path) for path in BENCH]
+    assert unused_definitions(modules, readers) == sorted(USED_BY_TESTS_ONLY)
+
+
+def test_unused_definition_is_found():
+    tree = ast.parse("def used():\n    pass\n\n\ndef unused():\n    used()\n\n\n"
+                     "class Box:\n    def __init__(self):\n        self.open()\n\n"
+                     "    def open(self):\n        pass\n\n"
+                     "    def close(self):\n        pass\n\n"
+                     "    def bound(self):\n        pass\n\n\n"
+                     "BINDING = 'mod:Box.bound'\n")
+    assert definitions(tree) == ["used", "unused", "Box", "Box.open", "Box.close", "Box.bound"]
+    assert unused_definitions({"mod": tree}, [tree]) == ["mod.Box.close", "mod.unused"]

@@ -535,6 +535,32 @@ class TestElementwise:
         assert np.abs(got.data - upsample2x_naive(y)).max() < 1e-12
 
 
+class TestBilinearTaps:
+    def test_far_edge_is_inside_and_beyond_it_outside(self):
+        for x, y in ((3.0, 0.0), (0.0, 2.0), (3.0, 2.0)):
+            _, _, inside = T.bilinear_taps(np.array([x, x + 1e-9, x]),
+                                           np.array([y, y, y + 1e-9]), 3, 4)
+            assert inside.tolist() == [True, x != 3.0, y != 2.0]
+
+    def test_outside_weights_are_zero_and_indices_in_range(self):
+        x = np.array([-1.0, -1e-9, 3.0 + 1e-9, 1.5, 1e9, -1e9, np.nan])
+        y = np.array([1.0, 1.0, 1.0, 2.0 + 1e-9, 0.5, 0.5, 0.5])
+        idx, wts, inside = T.bilinear_taps(x, y, 3, 4)
+        assert not inside.any()
+        for i, wt in zip(idx, wts):
+            assert np.array_equal(wt, np.zeros(x.size))
+            assert ((i >= 0) & (i < 12)).all()
+
+    def test_inside_weights_sum_to_one(self, rng):
+        x = np.concatenate([rng.uniform(0.0, 6.0, 200), [0.0, 6.0, 6.0, 2.0]])
+        y = np.concatenate([rng.uniform(0.0, 4.0, 200), [0.0, 4.0, 0.0, 3.0]])
+        idx, wts, inside = T.bilinear_taps(x, y, 5, 7)
+        assert inside.all()
+        assert np.abs(sum(wts) - 1.0).max() <= 1e-15
+        for i in idx:
+            assert ((i >= 0) & (i < 35)).all()
+
+
 class TestGridSample:
     """Bilinear sampling; under the default budget every call here is one chunk."""
 
