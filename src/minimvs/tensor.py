@@ -17,7 +17,16 @@ passes on graphs that share no leaf tensors: `backward` accumulates into each
 leaf's `.grad` without a lock. Results are bit-identical across repeated
 single-threaded runs.
 
-A recorded convolution keeps its input and weight, never a window matrix.
+The tape is made of graph nodes (`_Node`), one per recorded result: its
+backward closure, a grad sink per parent and its own grad slot. A node holds
+no tensor, and a closure keeps only the arrays its backward reads, plus the
+shapes and `requires_grad` flags it needs as plain values. So an interior
+result's data lives only as long as its `Tensor` or a closure that reads it:
+a conv output that only batch norm consumes is freed once its `Tensor` goes,
+since batch norm's backward reads its own `xhat`.
+
+A recorded convolution keeps its input (only when the weight takes a
+gradient) and weight, never a window matrix.
 Every convolution, forward and backward, direct and transposed, runs over
 output tiles (`_tile_grid`) of whole output rows, as many as keep the
 tile's window matrix within `_TILE_BYTES` (one row where a row is larger),
@@ -57,16 +66,35 @@ def no_grad():
         _GRAD_ENABLED.reset(token)
 
 
+class _Node:
+    """The tape entry of one recorded result; it holds no tensor.
+
+    `parents` holds one grad sink per operator argument: the argument's
+    node, the argument itself when it is a leaf that requires a gradient,
+    or None. `backward_fn` maps this node's `grad` to one gradient per
+    parent. `backward` clears all three once the node's backward has run.
+    """
+
+    __slots__ = ("parents", "backward_fn", "grad")
+
+    def __init__(self, parents, backward_fn):
+        self.parents = parents
+        self.backward_fn = backward_fn
+        self.grad = None
+
+
 class Tensor:
     """A dense float64 array plus an optional gradient accumulator.
 
-    `grad` is populated by `backward` for every tensor with
-    `requires_grad=True`; interior nodes release their gradient and graph
-    references as soon as their own backward has run, so only leaves keep
-    state between iterations.
+    A recorded result's `_node` is its place on the tape; it is None on a
+    leaf and on anything computed without recording. `grad` is populated
+    by `backward` on every leaf with `requires_grad=True`. An interior
+    result's gradient lives on its node and is released, with the node's
+    closure and parents, as soon as the node's own backward has run, so
+    only leaves keep state between iterations.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_op")
+    __slots__ = ("data", "requires_grad", "grad", "_node", "_op")
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data, dtype=np.float64)
@@ -75,8 +103,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._parents = ()
-        self._backward_fn = None
+        self._node = None
         self._op = "leaf"
 
     @property
@@ -124,6 +151,13 @@ def _records(parents):
     return _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
 
 
+def _sink(p):
+    """Where the gradient of operator argument `p` goes: its node, itself, or nowhere."""
+    if p._node is not None:
+        return p._node
+    return p if p.requires_grad else None
+
+
 def _result(data, parents, backward_fn, op):
     data = np.asarray(data, dtype=np.float64)
     if not _all_finite(data):
@@ -134,12 +168,7 @@ def _result(data, parents, backward_fn, op):
     out.requires_grad = requires
     out.grad = None
     out._op = op
-    if requires:
-        out._parents = tuple(parents)
-        out._backward_fn = backward_fn
-    else:
-        out._parents = ()
-        out._backward_fn = None
+    out._node = _Node(tuple(_sink(p) for p in parents), backward_fn) if requires else None
     return out
 
 
@@ -157,11 +186,12 @@ def _unbroadcast(grad, shape):
 def backward(loss):
     """Run reverse-mode accumulation from a scalar loss.
 
-    Populates `.grad` on every reachable tensor with `requires_grad=True`.
-    Each interior node drops its gradient, closure and parent references as
-    soon as its backward has run, so the arrays its closure captured are
-    freed during the sweep. Deterministic: the accumulation order is fixed by
-    the recorded topological order.
+    Populates `.grad` on every reachable leaf with `requires_grad=True`.
+    Each node drops its gradient, closure and parent sinks as soon as its
+    backward has run, so the arrays its closure captured are freed during
+    the sweep, and a second backward through it raises `UsageError`.
+    Deterministic: the accumulation order is fixed by the recorded
+    topological order.
     """
     if not isinstance(loss, Tensor):
         raise UsageError("backward expects a Tensor")
@@ -169,41 +199,45 @@ def backward(loss):
         raise UsageError("backward requires a scalar loss")
     if not loss.requires_grad:
         raise UsageError("backward on a detached tensor (no recorded graph)")
+    if loss._node is None:  # a leaf is its own gradient sink
+        loss.grad = np.ones_like(loss.data)
+        return
 
+    # only nodes are walked: a leaf sink has no parents to visit
     topo = []
     visited = set()
-    stack = [(loss, False)]
+    stack = [(loss._node, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             topo.append(node)
             continue
-        if id(node) in visited:
+        if node in visited:
             continue
-        visited.add(id(node))
+        if node.backward_fn is None:
+            raise UsageError("backward through a graph an earlier backward already consumed")
+        visited.add(node)
         stack.append((node, True))
-        for parent in node._parents:
-            if parent.requires_grad and id(parent) not in visited:
+        for parent in node.parents:
+            if isinstance(parent, _Node) and parent not in visited:
                 stack.append((parent, False))
 
-    loss.grad = np.ones_like(loss.data)
+    loss._node.grad = np.ones_like(loss.data)
     while topo:
         node = topo.pop()  # reverse topological order; the list lets go of it
-        if node._backward_fn is None:
-            continue
-        grads = node._backward_fn(node.grad)
-        for parent, grad in zip(node._parents, grads):
-            if grad is None or not parent.requires_grad:
+        grads = node.backward_fn(node.grad)
+        for sink, grad in zip(node.parents, grads):
+            if grad is None or sink is None:
                 continue
-            if parent.grad is None:
+            if sink.grad is None:
                 # a fresh array holding 0.0 + grad, so -0.0 becomes 0.0
-                parent.grad = grad + 0.0
+                sink.grad = grad + 0.0
             else:
-                parent.grad += grad
+                sink.grad += grad
         node.grad = None
-        node._parents = ()
-        node._backward_fn = None
-        grads = grad = None  # the next closure runs without these arrays
+        node.parents = ()
+        node.backward_fn = None
+        node = grads = grad = None  # the next closure runs without these arrays
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +250,10 @@ def add(a, b):
         data = a.data + b.data
     except ValueError as exc:
         raise DimensionError(f"add: shapes {a.shape} and {b.shape} do not broadcast") from exc
+    ashape, bshape = a.shape, b.shape
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, ashape), _unbroadcast(g, bshape)
 
     return _result(data, (a, b), bwd, "add")
 
@@ -229,10 +264,13 @@ def mul(a, b):
         data = a.data * b.data
     except ValueError as exc:
         raise DimensionError(f"mul: shapes {a.shape} and {b.shape} do not broadcast") from exc
+    ashape, bshape = a.shape, b.shape
+    bd = b.data if a.requires_grad else None  # each factor is read only for the other's gradient
+    ad = a.data if b.requires_grad else None
 
     def bwd(g):
-        ga = _unbroadcast(g * b.data, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(g * a.data, b.shape) if b.requires_grad else None
+        ga = None if bd is None else _unbroadcast(g * bd, ashape)
+        gb = None if ad is None else _unbroadcast(g * ad, bshape)
         return ga, gb
 
     return _result(data, (a, b), bwd, "mul")
@@ -245,10 +283,13 @@ def div(a, b):
             data = a.data / b.data
     except ValueError as exc:
         raise DimensionError(f"div: shapes {a.shape} and {b.shape} do not broadcast") from exc
+    ashape, bshape, bd = a.shape, b.shape, b.data
+    want_a = a.requires_grad
+    quotient = data if b.requires_grad else None
 
     def bwd(g):
-        ga = _unbroadcast(g / b.data, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(-g * data / b.data, b.shape) if b.requires_grad else None
+        ga = _unbroadcast(g / bd, ashape) if want_a else None
+        gb = None if quotient is None else _unbroadcast(-g * quotient / bd, bshape)
         return ga, gb
 
     return _result(data, (a, b), bwd, "div")
@@ -271,12 +312,13 @@ def sigmoid(a):
 
 def log(a):
     a = _as_tensor(a)
+    ad = a.data
 
     def bwd(g):
-        return (g / a.data,)
+        return (g / ad,)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        data = np.log(a.data)
+        data = np.log(ad)
     return _result(data, (a,), bwd, "log")
 
 
@@ -293,9 +335,10 @@ def clamp_min(a, floor):
 
 def sum_all(a):
     a = _as_tensor(a)
+    shape = a.shape
 
     def bwd(g):
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return _result(a.data.sum(), (a,), bwd, "sum")
 
@@ -303,22 +346,24 @@ def sum_all(a):
 def sum_axis(a, axis):
     a = _as_tensor(a)
     data = a.data.sum(axis=axis)
+    shape = a.shape
 
     def bwd(g):
-        return (np.broadcast_to(np.expand_dims(g, axis), a.shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
 
     return _result(data, (a,), bwd, "sum_axis")
 
 
 def mean_axis(a, axis, keepdims=False):
     a = _as_tensor(a)
-    n = a.shape[axis]
+    shape = a.shape
+    n = shape[axis]
     data = a.data.mean(axis=axis, keepdims=keepdims)
 
     def bwd(g):
         if not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g / n, a.shape).copy(),)
+        return (np.broadcast_to(g / n, shape).copy(),)
 
     return _result(data, (a,), bwd, "mean_axis")
 
@@ -373,9 +418,10 @@ def narrow(a, axis, start, length):
     sel = [slice(None)] * a.ndim
     sel[axis] = slice(start, start + length)
     sel = tuple(sel)
+    shape = a.shape
 
     def bwd(g):
-        out = np.zeros(a.shape)
+        out = np.zeros(shape)
         out[sel] = g
         return (out,)
 
@@ -626,36 +672,41 @@ def _conv(x, params, nsp, op, transposed=False):
     if min(out_sp) < 1:
         raise DimensionError(f"{op}: empty output for input {x.shape}, kernel {kshape}")
     parents = (x, w) if b is None else (x, w, b)
-    wmat = w.data.reshape(w.shape[0], -1)
+    wd = w.data
+    wmat = wd.reshape(w.shape[0], -1)
     if transposed:
-        y = _input_grad(x.data, w.data, big, pad, stride)
+        y = _input_grad(x.data, wd, big, pad, stride)
     else:
         y, _ = _tile_gemms(_pad(x.data, pad, edge), kshape, stride, small, wmat)
     if b is not None:
         y += b.data.reshape(c_out, *(1,) * nsp)
+    want_dx = x.requires_grad
+    xd = x.data if w.requires_grad else None  # read only for the weight gradient
+    has_bias = b is not None
+    want_db = has_bias and b.requires_grad
 
     def bwd(g):
         gmat = g.reshape(c_out, -1)
         dx = dw = None
         if transposed:
             dx, dw = _tile_gemms(_pad(g, pad), kshape, stride, small,
-                                 wmat if x.requires_grad else None,
-                                 x.data.reshape(c_in, -1) if w.requires_grad else None)
+                                 wmat if want_dx else None,
+                                 None if xd is None else xd.reshape(c_in, -1))
         elif all(s == 1 for s in stride):
             xe = None
-            if w.requires_grad:
-                xe = _pad(x.data, (0,) * nsp, edge) if edge else x.data
-            dx, dw = _stride1_grads(g, w.data, big, pad, x.requires_grad, xe)
+            if xd is not None:
+                xe = _pad(xd, (0,) * nsp, edge) if edge else xd
+            dx, dw = _stride1_grads(g, wd, big, pad, want_dx, xe)
         else:
-            if w.requires_grad:
-                _, dw = _tile_gemms(_pad(x.data, pad, edge), kshape, stride, small, a=gmat)
-            if x.requires_grad:
-                dx = _input_grad(g, w.data, big, pad, stride)
+            if xd is not None:
+                _, dw = _tile_gemms(_pad(xd, pad, edge), kshape, stride, small, a=gmat)
+            if want_dx:
+                dx = _input_grad(g, wd, big, pad, stride)
         if edge and dx is not None:
             dx = _fold_edges(dx, edge)
-        if b is None:
+        if not has_bias:
             return dx, dw
-        return dx, dw, gmat.sum(axis=1) if b.requires_grad else None
+        return dx, dw, gmat.sum(axis=1) if want_db else None
 
     return _result(y, parents, bwd, op)
 
@@ -759,7 +810,7 @@ def grid_sample_bilinear(src, coords):
         vals = np.tile(g.reshape(c, -1), 4)
         vals *= wts
         acc = np.stack([np.bincount(idx, v, minlength=h * w) for v in vals])
-        return (acc.reshape(src.shape),)
+        return (acc.reshape(c, h, w),)
 
     return _result(out, (src,), bwd, "grid_sample")
 
@@ -832,16 +883,18 @@ def batch_norm(x, gamma, beta, mean=None, var=None):
     xhat *= inv.reshape(bshape)
     # the backward reads xhat; without one, y may overwrite it
     y = np.empty_like(xhat) if _records((x, gamma, beta)) else xhat
-    np.multiply(gamma.data.reshape(bshape), xhat, out=y)
+    gd = gamma.data
+    np.multiply(gd.reshape(bshape), xhat, out=y)
     y += beta.data.reshape(bshape)
     n = int(np.prod(x.shape[1:]))
+    want_dx, want_dgamma, want_dbeta = x.requires_grad, gamma.requires_grad, beta.requires_grad
 
     def bwd(g):
-        dgamma = (g * xhat).sum(axis=axes) if gamma.requires_grad else None
-        dbeta = g.sum(axis=axes) if beta.requires_grad else None
+        dgamma = (g * xhat).sum(axis=axes) if want_dgamma else None
+        dbeta = g.sum(axis=axes) if want_dbeta else None
         dx = None
-        if x.requires_grad:
-            gr = gamma.data.reshape(bshape) * inv.reshape(bshape)
+        if want_dx:
+            gr = gd.reshape(bshape) * inv.reshape(bshape)
             if batch_stats:
                 gs = g.sum(axis=axes, keepdims=True)
                 gx = (g * xhat).sum(axis=axes, keepdims=True)

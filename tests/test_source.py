@@ -1,6 +1,7 @@
 """Source rules checked with `ast`: no unused imports, only the I/O layer
 opens files, no generator is seeded with a literal, no tensor operator
-writes its arguments, and no definition goes unused."""
+writes its arguments, no backward closure reads a tensor it did not bind
+itself, and no definition goes unused."""
 
 import ast
 import pathlib
@@ -148,6 +149,50 @@ def test_argument_write_is_found():
                      "    def bwd(g):\n        g += 1\n        a[1] = 0\n    return bwd\n"
                      "def _helper(a):\n    a *= 2\n")
     assert argument_writes(tree) == [("op", 2), ("op", 3), ("op", 7), ("bwd", 9)]
+
+
+# attributes through which a closure that kept a Tensor would read it
+_TENSOR_ATTRS = {"data", "shape", "requires_grad", "grad"}
+
+
+def closure_tensor_reads(tree):
+    """(line, "name.attr") of each `.data`, `.shape`, `.requires_grad` or
+    `.grad` that a nested `bwd` reads from a name it does not bind itself
+    (its parameters, its assignments and its comprehension targets)."""
+    found = []
+    for outer in ast.walk(tree):
+        if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for fn in ast.walk(outer):
+            if fn is outer or not isinstance(fn, ast.FunctionDef) or fn.name != "bwd":
+                continue
+            args = fn.args
+            bound = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            bound |= {n.id for n in ast.walk(fn)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+            found += [(n.lineno, f"{n.value.id}.{n.attr}") for n in ast.walk(fn)
+                      if isinstance(n, ast.Attribute) and n.attr in _TENSOR_ATTRS
+                      and isinstance(n.value, ast.Name) and n.value.id not in bound]
+    return sorted(set(found))
+
+
+def test_backward_closures_keep_no_tensor():
+    """A closure keeps the arrays and plain values its backward reads, never
+    a Tensor, so the tape frees every output no backward reads."""
+    assert closure_tensor_reads(_parse(PACKAGE / "tensor.py")) == []
+
+
+def test_closure_tensor_read_is_found():
+    tree = ast.parse("def f(a, b):\n"
+                     "    ad = a.data\n"
+                     "    def bwd(g):\n"
+                     "        out = g * ad\n"
+                     "        k = [v.shape for v in (g, out)]\n"
+                     "        return g * a.data, out.shape, b.requires_grad, k\n"
+                     "    return bwd\n"
+                     "def h(a):\n"
+                     " def bwd(g): return g * a.data\n")
+    assert closure_tensor_reads(tree) == [(6, "a.data"), (6, "b.requires_grad"), (9, "a.data")]
 
 
 def definitions(tree):

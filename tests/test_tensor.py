@@ -677,6 +677,18 @@ class TestBackward:
         with pytest.raises(UsageError):
             T.backward(T.mul(x, x))
 
+    def test_second_backward_through_a_consumed_graph_raises(self):
+        x = Parameter([1.0, 3.0])
+        loss = T.sum_all(T.mul(x, x))
+        T.backward(loss)
+        x.grad = None
+        with pytest.raises(UsageError, match="already consumed"):
+            T.backward(loss)
+        y = T.mul(x, x)
+        T.backward(T.sum_all(y))
+        with pytest.raises(UsageError, match="already consumed"):
+            T.backward(T.sum_all(T.mul(y, 2.0)))
+
     def test_conv_clamp_sum_finite_differences(self, rng):
         x = Parameter(rng.standard_normal((1, 3, 3)))
         w = Parameter(rng.standard_normal((2, 1, 3, 3)))
@@ -767,7 +779,7 @@ class TestBackward:
         y = T.mul(x, x)
         loss = T.sum_all(y)
         T.backward(loss)
-        assert y.grad is None and y._parents == ()
+        assert y.grad is None and y._node.grad is None and y._node.parents == ()
         assert x.grad is not None
 
     def test_closure_released_before_parents_backward(self):
@@ -780,11 +792,40 @@ class TestBackward:
 
         mid = T._result(x.data * 2.0, (x,), probe_bwd, "probe")
         y = T.conv2d(mid, ConvParams(Tensor(np.ones((3, 2, 3, 3))), None, 1, 1))
-        closure_ref = weakref.ref(y._backward_fn)
+        closure_ref = weakref.ref(y._node.backward_fn)
         T.backward(T.sum_all(y))
         # the conv's closure died before mid's backward ran
         assert seen["closure"] is None
-        assert y._backward_fn is None and y._parents == () and y.grad is None
+        assert y._node.backward_fn is None and y._node.parents == () and y._node.grad is None
+
+    def test_outputs_no_backward_reads_are_freed_before_backward(self, rng, monkeypatch):
+        # batch norm's backward reads its own xhat, not the conv output, and
+        # the ReLU's reads its mask, not the batch-norm output
+        def root(array):
+            while array.base is not None:
+                array = array.base
+            return array
+
+        freed = {}
+
+        def watched(name, op):
+            def call(*args):
+                out = op(*args)
+                freed[name] = weakref.ref(root((out[0] if isinstance(out, tuple) else out).data))
+                return out
+            return call
+
+        monkeypatch.setattr(T, "conv2d", watched("conv", T.conv2d))
+        monkeypatch.setattr(T, "batch_norm", watched("bn", T.batch_norm))
+        x = Parameter(rng.standard_normal((2, 6, 7)))
+        y = nn.ConvBnReLU(2, 3, (3, 3), rng=rng).forward(x)
+        assert freed["conv"]() is None and freed["bn"]() is None
+        relu = weakref.ref(root(y.data))
+        loss = T.sum_all(T.mul(y, y))
+        del y
+        assert relu() is not None  # mul's backward reads it
+        T.backward(loss)
+        assert x.grad is not None and np.abs(x.grad).sum() > 0
 
     @pytest.mark.parametrize("op, x_shape, w_shape, stride, pad", [
         (T.conv2d, (2, 6, 7), (3, 2, 3, 3), 1, 1),
@@ -798,7 +839,7 @@ class TestBackward:
         w = Parameter(rng.standard_normal(w_shape))
         y = op(x, ConvParams(w, Parameter(np.zeros(w_shape[0])), stride, pad))
         arrays = []
-        for cell in y._backward_fn.__closure__:
+        for cell in y._node.backward_fn.__closure__:
             try:
                 value = cell.cell_contents
             except ValueError:  # a name this kind of conv never binds

@@ -208,7 +208,7 @@ def test_input_gradients_match_scatter_reference(tmp_path, monkeypatch):
             assert_close(y.data, scatter_input_grad(x.data, w, y.shape[1:], pad, stride) + bias)
             seen.add(key)
             return y
-        fn = y._backward_fn
+        fn = y._node.backward_fn
         xe = np.pad(x.data, [(0, 0), (edge, edge)] + [(0, 0)] * (nsp - 1), mode="edge")
 
         def bwd(g):
@@ -228,7 +228,7 @@ def test_input_gradients_match_scatter_reference(tmp_path, monkeypatch):
                 dw_seen.add(key)
             return grads
 
-        y._backward_fn = bwd
+        y._node.backward_fn = bwd
         return y
 
     monkeypatch.setattr(T, "_conv", checked)
