@@ -130,6 +130,9 @@ _CASES = {
     "conv_transpose3d_stride1": (_conv(T.conv_transpose3d, 1, (1, 1, 0)),
                                  [_param(3, 2, 3, 4), _param(3, 2, 3, 3, 3)]),
     "conv2d_pad_ge_kernel": (_conv(T.conv2d, 1, (3, 0)), [_param(2, 3, 4), _param(3, 2, 3, 2)]),
+    # depth padding >= kd crops the gradient along the axis split into depth taps
+    "conv3d_depth_pad_ge_kernel": (_conv(T.conv3d, 1, (2, 1, 1)),
+                                   [_param(2, 3, 4, 5), _param(3, 2, 2, 3, 3)]),
 }
 
 

@@ -28,10 +28,13 @@ since batch norm's backward reads its own `xhat`.
 A recorded convolution keeps its input (only when the weight takes a
 gradient) and weight, never a window matrix.
 Every convolution, forward and backward, direct and transposed, runs over
-output tiles (`_tile_grid`) of whole output rows, as many as keep the
-tile's window matrix within `_TILE_BYTES` (one row where a row is larger),
-so no whole window matrix is ever built, and each tile's stays in cache for
-its GEMMs. Bilinear grid sampling runs on chunks of sample points within
+output tiles (`_tile_grid`) that are bands of whole output rows; on a 3D
+grid a band spans every depth slice. A band takes as many rows as keep its
+window matrix within `_TILE_BYTES` (one row where a row is larger), so no
+whole window matrix is ever built, and each band's stays in cache for its
+GEMMs. A 3D band unfolds the (kh, kw) windows of each padded depth slice it
+reads once, halo slices included, and runs one GEMM per depth tap on them.
+Bilinear grid sampling runs on chunks of sample points within
 the same `_TILE_BYTES` budget. A tile's window matrix belongs to its call and
 dies with the tile, so the engine keeps no per-thread state: a new thread
 needs no setup, and threads never share a buffer. The tile and chunk splits
@@ -44,6 +47,7 @@ depth-replicated, zero-padded input in one copy and records only its input.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -512,61 +516,88 @@ def _fold_edges(dx, edge):
     return out
 
 
-def _unfold(windows, tile):
-    """The (C * prod(k), n) window matrix of one output tile of (C, *k, *small) `windows`.
+def _unfold(windows, rows):
+    """The window matrix of the output `rows` of (C, kh, kw, [span,] H, W) `windows`.
 
-    A copy of the tile's windows, or a view of the padded input where they
-    are already contiguous (a 1x1 kernel at stride 1): read it, never write it.
+    It is (C * kh * kw, [span *] n * W): a band of a 3D grid unfolds all
+    `span` padded depth slices it reads. A copy of the band's windows, or a
+    view of the padded input where they are already contiguous (a 1x1 kernel
+    at stride 1): read it, never write it.
     """
-    cols = windows[(Ellipsis, *tile)]
-    return cols.reshape(int(np.prod(cols.shape[:-len(tile)])), -1)
+    cols = windows[..., rows, :]
+    return cols.reshape(math.prod(cols.shape[:3]), -1)
 
 
-def _tile_grid(k_rows, small):
-    """The tiles of the output grid `small` for a window matrix of `k_rows` rows.
+def _tile_grid(k_rows, small, halo=0):
+    """The tiles of the output grid `small`, in order: bands of whole output rows.
 
-    A tile spans whole output rows: as many as keep its (k_rows, n) window
-    matrix within `_TILE_BYTES`, never fewer than one, within one depth
-    slice of a 3D grid; where a whole depth slice fits, it spans as many
-    whole slices as fit. Yields per tile its columns of the flattened output
-    and its slices of the output grid.
+    A band of a 3D grid spans every depth slice. It holds as many rows as
+    keep its window block, `k_rows * (D + halo) * n * W` doubles for n rows
+    of D slices (D = 1 on a 2D grid), within `_TILE_BYTES`, never fewer than
+    one; `halo` is the count of padded depth slices a band reads beyond its
+    D output slices. Yields per band its slices of the output grid.
     """
     *lead, h, w = small
-    rows = max(1, _TILE_BYTES // (8 * k_rows * w))
-    depth = lead[0] if lead else 1
-    span = max(1, rows // h)  # whole depth slices per tile
-    for d in range(0, depth, span):
-        dn = min(span, depth - d)
-        for r in range(0, h, min(rows, h)):
-            n = min(rows, h - r)
-            start = (d * h + r) * w
-            tile = (slice(d, d + dn), slice(r, r + n), slice(0, w))[-len(small):]
-            yield slice(start, start + dn * n * w), tile
+    depth = math.prod(lead)
+    rows = max(1, _TILE_BYTES // (8 * k_rows * (depth + halo) * w))
+    for r in range(0, h, rows):
+        yield (*(slice(0, n) for n in lead), slice(r, min(r + rows, h)), slice(0, w))
 
 
 def _tile_gemms(ap, kshape, stride, small, wmat=None, a=None):
-    """The two GEMMs on the window matrices of the padded (C, *spatial) `ap`, one tile at a time.
+    """The two GEMMs on the window matrix of the padded (C, *spatial) `ap`, one band at a time.
 
-    Returns `wmat @ cols` as (rows, *small), each tile's product written
-    into its own columns, and `a @ cols.T` for an (A, prod(small)) `a`, as
-    (A, C, *k), added up tile by tile in order. Either is None when its
-    operand is.
+    Returns `wmat @ cols` as (rows, *small) and `a @ cols.T` for an
+    (A, prod(small)) `a`, as (A, C, *k); either is None when its operand is.
+    `cols`, the whole (C * prod(k), prod(small)) window matrix, is never
+    built. Per band of output rows (`_tile_grid`), `_unfold` copies the
+    (kh, kw) windows of each padded depth slice the band reads once; depth
+    tap j reads its D slices of that copy, so each GEMM splits into one per
+    depth tap, summed in tap order. A 2D grid is one slice with one tap.
     """
-    k_rows = ap.shape[0] * int(np.prod(kshape))
-    spatial = ap.strides[1:]
-    windows = np.lib.stride_tricks.as_strided(  # a view: entry (c, offset, output position)
-        ap, shape=(ap.shape[0], *kshape, *small),
-        strides=(ap.strides[0], *spatial, *(s * st for s, st in zip(spatial, stride))))
-    y = None if wmat is None else np.empty((wmat.shape[0], int(np.prod(small))))
-    acc = None if a is None else np.zeros((a.shape[0], k_rows))
-    for at, tile in _tile_grid(k_rows, small):
-        cols = _unfold(windows, tile)
+    c = ap.shape[0]
+    lead = len(small) - 2  # 1 when there is a depth axis to split
+    kd, sd, depth = (kshape[0], stride[0], small[0]) if lead else (1, 1, 1)
+    span = (depth - 1) * sd + kd  # the padded depth slices the output reads
+    plane = ap.strides[1 + lead:]
+    windows = np.lib.stride_tricks.as_strided(  # a view: entry (c, kh, kw, [slice,] row, col)
+        ap, shape=(c, *kshape[lead:], *(span,) * lead, *small[lead:]),
+        strides=(ap.strides[0], *plane, *ap.strides[1:1 + lead],
+                 *(s * st for s, st in zip(plane, stride[lead:]))))
+    k_rows = c * math.prod(kshape[lead:])
+    taps = [slice(j, j + (depth - 1) * sd + 1, sd) for j in range(kd)]
+    h, w = small[-2:]
+    y = acc = None
+    if wmat is not None:
+        # (kd, rows, C * kh * kw): the weight's columns for each depth tap
+        wtaps = wmat.reshape(len(wmat), c, kd, -1).transpose(2, 0, 1, 3)
+        wtaps = wtaps.reshape(kd, len(wmat), -1)
+        y = np.empty((len(wmat), depth * h * w))
+    if a is not None:
+        acc = np.zeros((len(a), c, kd, k_rows // c))
+    for tile in _tile_grid(k_rows, small, span - depth):
+        rows = tile[-2]
+        cols = _unfold(windows, rows).reshape(k_rows, span, -1)
+        tap_cols = [cols[:, t].reshape(k_rows, -1) for t in taps]
+        # on a 2D grid, or holding every row, a band is one run of the flattened columns
+        run = depth == 1 or rows.stop - rows.start == h
+        at = slice(rows.start * depth * w, rows.stop * depth * w)
         if y is not None:
-            np.matmul(wmat, cols, out=y[:, at])
+            band = y[:, at] if run else np.empty((len(y), tap_cols[0].shape[1]))
+            np.matmul(wtaps[0], tap_cols[0], out=band)
+            part = np.empty_like(band) if kd > 1 else None
+            for wj, cj in zip(wtaps[1:], tap_cols[1:]):
+                np.matmul(wj, cj, out=part)
+                band += part
+            if not run:
+                y.reshape(-1, depth, h, w)[:, :, rows] = band.reshape(len(y), depth, -1, w)
         if acc is not None:
-            acc += a[:, at] @ cols.T
+            band = (a[:, at] if run
+                    else a.reshape(len(a), depth, h, w)[:, :, rows].reshape(len(a), -1))
+            for j, cj in enumerate(tap_cols):
+                acc[:, :, j] += (band @ cj.T).reshape(len(a), c, -1)
     return (None if y is None else y.reshape(-1, *small),
-            None if acc is None else acc.reshape(-1, ap.shape[0], *kshape))
+            None if acc is None else acc.reshape(-1, c, *kshape))
 
 
 def _scatter(cols, out, kshape, stride, tile):
@@ -590,7 +621,7 @@ def _stride1_grads(g, w, big, pad, want_dx=True, x=None):
     p >= k: those outputs see only padding), so that its windows line up
     with the input grid `big`. With the kernel flipped and its channel axes
     swapped (`_flip_swap`), the input gradient is `w' @ gcols` and, given
-    the input `x`, the weight gradient is `x @ gcols.T`, from the same tiles.
+    the input `x`, the weight gradient is `x @ gcols.T`, from the same bands.
     Either is None when not asked for. The one place the stride-1 input
     gradient is computed, so a transposed convolution stays equal to the
     direct convolution's input gradient bit for bit.
@@ -617,27 +648,28 @@ def _input_grad(g, w, big, pad, stride):
     if all(s == 1 for s in stride):
         return _stride1_grads(g, w, big, pad)[0]
     wmat_t = w.reshape(c_out, -1).T
-    gmat = g.reshape(c_out, -1)
     out = np.zeros((c_in, *(n + 2 * p for n, p in zip(big, pad))))
-    for at, tile in _tile_grid(wmat_t.shape[0], g.shape[1:]):
-        _scatter(wmat_t @ gmat[:, at], out, kshape, stride, tile)
+    for tile in _tile_grid(wmat_t.shape[0], g.shape[1:]):
+        _scatter(wmat_t @ g[(slice(None), *tile)].reshape(c_out, -1), out, kshape, stride, tile)
     return out[(slice(None), *(slice(p, p + n) for p, n in zip(pad, big)))]
 
 
 def _conv(x, params, nsp, op, transposed=False):
     """Convolution of (C, *spatial) over `nsp` spatial axes, direct or transposed.
 
-    Every GEMM runs on output tiles (`_tile_grid`), so no whole window
-    matrix exists, forward or backward. A direct convolution maps a big grid
-    to a small one: `_pad` once, then per tile `_unfold` its windows and
-    apply the weight. Its backward keeps no window matrix: at stride 1 the
-    tiles of the padded output gradient give both the input and the weight
+    Every GEMM runs on output tiles (`_tile_grid`), bands of output rows
+    that span every depth slice, so no whole window matrix exists, forward
+    or backward. A direct convolution maps a big grid to a small one: `_pad`
+    once, then per band `_unfold` the (kh, kw) windows of its padded depth
+    slices once and apply the weight, one GEMM per depth tap
+    (`_tile_gemms`). Its backward keeps no window matrix: at stride 1 the
+    bands of the padded output gradient give both the input and the weight
     gradient (`_stride1_grads`); at stride > 1 the weight gradient
-    unfolds the input again, tile by tile, and the input gradient is the
+    unfolds the input again, band by band, and the input gradient is the
     tiled transposed GEMM and `_scatter` (`_input_grad`). A transposed
     convolution is that input gradient as an operator, so its forward is
     `_input_grad` and its backward unfolds the padded output gradient's
-    tiles for both GEMMs.
+    bands for both GEMMs.
 
     `replicate_depth` edges are built in the same `_pad` copy; the backward
     folds the input gradient over that extended grid (`_fold_edges`) and

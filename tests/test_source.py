@@ -1,7 +1,8 @@
 """Source rules checked with `ast`: no unused imports, only the I/O layer
-opens files, no generator is seeded with a literal, no tensor operator
-writes its arguments, no backward closure reads a tensor it did not bind
-itself, and no definition goes unused."""
+opens files, one function of the tensor engine builds strided window views,
+no generator is seeded with a literal, no tensor operator writes its
+arguments, no backward closure reads a tensor it did not bind itself, and
+no definition goes unused."""
 
 import ast
 import pathlib
@@ -35,8 +36,8 @@ def unused_imports(tree):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-def open_calls(tree):
-    """(enclosing function, line) of every call to `open` or `<x>.open`."""
+def calls_of(tree, name):
+    """(enclosing function, line) of every call to `name` or `<x>.name`."""
     calls = []
 
     def visit(node, function):
@@ -46,8 +47,8 @@ def open_calls(tree):
                 continue
             if isinstance(child, ast.Call):
                 func = child.func
-                if (isinstance(func, ast.Name) and func.id == "open"
-                        or isinstance(func, ast.Attribute) and func.attr == "open"):
+                if (isinstance(func, ast.Name) and func.id == name
+                        or isinstance(func, ast.Attribute) and func.attr == name):
                     calls.append((function, child.lineno))
             visit(child, function)
 
@@ -97,8 +98,22 @@ def test_literal_seed_is_found():
 
 def test_only_formats_opens_files():
     found = {(path.stem, function) for path in sorted(PACKAGE.glob("*.py"))
-             for function, _ in open_calls(_parse(path))}
+             for function, _ in calls_of(_parse(path), "open")}
     assert found == {("formats", "read_file"), ("formats", "write_file")}
+
+
+def test_one_function_builds_strided_windows():
+    """Every convolution unfolds its windows through the one strided view."""
+    found = {function for function, _ in calls_of(_parse(PACKAGE / "tensor.py"), "as_strided")}
+    assert found == {"_tile_gemms"}
+
+
+def test_second_strided_caller_is_found():
+    tree = ast.parse("import numpy as np\n"
+                     "def a(x):\n    return np.lib.stride_tricks.as_strided(x, (1,), (8,))\n"
+                     "def b(x):\n    def inner():\n        return as_strided(x, (2,), (8,))\n"
+                     "    return inner\n")
+    assert calls_of(tree, "as_strided") == [("a", 3), ("inner", 6)]
 
 
 def argument_writes(tree):

@@ -380,29 +380,36 @@ class TestTiles:
         monkeypatch.setattr(T, "_tile_grid", counted)
         return counts
 
-    @pytest.mark.parametrize("op, x_shape, w_shape, stride, pad", [
-        (T.conv2d, (2, 7, 6), (3, 2, 3, 3), 1, 1),
-        (T.conv3d, (3, 4, 6, 5), (2, 3, 3, 3, 3), 1, (0, 1, 1)),
-        (T.conv3d, (3, 4, 7, 6), (2, 3, 3, 3, 3), (1, 2, 2), (0, 1, 1)),
-        (T.conv3d, (5, 3, 7, 6), (4, 5, 1, 1, 1), 1, 0),
-        (T.conv3d, (3, 3, 4, 5), (2, 3, 2, 3, 1), 1, (2, 3, 0)),
-    ], ids=["2d", "regularizer", "strided", "1x1", "pad_ge_kernel"])
+    @pytest.mark.parametrize("op, x_shape, w_shape, stride, pad, edge", [
+        (T.conv2d, (2, 7, 6), (3, 2, 3, 3), 1, 1, 0),
+        (T.conv3d, (3, 4, 6, 5), (2, 3, 3, 3, 3), 1, (0, 1, 1), 0),
+        (T.conv3d, (3, 4, 7, 6), (2, 3, 3, 3, 3), (1, 2, 2), (0, 1, 1), 0),
+        (T.conv3d, (5, 3, 7, 6), (4, 5, 1, 1, 1), 1, 0, 0),
+        (T.conv3d, (3, 3, 4, 5), (2, 3, 2, 3, 1), 1, (2, 3, 0), 0),
+        (T.conv3d, (3, 5, 7, 6), (2, 3, 3, 3, 3), (1, 2, 2), (0, 1, 1), 1),
+    ], ids=["2d", "regularizer", "strided", "1x1", "pad_ge_kernel", "replicate_strided"])
     def test_direct_conv_matches_untiled_references(self, rng, tile_counts, op, x_shape,
-                                                    w_shape, stride, pad):
+                                                    w_shape, stride, pad, edge):
         nsp = len(x_shape) - 1
         s = T._per_axis(stride, nsp, "stride", 1)
         p = T._per_axis(pad, nsp, "padding", 0)
         w = Parameter(rng.standard_normal(w_shape))
         b = Parameter(rng.standard_normal(w_shape[0]))
         x = Parameter(rng.standard_normal(x_shape))
-        y = op(x, ConvParams(w, b, stride, pad))
+        y = op(x, ConvParams(w, b, stride, pad, replicate_depth=edge))
         g = rng.standard_normal(y.shape)
         T.backward(T.sum_all(T.mul(y, g)))
-        cols = window_matrix(x.data, w_shape[2:], p, s, y.shape[1:])
+        # the references see the depth-replicated input; its gradient folds onto the end slices
+        xe = np.pad(x.data, [(0, 0), (edge, edge)] + [(0, 0)] * (nsp - 1), mode="edge")
+        cols = window_matrix(xe, w_shape[2:], p, s, y.shape[1:])
+        dxe = scatter_input_grad(g, w.data, xe.shape[1:], p, s)
+        dx = dxe[:, edge:edge + x_shape[1]].copy()
+        dx[:, 0] += dxe[:, :edge].sum(axis=1)
+        dx[:, -1] += dxe[:, edge + x_shape[1]:].sum(axis=1)
         gmat = g.reshape(len(g), -1)
         assert_close(y.data, (w.data.reshape(len(g), -1) @ cols).reshape(y.shape)
                      + b.data.reshape(-1, *(1,) * nsp))
-        assert_close(x.grad, scatter_input_grad(g, w.data, x_shape[1:], p, s))
+        assert_close(x.grad, dx)
         assert_close(w.grad, (gmat @ cols.T).reshape(w_shape))
         assert max(tile_counts) > 1
 
@@ -426,24 +433,36 @@ class TestTiles:
         assert_close(w.grad, (xmat @ cols.T).reshape(w_shape))
         assert max(tile_counts) > 1
 
-    @pytest.mark.parametrize("k_rows, small, nbytes", [
-        (10, (5, 6, 7), 8 * 10 * 6 * 7 * 2),   # two whole depth slices per tile
-        (10, (5, 6, 7), 8 * 10 * 7 * 4),       # four rows of one depth slice
-        (10, (5, 6, 7), 8),                    # one row, over budget
-        (3, (9, 4), 8 * 3 * 4 * 2),            # 2D, two rows
-        (3, (9, 4), 1 << 20),                  # 2D, the whole grid
-    ])
-    def test_tiles_cover_the_grid_in_order(self, monkeypatch, k_rows, small, nbytes):
+    @pytest.mark.parametrize("k_rows, small, halo, nbytes", [
+        (10, (5, 6, 7), 0, 8 * 10 * 6 * 7 * 2),      # two rows of every slice, a third over
+        (10, (5, 6, 7), 0, 8 * 10 * 7 * 4),          # one row, over budget
+        (10, (5, 6, 7), 0, 8),                       # one row, far over budget
+        (3, (9, 4), 0, 8 * 3 * 4 * 2),               # 2D, two rows
+        (3, (9, 4), 0, 1 << 20),                     # 2D, the whole grid
+        (10, (5, 6, 7), 2, 8 * 10 * 7 * 7 * 2),      # two rows of every slice and the halo
+        (10, (5, 6, 7), 2, 8 * 10 * 7 * 7 * 3 - 8),  # two rows, the third just over
+        (10, (5, 6, 7), 2, 8 * 10 * 7 * 7 * 6),      # the whole grid in one band
+        (10, (5, 6, 7), 2, 8),                       # one row of slices and halo, over budget
+    ], ids=["10-small0-6720", "10-small1-2240", "10-small2-8", "3-small3-192",
+            "3-small4-1048576", "halo_two_rows", "halo_just_short_of_three", "halo_whole_grid",
+            "halo_one_row"])
+    def test_tiles_cover_the_grid_in_order(self, monkeypatch, k_rows, small, halo, nbytes):
         monkeypatch.setattr(T, "_TILE_BYTES", nbytes)
-        flat = np.arange(int(np.prod(small))).reshape(small)
-        start = 0
-        for columns, tile in T._tile_grid(k_rows, small):
-            # a tile's box of the output grid is its run of flattened columns
-            assert np.array_equal(flat[tile].ravel(), np.arange(columns.start, columns.stop))
-            assert columns.start == start
-            start = columns.stop
-            assert 8 * k_rows * flat[tile].size <= max(nbytes, 8 * k_rows * small[-1])
-        assert start == flat.size
+        *lead, h, w = small
+        row = 8 * k_rows * (int(np.prod(lead)) + halo) * w  # one row of every slice, halo too
+        seen = np.zeros(small, dtype=int)
+        stop = 0
+        for tile in T._tile_grid(k_rows, small, halo):
+            # a band: whole output rows of every depth slice, after the band before it
+            *depths, rows, cols = tile
+            assert depths == [slice(0, n) for n in lead] and cols == slice(0, w)
+            assert rows.start == stop < rows.stop
+            stop = rows.stop
+            seen[tile] += 1
+            assert (rows.stop - rows.start) * row <= max(nbytes, row)
+            # and takes every row that fits, unless it is the last
+            assert rows.stop == h or (rows.stop - rows.start + 1) * row > nbytes
+        assert stop == h and (seen == 1).all()
 
     def test_every_operator_passes_fd(self, tile_counts):
         for name, err, ok in gradcheck.run_op_checks():
