@@ -15,22 +15,18 @@ def warp_and_correlate(ref_feats, src_feats, ref_cam, src_cams, hyp, groups):
     Channels split into `groups` equal groups; each correlation entry is the
     group mean of the elementwise product. With groups == C this degenerates
     to the plain elementwise product. Samples landing outside a source image
-    contribute exact zeros. Each source is sampled on its own; the result
-    stacks them into the (V, G, D, H, W) correlation.
+    contribute exact zeros. Each source is one `grid_sample_bilinear` call in
+    its correlation mode, which samples, multiplies with the reference and
+    averages each group chunk by chunk, so no (C, D, H, W) warped volume or
+    product is ever built; the result stacks the sources' (G, D, H, W)
+    correlations into the (V, G, D, H, W) correlation.
     """
-    c, h, w = ref_feats.shape
-    if c % groups:
-        raise ParameterError(f"channel count {c} not divisible by {groups} groups")
     if not src_feats:
         raise ParameterError("correlation needs at least one source view")
-    d = hyp.num_depths
-    views = []
-    for feats, cam in zip(src_feats, src_cams, strict=True):
-        flat = warp_coords(ref_cam, cam, hyp, h, w).reshape(2, d * h, w)
-        warped = T.reshape(T.grid_sample_bilinear(feats, flat), (c, d, h, w))
-        prod = T.mul(T.reshape(ref_feats, (c, 1, h, w)), warped)  # broadcast over D
-        views.append(T.mean_axis(T.reshape(prod, (1, groups, c // groups, d, h, w)), 2))
-    return T.concat_axis(views, 0)
+    _, h, w = ref_feats.shape
+    views = [T.grid_sample_bilinear(feats, warp_coords(ref_cam, cam, hyp, h, w), ref_feats, groups)
+             for feats, cam in zip(src_feats, src_cams, strict=True)]
+    return T.reshape(T.concat_axis(views, 0), (len(views), *views[0].shape))
 
 
 def view_weights(corr, temperature):

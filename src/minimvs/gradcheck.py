@@ -116,6 +116,10 @@ _CASES = {
                          [_param(3, 2, 3, 4), _param(3, 2, 1, 3, 3), _param(2)]),
     "grid_sample_bilinear": (T.grid_sample_bilinear,
                              [_param(2, 5, 6), _const(2, 3, 4, span=(-0.5, 5.5))]),
+    # correlation mode: both inputs take gradients, coordinates run past every border
+    "grid_sample_correlate": (lambda s, xy, r: T.grid_sample_bilinear(s, xy, r, 2),
+                              [_param(4, 5, 6), _const(2, 3, 4, 5, span=(-0.7, 6.5)),
+                               _param(4, 4, 5)]),
     "upsample_bilinear2x": (T.upsample_bilinear2x, [_param(2, 3, 4)]),
     "batch_norm_train": (lambda x, g, b: T.batch_norm(x, g, b)[0],
                          [_param(3, 4, 5), _param(3, span=(0.5, 1.5)), _param(3)]),

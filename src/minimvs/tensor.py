@@ -35,7 +35,11 @@ whole window matrix is ever built, and each band's stays in cache for its
 GEMMs. A 3D band unfolds the (kh, kw) windows of each padded depth slice it
 reads once, halo slices included, and runs one GEMM per depth tap on them.
 Bilinear grid sampling runs on chunks of sample points within
-the same `_TILE_BYTES` budget. A tile's window matrix belongs to its call and
+the same `_TILE_BYTES` budget. Given a reference map, it correlates each
+chunk with it group by group as it samples (the cost layer's group-wise
+correlation), so no whole warped volume is built; a recorded call keeps
+only its sample coordinates and recomputes each chunk's corners and
+weights in its backward. A tile's window matrix belongs to its call and
 dies with the tile, so the engine keeps no per-thread state: a new thread
 needs no setup, and threads never share a buffer. The tile and chunk splits
 depend on shapes only, never on the thread count.
@@ -788,63 +792,161 @@ def bilinear_taps(x, y, h, w):
     return idx, wts, inside
 
 
-def grid_sample_bilinear(src, coords):
-    """Bilinear sampling of (C, H, W) at continuous pixel coordinates.
+def _gather(flat, idx, wts, out=None):
+    """(C, n) bilinear samples of a (C, H*W) map at one chunk's taps; corner
+    terms accumulate left to right: ((c00 + c01) + c10) + c11. The taps are
+    in range, so mode "clip" changes no index; it only skips the bounds
+    check and the buffered copy that mode "raise" makes."""
+    term = np.take(flat, idx[0], axis=1, mode="clip")
+    out = np.multiply(term, wts[0], out=out)
+    for i, wt in zip(idx[1:], wts[1:]):
+        np.take(flat, i, axis=1, out=term, mode="clip")
+        term *= wt
+        out += term
+    return out
+
+
+def grid_sample_bilinear(src, coords, ref=None, groups=1):
+    """Bilinear sampling of (C, H, W) at continuous pixel coordinates, alone or
+    correlated group-wise with a reference.
 
     `coords` is a (2, *out) array holding (x, y) in source pixel units where
     integer values hit pixel centers exactly. Corners and weights come from
     `bilinear_taps`, so samples whose center falls outside [0, W-1] x [0, H-1]
-    return exactly 0.
-    Gradients flow to `src` only; coordinates are treated as constants.
+    return exactly 0. Without `ref` the result is the (C, *out) samples.
 
-    The points run in chunks of `_TILE_BYTES // (8 * C)`, the conv tile
-    budget, so a chunk's (C, n) gather and its per-point index and weight
-    temporaries stay cache-sized; each chunk writes its own columns of the
-    output, and a call under budget is one chunk. Every value is computed
-    point by point, so the chunk split changes no bit. Only a recorded call
-    keeps its chunks' corner indices and weights, for the backward.
+    With a (C, H', W') `ref` and (2, D, H', W') `coords`, the result is the
+    (G, D, H', W') correlation over `groups` = G equal channel groups: per
+    point, each sample times the reference at its (H', W') pixel, averaged
+    over its group's channels (summed in channel order from 0.0, then divided
+    by the group size, as numpy's `mean` over the channel axis does).
+    Gradients flow to `src` and `ref`; coordinates are treated as constants.
+
+    The points run in chunks of at most `_TILE_BYTES // (8 * C)`, the conv
+    tile budget, so a chunk's (C, n) gather and its per-point index and
+    weight temporaries stay cache-sized. A chunk is a run of columns within
+    one depth slice of the output, or whole slices where a slice fits the
+    budget, so its part of `ref` is a column slice, broadcast over its
+    slices, never a gather. Each chunk writes its own columns of the output.
+    Every value is computed point by point, so the chunk split changes no
+    bit. A recorded call keeps only `coords` (and the input each gradient
+    reads); its backward recomputes each chunk's taps, sums `ref`'s gradient
+    over depth in depth order and gives `src`'s by one corner-major
+    `bincount` per channel.
     """
     src = _as_tensor(src)
     cd = np.asarray(coords, dtype=np.float64)
-    if cd.shape[0] != 2:
+    if cd.ndim == 0 or cd.shape[0] != 2:
         raise DimensionError(f"coords must be (2, ...), got {cd.shape}")
     if src.ndim != 3:
         raise DimensionError(f"src must be (C, H, W), got {src.shape}")
     c, h, w = src.shape
-    out_sp = cd.shape[1:]
-    xs_all = cd[0].ravel()
-    ys_all = cd[1].ravel()
+    if c == 0:
+        raise DimensionError(f"src has no channels: {src.shape}")
+    xs = cd[0].ravel()
+    ys = cd[1].ravel()
     flat = src.data.reshape(c, h * w)
-    out = np.empty((c, xs_all.size))
+    if ref is None:
+        if groups != 1:
+            raise ParameterError(f"{groups} groups need a reference to correlate with")
+        parents, rows, per_slice, rflat = (src,), c, xs.size, None
+    else:
+        ref = _as_tensor(ref)
+        if ref.ndim != 3 or ref.shape[0] != c:
+            raise DimensionError(f"ref must be ({c}, H, W) to match src {src.shape}, "
+                                 f"got {ref.shape}")
+        if cd.ndim != 4 or cd.shape[2:] != ref.shape[1:]:
+            raise DimensionError(f"coords must be (2, D, {ref.shape[1]}, {ref.shape[2]}) "
+                                 f"to match ref, got {cd.shape}")
+        if groups <= 0 or c % groups:
+            raise ParameterError(f"channel count {c} not divisible by {groups} groups")
+        # the backward sweep enters the last parent's graph first; src before
+        # ref fixes the order in which shared parameters add up their gradients
+        parents, rows, per_slice = (ref, src), groups, ref.shape[1] * ref.shape[2]
+        rflat = ref.data.reshape(c, per_slice)
+    k = c // rows  # channels per group
     step = max(1, _TILE_BYTES // (8 * c))
-    chunks = [] if _records((src,)) else None
-    for start in range(0, xs_all.size, step):
-        at = slice(start, start + step)
-        idx, wts, _ = bilinear_taps(xs_all[at], ys_all[at], h, w)
-        # corner terms accumulate left to right: ((c00 + c01) + c10) + c11
+    per_slice = max(1, per_slice)
+    n_slices = xs.size // per_slice
+    slices_per_chunk = max(1, step // per_slice)
+
+    def chunks():
+        """Each chunk's points, its depth-slice count m and its columns within
+        those slices, and its taps: m whole slices, or a run of one slice's columns."""
+        for first in range(0, n_slices, slices_per_chunk):
+            m = min(slices_per_chunk, n_slices - first)
+            for start in range(0, per_slice, step):
+                stop = min(start + step, per_slice)
+                at = slice(first * per_slice + start, (first + m - 1) * per_slice + stop)
+                idx, wts, _ = bilinear_taps(xs[at], ys[at], h, w)
+                yield at, m, slice(start, stop), idx, wts
+
+    out = np.empty((rows, xs.size))
+    for at, m, cols, idx, wts in chunks():
+        if rflat is None:
+            _gather(flat, idx, wts, out[:, at])
+            continue
+        prod = _gather(flat, idx, wts)
+        per_depth = prod.reshape(c, m, -1)
+        per_depth *= rflat[:, None, cols]
+        parts = prod.reshape(rows, k, -1)
         dst = out[:, at]
-        term = np.take(flat, idx[0], axis=1)
-        np.multiply(term, wts[0], out=dst)
-        for i, wt in zip(idx[1:], wts[1:]):
-            np.take(flat, i, axis=1, out=term)
-            term *= wt
-            dst += term
-        if chunks is not None:
-            chunks.append((idx, wts))
-    out = out.reshape((c, *out_sp))
+        dst[...] = 0.0  # each group sums from 0.0 in channel order, as numpy's mean does
+        for j in range(k):
+            dst += parts[:, j]
+        dst /= k
+    out = out.reshape((rows, *cd.shape[1:]))
+
+    want_src = src.requires_grad
+    correlate = ref is not None
+    ref_shape = (c, *cd.shape[2:])
+    # each input is read only for the other's gradient
+    samples_of = flat if correlate and ref.requires_grad else None
+    ref_of = rflat if want_src else None
 
     def bwd(g):
-        # one bincount over the corners in order, corner-major across the
-        # chunks: each pixel receives the same additions in the same order as
-        # a scatter-add per corner
-        idx = np.concatenate([ci[k] for k in range(4) for ci, _ in chunks])
-        wts = np.concatenate([cw[k] for k in range(4) for _, cw in chunks])
-        vals = np.tile(g.reshape(c, -1), 4)
-        vals *= wts
-        acc = np.stack([np.bincount(idx, v, minlength=h * w) for v in vals])
-        return (acc.reshape(c, h, w),)
+        g = g.reshape(rows, -1)
+        if correlate:
+            g = g / k  # a group mean's gradient, shared by its channels
+        if want_src:
+            idx_all = np.empty((4, xs.size), dtype=np.int64)
+            wts_all = np.empty((4, xs.size))
+        dref = None if samples_of is None else np.zeros((c, per_slice))
+        for at, m, cols, idx, wts in chunks():
+            if want_src:
+                for j in range(4):
+                    idx_all[j, at] = idx[j]
+                    wts_all[j, at] = wts[j]
+            if dref is not None:
+                prod = _gather(samples_of, idx, wts)
+                parts = prod.reshape(rows, k, -1)
+                parts *= g[:, None, at]
+                per_depth = prod.reshape(c, m, -1)
+                for j in range(m):  # depth slices in order
+                    dref[:, cols] += per_depth[:, j]
+        dsrc = None
+        if want_src:
+            # one bincount per channel over the corners in order, corner-major:
+            # each pixel receives the same additions in the same order as a
+            # scatter-add per corner
+            idx_all = idx_all.ravel()
+            vals = np.empty_like(wts_all)
+            grad_at = np.empty((n_slices, per_slice)) if correlate else None
+            dsrc = np.empty((c, h * w))
+            for ch in range(c):
+                if correlate:  # a sample's gradient is its group mean's times the reference
+                    point_grad = np.multiply(g[ch // k].reshape(n_slices, per_slice), ref_of[ch],
+                                             out=grad_at).ravel()
+                else:
+                    point_grad = g[ch]
+                np.multiply(wts_all, point_grad, out=vals)  # each corner's weight times it
+                dsrc[ch] = np.bincount(idx_all, vals.ravel(), minlength=h * w)
+            dsrc = dsrc.reshape(c, h, w)
+        if not correlate:
+            return (dsrc,)
+        return (None if dref is None else dref.reshape(ref_shape), dsrc)
 
-    return _result(out, (src,), bwd, "grid_sample")
+    return _result(out, parents, bwd, "grid_sample")
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,7 @@
 """Cost volume assembly: correlations, view weighting, aggregation, guidance."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from conftest import (fronto_plane_setup, make_camera, per_source_cost, photomet
 from minimvs import tensor as T
 from minimvs.cost import VolumeGuidance, aggregate, view_weights, warp_and_correlate
 from minimvs.errors import ParameterError, UsageError
-from minimvs.geometry import initial_hypotheses
+from minimvs.geometry import initial_hypotheses, warp_coords
 from minimvs.tensor import Tensor
 
 
@@ -87,12 +88,13 @@ class TestStackedMatchesPerSource:
 
     @pytest.mark.parametrize("sources", [1, 2, 3])
     def test_volume_weights_and_feature_gradients(self, rng, sources):
-        ref = make_camera()
+        ref = make_camera(fx=32.0, fy=32.0, cx=4.0, cy=3.0)
         # the last camera's large baseline sends some warps outside the image
-        cams = [make_camera(t=(0.3, 0.0, 0.0)), make_camera(t=(-0.2, 0.1, 0.0)),
-                make_camera(t=(3.0, 0.0, 0.0))][-sources:]
+        cams = [make_camera(fx=32.0, fy=32.0, cx=4.0, cy=3.0, t=t)
+                for t in ((0.1, 0.0, 0.0), (-0.1, 0.05, 0.0), (0.5, 0.0, 0.0))][-sources:]
         hyp = initial_hypotheses((1.0, 9.0), 4)
-        assert not warp_valid(ref, cams[-1], hyp, 6, 8).all()
+        inside = [warp_valid(ref, cam, hyp, 6, 8).mean() for cam in cams]
+        assert min(inside) > 0.25 and inside[-1] < 1.0
         f_ref = rng.standard_normal((4, 6, 8))
         f_src = [rng.standard_normal((4, 6, 8)) for _ in cams]
         probe = rng.standard_normal((2, 4, 6, 8))
@@ -114,6 +116,136 @@ class TestStackedMatchesPerSource:
 
         for got, want in zip(run(stacked), run(fold), strict=True):
             assert np.array_equal(got, want)
+
+
+# (H, W) per feature channel count: H * W just above one chunk of
+# _TILE_BYTES // (8 * C) points, so each depth slice ends in a short chunk
+_ONE_CHUNK_AND_A_BIT = {32: (48, 90), 16: (64, 130), 8: (112, 150)}
+# maps so small that one chunk holds every depth slice
+_WHOLE_SLICES = {32: (6, 8), 16: (6, 8), 8: (6, 8)}
+
+
+class TestCorrelationMatchesComposition:
+    """`grid_sample_bilinear`'s correlation mode equals sampling, `mul` with
+    the reference and `mean_axis` over each group (`per_source_cost`), byte
+    for byte: the forward recorded and under `no_grad`, and both gradients.
+    Every group count the default feature channels (32, 16, 8, 8) allow, on
+    maps whose depth slices split into chunks and on maps whose slices share one."""
+
+    @pytest.mark.parametrize("sizes", [_ONE_CHUNK_AND_A_BIT, _WHOLE_SLICES],
+                             ids=["split-slices", "whole-slices"])
+    @pytest.mark.parametrize("c, groups", [(c, g) for c in (32, 16, 8)
+                                           for g in range(1, c + 1) if c % g == 0])
+    def test_forward_and_gradients(self, rng, c, groups, sizes):
+        h, w = sizes[c]
+        step = T._TILE_BYTES // (8 * c)
+        assert step < h * w < 2 * step or 3 * h * w <= step
+        f = 4.0 * w
+        ref = make_camera(fx=f, fy=f, cx=w / 2, cy=h / 2)
+        # a baseline that sends some warps outside the image, and a camera
+        # ahead of the nearer hypotheses, which sit behind it
+        cams = [make_camera(fx=f, fy=f, cx=w / 2, cy=h / 2, t=(0.5, 0.0, 0.0)),
+                make_camera(fx=f, fy=f, cx=w / 2, cy=h / 2, t=(0.1, 0.05, -5.0))]
+        hyp = initial_hypotheses((1.0, 9.0), 3)
+        x = np.stack([warp_coords(ref, cam, hyp, h, w)[0] for cam in cams])
+        inside = (x >= 0.0) & (x <= w - 1.0)
+        assert (x == -1e9).any() and inside.any() and (~inside & (x > -1e9)).any()
+        f_ref = rng.standard_normal((c, h, w))
+        probe = rng.standard_normal((groups, 3, h, w))
+        for cam in cams:
+            f_src = rng.standard_normal((c, h, w))
+            coords = warp_coords(ref, cam, hyp, h, w)
+
+            def run(layer):
+                leaves = [Tensor(f_ref, requires_grad=True), Tensor(f_src, requires_grad=True)]
+                with T.no_grad():
+                    unrecorded = layer(*leaves).data.tobytes()
+                corr = layer(*leaves)
+                T.backward(T.sum_all(T.mul(corr, probe)))
+                return [corr.data.tobytes(), unrecorded, *(leaf.grad.tobytes() for leaf in leaves)]
+
+            def fused(r, s):
+                return T.grid_sample_bilinear(s, coords, r, groups)
+
+            def composed(r, s):
+                return per_source_cost(r, [s], ref, [cam], hyp, groups, 1.0)[0][0]
+
+            assert run(fused) == run(composed)
+
+    def test_shared_parameter_adds_gradients_in_the_same_order(self, rng):
+        """With the reference and three sources all computed from one
+        parameter, its gradient matches the stacked composition byte for
+        byte: the backward sweep visits the feature graphs in the same order,
+        so the parameter adds up the same terms in the same order."""
+        ref = make_camera(fx=32.0, fy=32.0, cx=4.0, cy=3.0)
+        cams = [make_camera(fx=32.0, fy=32.0, cx=4.0, cy=3.0, t=t)
+                for t in ((0.1, 0.0, 0.0), (-0.1, 0.05, 0.0), (0.05, 0.1, 0.0))]
+        hyp = initial_hypotheses((1.0, 9.0), 4)
+        assert all(warp_valid(ref, cam, hyp, 6, 8).mean() > 0.5 for cam in cams)
+        weights = [rng.standard_normal((4, 6, 8)) for _ in range(4)]
+        base = rng.standard_normal((4, 6, 8))
+        probe = rng.standard_normal((3, 2, 4, 6, 8))
+
+        def composed(f_ref, f_src):
+            views = []
+            for feats, cam in zip(f_src, cams):
+                corr = per_source_cost(f_ref, [feats], ref, [cam], hyp, 2, 1.0)[0][0]
+                views.append(T.reshape(corr, (1, *corr.shape)))
+            return T.concat_axis(views, 0)
+
+        def grad(layer):
+            shared = T.Parameter(base)
+            f_ref, *f_src = [T.mul(shared, wt) for wt in weights]
+            T.backward(T.sum_all(T.mul(layer(f_ref, f_src), probe)))
+            return shared.grad.tobytes()
+
+        assert grad(lambda r, s: warp_and_correlate(r, s, ref, cams, hyp, 2)) == grad(composed)
+
+
+class TestWorkingSet:
+    """tracemalloc figures of stage 3 of a 3-view 128x160 view: 8 channels in
+    4 groups, 4 hypotheses, a (2, 4, 4, 128, 160) correlation of 5.2 MB."""
+
+    @pytest.fixture
+    def stage3(self, rng):
+        ref = make_camera(cx=80.0, cy=64.0)
+        cams = [make_camera(cx=80.0, cy=64.0, t=(0.3, 0.0, 0.0)),
+                make_camera(cx=80.0, cy=64.0, t=(-0.2, 0.1, 0.0))]
+        hyp = initial_hypotheses((1.0, 9.0), 4)
+        feats = [Tensor(rng.standard_normal((8, 128, 160)), requires_grad=True)
+                 for _ in range(3)]
+        with T.no_grad():  # a warm-up, so one-time allocations are not counted
+            warp_and_correlate(feats[0], feats[1:], ref, cams, hyp, 4)
+        return lambda: warp_and_correlate(feats[0], feats[1:], ref, cams, hyp, 4)
+
+    @staticmethod
+    def _traced(call):
+        """(result, bytes held after the call, peak bytes during it)."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = call()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return out, held - base, peak - base
+
+    def test_unrecorded_peak(self, stage3):
+        """About 11 MB: a chunk's samples are correlated as they are drawn;
+        24 MB when each source's (C, D, H, W) warped volume and its product
+        with the reference were built whole."""
+        with T.no_grad():
+            out, _, peak = self._traced(stage3)
+        assert out.shape == (2, 4, 4, 128, 160)
+        assert peak < 14e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_recorded_call_keeps_coordinates_only(self, stage3):
+        """About 7.9 MB: the result and each source's (2, D, H, W)
+        coordinates; 26 MB when the tape held each warped volume and every
+        chunk's corner indices and weights."""
+        out, held, _ = self._traced(stage3)
+        assert out.requires_grad
+        assert held < 10e6, f"held {held / 1e6:.1f} MB"
 
 
 class TestViewWeights:

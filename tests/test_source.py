@@ -1,6 +1,6 @@
 """Source rules checked with `ast`: no unused imports, only the I/O layer
 opens files, one function of the tensor engine builds strided window views,
-no generator is seeded with a literal, no tensor operator writes its
+only grid sampling and fusion's depth lookup compute bilinear corners, no generator is seeded with a literal, no tensor operator writes its
 arguments, no backward closure reads a tensor it did not bind itself, and
 no definition goes unused."""
 
@@ -36,6 +36,15 @@ def unused_imports(tree):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def _calls(node, name):
+    """Whether `node` is a call to `name` or `<x>.name`."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (isinstance(func, ast.Name) and func.id == name
+            or isinstance(func, ast.Attribute) and func.attr == name)
+
+
 def calls_of(tree, name):
     """(enclosing function, line) of every call to `name` or `<x>.name`."""
     calls = []
@@ -45,15 +54,19 @@ def calls_of(tree, name):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                if (isinstance(func, ast.Name) and func.id == name
-                        or isinstance(func, ast.Attribute) and func.attr == name):
-                    calls.append((function, child.lineno))
+            if _calls(child, name):
+                calls.append((function, child.lineno))
             visit(child, function)
 
     visit(tree, None)
     return calls
+
+
+def top_level_callers(tree, name):
+    """Names of the top-level definitions whose bodies, nested functions
+    included, call `name` or `<x>.name`; None for a call outside any."""
+    return {getattr(node, "name", None) for node in tree.body
+            if any(_calls(child, name) for child in ast.walk(node))}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
@@ -114,6 +127,24 @@ def test_second_strided_caller_is_found():
                      "def b(x):\n    def inner():\n        return as_strided(x, (2,), (8,))\n"
                      "    return inner\n")
     assert calls_of(tree, "as_strided") == [("a", 3), ("inner", 6)]
+
+
+def test_one_bilinear_rule():
+    """Corner indices and weights come from `tensor.bilinear_taps` alone, and
+    only grid sampling (its backward included) and fusion's depth lookup call
+    it, so no path grows corner code of its own."""
+    found = {(path.stem, owner) for path in sorted(PACKAGE.glob("*.py"))
+             for owner in top_level_callers(_parse(path), "bilinear_taps")}
+    assert found == {("tensor", "grid_sample_bilinear"), ("fusion", "_sample_depth")}
+
+
+def test_second_bilinear_caller_is_found():
+    tree = ast.parse("def a(x):\n    return bilinear_taps(x, x, 1, 1)\n"
+                     "def b(x):\n    def inner():\n        return T.bilinear_taps(x, x, 1, 1)\n"
+                     "    return inner\n"
+                     "def c(x):\n    return taps(x)\n"
+                     "idx = bilinear_taps(0.0, 0.0, 1, 1)\n")
+    assert top_level_callers(tree, "bilinear_taps") == {"a", "b", None}
 
 
 def argument_writes(tree):

@@ -16,7 +16,7 @@ from conftest import add_at_grid_sample_grad, assert_close, scatter_input_grad, 
 from minimvs import gradcheck, nn
 from minimvs import tensor as T
 from minimvs.checkpoint import load_checkpoint, save_checkpoint
-from minimvs.errors import DimensionError, NumericError, ParseError, UsageError
+from minimvs.errors import DimensionError, NumericError, ParameterError, ParseError, UsageError
 from minimvs.tensor import ConvParams, Parameter, Tensor
 
 
@@ -666,6 +666,64 @@ class TestGridSampleChunks(TestGridSample):
     def test_every_operator_passes_fd(self):
         for name, err, ok in gradcheck.run_op_checks():
             assert ok, f"{name}: max relative error {err}"
+
+    @pytest.mark.parametrize("whole_slices", [False, True])
+    def test_correlation_chunks_match_one_chunk(self, rng, monkeypatch, whole_slices):
+        """The correlation and both gradients equal the one-chunk result byte
+        for byte when every depth slice splits into chunks, and when a chunk
+        holds two whole slices and the last chunk one."""
+        c, groups, d, h, w = 6, 3, 3, 5, 7
+        if whole_slices:
+            monkeypatch.setattr(T, "_TILE_BYTES", 8 * c * 2 * h * w)
+        src, ref = rng.standard_normal((c, 6, 8)), rng.standard_normal((c, h, w))
+        coords = np.stack([rng.uniform(-1.5, 8.5, (d, h, w)), rng.uniform(-1.5, 6.5, (d, h, w))])
+        coords[:, 0, 0, :2] = ((7.0, -1e9), (5.0, -1e9))
+        g = rng.standard_normal((groups, d, h, w))
+
+        def run():
+            leaves = [Tensor(src, requires_grad=True), Tensor(ref, requires_grad=True)]
+            out = T.grid_sample_bilinear(leaves[0], coords, leaves[1], groups)
+            T.backward(T.sum_all(T.mul(out, g)))
+            with T.no_grad():
+                again = T.grid_sample_bilinear(leaves[0], coords, leaves[1], groups)
+            assert again.data.tobytes() == out.data.tobytes()
+            return out.data.tobytes(), leaves[0].grad.tobytes(), leaves[1].grad.tobytes()
+
+        assert T._TILE_BYTES // (8 * c) < d * h * w
+        chunked = run()
+        monkeypatch.setattr(T, "_TILE_BYTES", 1 << 20)
+        assert chunked == run()
+
+
+class TestGridSampleArguments:
+    """Typed errors for shapes and group counts the sampler cannot use."""
+
+    def test_zero_channel_source(self):
+        with pytest.raises(DimensionError):
+            T.grid_sample_bilinear(np.zeros((0, 3, 4)), np.zeros((2, 5)))
+
+    def test_ref_channels_differ_from_src(self):
+        with pytest.raises(DimensionError):
+            T.grid_sample_bilinear(np.zeros((4, 3, 4)), np.zeros((2, 2, 3, 4)), np.zeros((2, 3, 4)))
+
+    def test_ref_size_differs_from_coords(self):
+        with pytest.raises(DimensionError):
+            T.grid_sample_bilinear(np.zeros((4, 3, 4)), np.zeros((2, 2, 3, 4)), np.zeros((4, 3, 5)))
+
+    @pytest.mark.parametrize("shape", [(2, 12), (2, 6, 4), (2, 1, 2, 3, 4), (3, 2, 3, 4)])
+    def test_coords_not_per_depth_with_ref(self, shape):
+        with pytest.raises(DimensionError):
+            T.grid_sample_bilinear(np.zeros((4, 3, 4)), np.zeros(shape), np.zeros((4, 3, 4)))
+
+    @pytest.mark.parametrize("groups", [0, -2, 3])
+    def test_groups_must_divide_channels(self, groups):
+        with pytest.raises(ParameterError):
+            T.grid_sample_bilinear(np.zeros((4, 3, 4)), np.zeros((2, 2, 3, 4)), np.zeros((4, 3, 4)),
+                                   groups)
+
+    def test_groups_need_a_reference(self):
+        with pytest.raises(ParameterError):
+            T.grid_sample_bilinear(np.zeros((4, 3, 4)), np.zeros((2, 5)), groups=2)
 
 
 # ---------------------------------------------------------------------------

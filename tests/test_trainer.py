@@ -276,7 +276,10 @@ def test_inferred_view_working_set():
     and zero-padded input in one copy, and each stage frees its correlation
     once aggregated; about 48 MB when sampling holds every point's
     temporaries at once, depth replication makes a second padded copy and
-    the correlation lives through guidance and the regularizer."""
+    the correlation lives through guidance and the regularizer. The peak,
+    34.7 MB, lies in the stage-3 regularizer: the stage-3 correlation before
+    it peaks at 14.0 MB, or 27.6 MB when each source's warped volume and its
+    product with the reference are built whole."""
     cfg = _tiny_config()
     network = pipeline.build_network(cfg)
     network.eval()
