@@ -864,6 +864,7 @@ def grid_sample_bilinear(src, coords, ref=None, groups=1):
         # ref fixes the order in which shared parameters add up their gradients
         parents, rows, per_slice = (ref, src), groups, ref.shape[1] * ref.shape[2]
         rflat = ref.data.reshape(c, per_slice)
+    correlate = ref is not None
     k = c // rows  # channels per group
     step = max(1, _TILE_BYTES // (8 * c))
     per_slice = max(1, per_slice)
@@ -883,7 +884,7 @@ def grid_sample_bilinear(src, coords, ref=None, groups=1):
 
     out = np.empty((rows, xs.size))
     for at, m, cols, idx, wts in chunks():
-        if rflat is None:
+        if not correlate:
             _gather(flat, idx, wts, out[:, at])
             continue
         prod = _gather(flat, idx, wts)
@@ -898,7 +899,6 @@ def grid_sample_bilinear(src, coords, ref=None, groups=1):
     out = out.reshape((rows, *cd.shape[1:]))
 
     want_src = src.requires_grad
-    correlate = ref is not None
     ref_shape = (c, *cd.shape[2:])
     # each input is read only for the other's gradient
     samples_of = flat if correlate and ref.requires_grad else None
