@@ -87,6 +87,8 @@ def _conv(op, *geometry, **extra):
     return lambda x, w, b=None: op(x, ConvParams(w, b, *geometry, **extra))
 
 
+_BN_SIGNS = np.array([1.0, -1.0, 1.0])  # per channel: the sign of beta in the batch-norm cases
+
 # name -> (operator over the inputs, input specs); the loss is sum(op * w)
 _CASES = {
     "add": (T.add, [_param(3, 4), _param(3, 4)]),
@@ -121,11 +123,18 @@ _CASES = {
                               [_param(4, 5, 6), _const(2, 3, 4, 5, span=(-0.7, 6.5)),
                                _param(4, 4, 5)]),
     "upsample_bilinear2x": (T.upsample_bilinear2x, [_param(2, 3, 4)]),
-    "batch_norm_train": (lambda x, g, b: T.batch_norm(x, g, b)[0],
-                         [_param(3, 4, 5), _param(3, span=(0.5, 1.5)), _param(3)]),
-    "batch_norm_infer": (lambda x, g, b, m, v: T.batch_norm(x, g, b, m, v)[0],
-                         [_param(3, 4, 5), _param(3, span=(0.5, 1.5)), _param(3),
-                          _const(3), _const(3, span=(0.5, 2.0))]),
+    # batch norm ends in the ReLU. |xhat| is at most sqrt(19) with batch
+    # statistics of 20 values and 2 / sqrt(0.5) with the given ones, so with
+    # these spans every value before the ReLU lies at least 0.4 from its
+    # kink: above it in channels 0 and 2, below it in channel 1, whose beta
+    # is negated
+    "batch_norm_train": (lambda x, g, b: T.batch_norm(x, g, T.mul(b, _BN_SIGNS))[0],
+                         [_param(3, 4, 5), _param(3, span=(0.5, 1.5)),
+                          _param(3, span=(7.0, 8.0))]),
+    "batch_norm_infer": (lambda x, g, b, m, v: T.batch_norm(x, g, T.mul(b, _BN_SIGNS), m, v)[0],
+                         [_param(3, 4, 5, span=(-1.0, 1.0)), _param(3, span=(0.5, 1.5)),
+                          _param(3, span=(5.0, 6.0)), _const(3, span=(-1.0, 1.0)),
+                          _const(3, span=(0.5, 2.0))]),
     # stride-1 input gradients: the padded gradient grows by k - 1 - p per
     # axis, so each geometry below takes a different pad/crop branch
     "conv3d_depth_unpadded": (_conv(T.conv3d, 1, (0, 1, 1)),

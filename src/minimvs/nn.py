@@ -151,7 +151,8 @@ BN_MOMENTUM = 0.9  # weight of the old running statistics per update
 
 
 class BatchNorm(Module):
-    """Per-channel normalization; spatial rank is inferred from the input.
+    """Per-channel normalization ending in the ReLU (`tensor.batch_norm`);
+    spatial rank is inferred from the input.
 
     The one place that picks the statistics. Training normalizes with the
     sample's own and moves the running buffers by `BN_MOMENTUM`; outside it,
@@ -180,7 +181,9 @@ class BatchNorm(Module):
 
 
 class ConvBnReLU(Module):
-    """Bias-free `Conv`, batch norm and ReLU; the conv sets the geometry."""
+    """Bias-free `Conv`, then batch norm, which ends in the ReLU; the conv
+    sets the geometry. Two tape nodes, whose only arrays are the conv's
+    input (or its rebuild) and batch norm's `xhat`."""
 
     def __init__(self, in_ch, out_ch, kernel, stride=1, transposed=False, *, rng):
         super().__init__()
@@ -188,7 +191,7 @@ class ConvBnReLU(Module):
         self.bn = BatchNorm(out_ch)
 
     def forward(self, x):
-        return T.clamp_min(self.bn.forward(self.conv.forward(x)), 0.0)
+        return self.bn.forward(self.conv.forward(x))
 
 
 class Adam:

@@ -46,11 +46,16 @@ class VolumeRegularizer(Module):
         if pad_h or pad_w:
             volume = T.pad_zero(volume, ((0, 0), (0, 0), (0, pad_h), (0, pad_w)))
 
+        # each activation is dropped after its last read, so that without a
+        # tape (whose closures keep what they read) it is freed at once
         x0 = self.conv0.forward(volume)                  # (b,  D, H,   W)
+        del volume
         x1 = self.conv2.forward(self.conv1.forward(x0))  # (2b, D, H/2, W/2)
         x2 = self.conv4.forward(self.conv3.forward(x1))  # (4b, D, H/4, W/4)
         y = T.add(x1, self.up5.forward(x2))
+        del x1, x2
         y = T.add(x0, self.up6.forward(y))
+        del x0
         logits = self.prob.forward(y)                    # (1, D, H', W')
         if pad_h or pad_w:
             logits = T.narrow(logits, 2, 0, h)

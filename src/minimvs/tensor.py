@@ -18,12 +18,18 @@ leaf's `.grad` without a lock. Results are bit-identical across repeated
 single-threaded runs.
 
 The tape is made of graph nodes (`_Node`), one per recorded result: its
-backward closure, a grad sink per parent and its own grad slot. A node holds
-no tensor, and a closure keeps only the arrays its backward reads, plus the
-shapes and `requires_grad` flags it needs as plain values. So an interior
-result's data lives only as long as its `Tensor` or a closure that reads it:
-a conv output that only batch norm consumes is freed once its `Tensor` goes,
-since batch norm's backward reads its own `xhat`.
+backward closure, a grad sink per parent, its own grad slot and, for batch
+norm, a `rebuild` function. A node holds no tensor, and a closure keeps only
+the arrays its backward reads, plus the shapes and `requires_grad` flags it
+needs as plain values. So an interior result's data lives only as long as
+its `Tensor` or a closure that reads it: a conv output that only batch norm
+consumes is freed once its `Tensor` goes, since batch norm's backward reads
+its own `xhat`. Batch norm ends in the ReLU, and its node's `rebuild`
+recomputes that output from `xhat`; a closure that reads an argument (a
+conv's input for its weight gradient, a factor of `mul`) keeps that function
+in place of the array (`_kept`). So a Conv-BN-ReLU block leaves one array on
+the tape, `xhat`, and neither its ReLU's mask nor its output outlives the
+forward.
 
 A recorded convolution keeps its input (only when the weight takes a
 gradient) and weight, never a window matrix.
@@ -80,14 +86,18 @@ class _Node:
     `parents` holds one grad sink per operator argument: the argument's
     node, the argument itself when it is a leaf that requires a gradient,
     or None. `backward_fn` maps this node's `grad` to one gradient per
-    parent. `backward` clears all three once the node's backward has run.
+    parent. `rebuild`, a function or None, recomputes the result's data
+    from what `backward_fn` keeps anyway (batch norm's `xhat`), so a
+    consumer's closure keeps it instead of the array (`_kept`).
+    `backward` clears all four once the node's backward has run.
     """
 
-    __slots__ = ("parents", "backward_fn", "grad")
+    __slots__ = ("parents", "backward_fn", "rebuild", "grad")
 
-    def __init__(self, parents, backward_fn):
+    def __init__(self, parents, backward_fn, rebuild=None):
         self.parents = parents
         self.backward_fn = backward_fn
+        self.rebuild = rebuild
         self.grad = None
 
 
@@ -166,7 +176,7 @@ def _sink(p):
     return p if p.requires_grad else None
 
 
-def _result(data, parents, backward_fn, op):
+def _result(data, parents, backward_fn, op, rebuild=None):
     data = np.asarray(data, dtype=np.float64)
     if not _all_finite(data):
         raise NumericError(f"operator '{op}' produced non-finite values")
@@ -176,8 +186,21 @@ def _result(data, parents, backward_fn, op):
     out.requires_grad = requires
     out.grad = None
     out._op = op
-    out._node = _Node(tuple(_sink(p) for p in parents), backward_fn) if requires else None
+    out._node = (_Node(tuple(_sink(p) for p in parents), backward_fn, rebuild)
+                 if requires else None)
     return out
+
+
+def _kept(t):
+    """What a backward closure keeps to read argument `t`'s data: its node's
+    `rebuild` where it has one, else the array. `_restored` gives the array."""
+    node = t._node
+    return node.rebuild if node is not None and node.rebuild is not None else t.data
+
+
+def _restored(kept):
+    """The array a `_kept` value stands for (None stays None)."""
+    return kept() if callable(kept) else kept
 
 
 def _unbroadcast(grad, shape):
@@ -244,7 +267,7 @@ def backward(loss):
                 sink.grad += grad
         node.grad = None
         node.parents = ()
-        node.backward_fn = None
+        node.backward_fn = node.rebuild = None
         node = grads = grad = None  # the next closure runs without these arrays
 
 
@@ -273,12 +296,12 @@ def mul(a, b):
     except ValueError as exc:
         raise DimensionError(f"mul: shapes {a.shape} and {b.shape} do not broadcast") from exc
     ashape, bshape = a.shape, b.shape
-    bd = b.data if a.requires_grad else None  # each factor is read only for the other's gradient
-    ad = a.data if b.requires_grad else None
+    bd = _kept(b) if a.requires_grad else None  # each factor is read only for the other's gradient
+    ad = _kept(a) if b.requires_grad else None
 
     def bwd(g):
-        ga = None if bd is None else _unbroadcast(g * bd, ashape)
-        gb = None if ad is None else _unbroadcast(g * ad, bshape)
+        ga = None if bd is None else _unbroadcast(g * _restored(bd), ashape)
+        gb = None if ad is None else _unbroadcast(g * _restored(ad), bshape)
         return ga, gb
 
     return _result(data, (a, b), bwd, "mul")
@@ -330,15 +353,31 @@ def log(a):
     return _result(data, (a,), bwd, "log")
 
 
+def _floored(a, floor, out=None):
+    """max(a, floor) + 0.0, into `out` when given: the one ReLU rule.
+
+    The added 0.0 turns -0.0 into 0.0, so for floor >= 0 and finite `a` this
+    equals `np.where(a > floor, a, floor)` bit for bit. Non-finite input
+    must be caught before: `np.maximum` maps -inf to the floor.
+    """
+    out = np.maximum(a, floor, out=out)
+    out += 0.0
+    return out
+
+
 def clamp_min(a, floor):
-    """max(a, floor), passing no gradient at or below the floor; floor 0.0 is the ReLU."""
+    """max(a, floor), passing no gradient at or below the floor.
+
+    The coordinate gate's ReLU (floor 0.0) and the log floor; a
+    `ConvBnReLU` block's ReLU is the end of `batch_norm`.
+    """
     a = _as_tensor(a)
     mask = a.data > floor
 
     def bwd(g):
         return (g * mask,)
 
-    return _result(np.where(mask, a.data, floor), (a,), bwd, "clamp_min")
+    return _result(_floored(a.data, floor), (a,), bwd, "clamp_min")
 
 
 def sum_all(a):
@@ -717,12 +756,13 @@ def _conv(x, params, nsp, op, transposed=False):
     if b is not None:
         y += b.data.reshape(c_out, *(1,) * nsp)
     want_dx = x.requires_grad
-    xd = x.data if w.requires_grad else None  # read only for the weight gradient
+    kept_x = _kept(x) if w.requires_grad else None  # read only for the weight gradient
     has_bias = b is not None
     want_db = has_bias and b.requires_grad
 
     def bwd(g):
         gmat = g.reshape(c_out, -1)
+        xd = _restored(kept_x)
         dx = dw = None
         if transposed:
             dx, dw = _tile_gemms(_pad(g, pad), kshape, stride, small,
@@ -998,12 +1038,20 @@ BN_EPS = 1e-5  # added to the variance before its square root
 
 
 def batch_norm(x, gamma, beta, mean=None, var=None):
-    """Per-channel normalization over all spatial axes of (C, *spatial).
+    """Per-channel normalization over all spatial axes of (C, *spatial), ending in the ReLU.
 
-    Returns `(y, mean, var)`: the output and the per-channel statistics it
-    used. Without `mean` and `var` it normalizes with `x`'s own statistics
-    and the gradient flows through them; given statistics are constants.
-    No argument is written.
+    Returns `(y, mean, var)`: y = max(gamma * xhat + beta, 0) by the one
+    ReLU rule (`_floored`), and the per-channel statistics it used. Without
+    `mean` and `var` it normalizes with `x`'s own statistics and the
+    gradient flows through them; given statistics are constants. No
+    argument is written.
+
+    The node keeps `xhat` only. Its backward rebuilds the ReLU's mask from
+    `xhat`, `gamma` and `beta` with the forward's arithmetic, and its
+    `rebuild` recomputes y for a consumer whose backward reads it (a conv's
+    weight gradient, the other factor of a `mul`), so neither the mask nor
+    y outlives the forward. Finiteness is checked once, on the values before
+    the ReLU, which would map -inf to 0.
     """
     x = _as_tensor(x)
     axes = tuple(range(1, x.ndim))
@@ -1015,26 +1063,36 @@ def batch_norm(x, gamma, beta, mean=None, var=None):
     inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat = x.data - mean.reshape(bshape)
     xhat *= inv.reshape(bshape)
-    # the backward reads xhat; without one, y may overwrite it
-    y = np.empty_like(xhat) if _records((x, gamma, beta)) else xhat
-    gd = gamma.data
-    np.multiply(gd.reshape(bshape), xhat, out=y)
-    y += beta.data.reshape(bshape)
+    gd, bd = gamma.data.reshape(bshape), beta.data.reshape(bshape)
+
+    def affine(into=None):
+        """gamma * xhat + beta, the values the ReLU reads, into a fresh array or `into`."""
+        y = np.multiply(gd, xhat, out=into)
+        y += bd
+        return y
+
+    def rebuild():
+        y = affine()
+        return _floored(y, 0.0, y)
+
     n = int(np.prod(x.shape[1:]))
     want_dx, want_dgamma, want_dbeta = x.requires_grad, gamma.requires_grad, beta.requires_grad
 
     def bwd(g):
-        dgamma = (g * xhat).sum(axis=axes) if want_dgamma else None
-        dbeta = g.sum(axis=axes) if want_dbeta else None
+        # the ReLU's gradient, plus 0.0 as backward's first arrival adds it
+        gm = g * (affine() > 0.0)
+        gm += 0.0
+        gs = gm.sum(axis=axes, keepdims=True)
+        gx = (gm * xhat).sum(axis=axes, keepdims=True)
         dx = None
         if want_dx:
-            gr = gd.reshape(bshape) * inv.reshape(bshape)
-            if batch_stats:
-                gs = g.sum(axis=axes, keepdims=True)
-                gx = (g * xhat).sum(axis=axes, keepdims=True)
-                dx = gr * (g - gs / n - xhat * gx / n)
-            else:
-                dx = gr * g
-        return dx, dgamma, dbeta
+            gr = gd * inv.reshape(bshape)
+            dx = gr * (gm - gs / n - xhat * gx / n) if batch_stats else gr * gm
+        return (dx, gx.reshape(-1) if want_dgamma else None,
+                gs.reshape(-1) if want_dbeta else None)
 
-    return _result(y, (x, gamma, beta), bwd, "batch_norm"), mean, var
+    # the backward reads xhat; without one, the output may overwrite it
+    out = _result(affine(None if _records((x, gamma, beta)) else xhat),
+                  (x, gamma, beta), bwd, "batch_norm", rebuild)
+    _floored(out.data, 0.0, out.data)  # only now: np.maximum would hide a -inf from _result's check
+    return out, mean, var

@@ -11,7 +11,8 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import add_at_grid_sample_grad, assert_close, scatter_input_grad, window_matrix
+from conftest import (add_at_grid_sample_grad, assert_close, scatter_input_grad,
+                      unfused_bn_relu, window_matrix)
 
 from minimvs import gradcheck, nn
 from minimvs import tensor as T
@@ -877,30 +878,30 @@ class TestBackward:
 
     def test_outputs_no_backward_reads_are_freed_before_backward(self, rng, monkeypatch):
         # batch norm's backward reads its own xhat, not the conv output, and
-        # the ReLU's reads its mask, not the batch-norm output
+        # a backward that reads a block's ReLU output (the next block's
+        # weight gradient, the other factor of a mul) rebuilds it from xhat
         def root(array):
             while array.base is not None:
                 array = array.base
             return array
 
-        freed = {}
+        freed = []
 
-        def watched(name, op):
+        def watched(op):
             def call(*args):
                 out = op(*args)
-                freed[name] = weakref.ref(root((out[0] if isinstance(out, tuple) else out).data))
+                freed.append(weakref.ref(root(out.data)))
                 return out
             return call
 
-        monkeypatch.setattr(T, "conv2d", watched("conv", T.conv2d))
-        monkeypatch.setattr(T, "batch_norm", watched("bn", T.batch_norm))
+        monkeypatch.setattr(T, "conv2d", watched(T.conv2d))
         x = Parameter(rng.standard_normal((2, 6, 7)))
         y = nn.ConvBnReLU(2, 3, (3, 3), rng=rng).forward(x)
-        assert freed["conv"]() is None and freed["bn"]() is None
-        relu = weakref.ref(root(y.data))
-        loss = T.sum_all(T.mul(y, y))
-        del y
-        assert relu() is not None  # mul's backward reads it
+        z = nn.ConvBnReLU(3, 3, (3, 3), rng=rng).forward(y)
+        freed += [weakref.ref(root(y.data)), weakref.ref(root(z.data))]
+        loss = T.sum_all(T.mul(z, y))
+        del y, z
+        assert [ref() for ref in freed] == [None] * 4
         T.backward(loss)
         assert x.grad is not None and np.abs(x.grad).sum() > 0
 
@@ -946,18 +947,68 @@ class TestBackward:
 
 class TestBatchNorm:
     def test_train_mode_normalizes(self, rng):
+        # beta 10 keeps every normalized value above the ReLU's kink
         x = rng.standard_normal((2, 16, 16)) * 3.0 + 5.0
-        out, _, _ = T.batch_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)))
-        assert np.abs(out.data.mean(axis=(1, 2))).max() < 1e-12
-        assert np.abs(out.data.var(axis=(1, 2)) - 1.0).max() < 1e-3
+        out, _, _ = T.batch_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.full(2, 10.0)))
+        normalized = out.data - 10.0
+        assert np.abs(normalized.mean(axis=(1, 2))).max() < 1e-12
+        assert np.abs(normalized.var(axis=(1, 2)) - 1.0).max() < 1e-3
 
     def test_infer_mode_uses_running(self, rng):
         x = rng.standard_normal((2, 4, 4))
         rm = np.array([1.0, -1.0])
         rv = np.array([4.0, 0.25])
         out, _, _ = T.batch_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)), rm, rv)
-        want = (x - rm[:, None, None]) / np.sqrt(rv + T.BN_EPS)[:, None, None]
+        want = np.maximum((x - rm[:, None, None]) / np.sqrt(rv + T.BN_EPS)[:, None, None], 0.0)
         assert np.abs(out.data - want).max() < 1e-12
+
+    @pytest.mark.parametrize("spatial", [(5, 6), (3, 4, 5)], ids=["2d", "3d"])
+    @pytest.mark.parametrize("given", [False, True], ids=["batch_stats", "given_stats"])
+    def test_matches_batch_norm_then_relu(self, rng, spatial, given):
+        """Forward, dx, dgamma and dbeta equal batch norm followed by its own
+        ReLU op byte for byte, recorded and under no_grad, with consumers
+        that read the output in their backward: the next conv's weight
+        gradient and both factors of a mul."""
+        n = math.prod(spatial)
+        ints = rng.integers(-3, 4, (2, n // 2)).astype(np.float64)
+        ints[:, 0] = 0.0
+        x = rng.standard_normal((3, n))
+        # channels 0 and 2: integers symmetric about 0, so their mean is
+        # exactly 0.0 and x == 0 gives xhat == 0.0; with beta -0.0, a positive
+        # gamma makes that pre-activation 0.0 and a negative one -0.0
+        x[0::2, :n // 2 * 2] = np.concatenate([ints, -ints], axis=1)
+        x[0::2, n // 2 * 2:] = 0.0
+        x = rng.permuted(x, axis=1).reshape(3, *spatial)
+        gamma = np.array([1.3, 0.7, -0.9])
+        beta = np.array([-0.0, rng.standard_normal(), -0.0])
+        stats = (np.array([0.0, 0.2, 0.0]), rng.uniform(0.5, 2.0, 3)) if given else ()
+        mean, var = stats or (x.mean(axis=tuple(range(1, x.ndim))),
+                              x.var(axis=tuple(range(1, x.ndim))))
+        bshape = (3,) + (1,) * len(spatial)
+        xhat = (x - mean.reshape(bshape)) * (1.0 / np.sqrt(var + T.BN_EPS)).reshape(bshape)
+        pre = gamma.reshape(bshape) * xhat + beta.reshape(bshape)
+        assert np.any((pre == 0.0) & np.signbit(pre)) and np.any((pre == 0.0) & ~np.signbit(pre))
+        conv = T.conv2d if len(spatial) == 2 else T.conv3d
+        w = rng.standard_normal((2, 3) + (3,) * len(spatial))
+        weights = Tensor(rng.standard_normal((2, *spatial)))
+
+        def run(op):
+            leaves = [Parameter(a.copy()) for a in (x, gamma, beta, w)]
+            y, _, _ = op(*leaves[:3], *stats)
+            z = conv(y, ConvParams(leaves[3], None, 1, 1))
+            T.backward(T.add(T.sum_all(T.mul(z, weights)), T.sum_all(T.mul(y, y))))
+            with T.no_grad():
+                y_infer, _, _ = op(*(Tensor(a) for a in (x, gamma, beta)), *stats)
+            return [a.tobytes() for a in (y.data, y_infer.data, *(p.grad for p in leaves))]
+
+        assert run(T.batch_norm) == run(unfused_bn_relu)
+
+    def test_minus_infinity_before_the_relu_raises(self):
+        # xhat is about (-1.73, 0.58, 0.58, 0.58): gamma overflows the first
+        # to -inf, which the ReLU alone would map to 0
+        x = Tensor([[0.0, 10.0, 10.0, 10.0]])
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="'batch_norm'"):
+            T.batch_norm(x, Tensor([1.5e308]), Tensor([0.0]))
 
     def test_returns_its_statistics_and_writes_no_argument(self, rng):
         x = rng.standard_normal((3, 6, 5)) * 2.0 + 1.0
