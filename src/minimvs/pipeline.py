@@ -131,8 +131,13 @@ class CascadeNetwork(Module):
         same order, computed once by a caller that shares them between
         reference views; otherwise they are computed here.
 
-        Under `no_grad` each stage's correlation is freed once aggregated,
-        before guidance and the regularizer run.
+        Under `no_grad` (no tape keeps what its backward reads) each array
+        is freed after its last read: a stage's correlation once aggregated,
+        before guidance and the regularizer run; the aggregated volume of
+        the stage before once this stage's guidance has read it; and the
+        last stage's aggregated volume before its regularizer runs. The
+        regularizer is the only holder of its input, which it frees after
+        its first block.
         """
         cfg = self.cfg
         if pyramids is None:
@@ -154,14 +159,16 @@ class CascadeNetwork(Module):
             weights = view_weights(corr, cfg.temperature)
             volume = aggregate(corr, weights)
             del corr
-            reg_input = volume
-            if stage > 0:
-                reg_input = self.guidance[stage - 1].forward(prev_volume, volume)
-            prob = self.regularizers[stage].forward(reg_input)
+            reg_input = [volume if stage == 0
+                         else self.guidance[stage - 1].forward(prev_volume, volume)]
+            # the next stage's guidance reads this volume; after the last stage nothing does
+            prev_volume = volume if stage < STAGE_COUNT - 1 else None
+            del volume
+            # popped into the call, the input's only holder is the regularizer
+            prob = self.regularizers[stage].forward(reg_input.pop())
             depth, confidence = wta_depth(prob.data, hyp)
             outputs.append(StageOutput(stage, hyp, prob, depth, confidence,
                                        [Tensor(w) for w in weights.data]))
-            prev_volume = volume
             prev_depth = depth
         return outputs
 

@@ -52,9 +52,13 @@ class VolumeRegularizer(Module):
         del volume
         x1 = self.conv2.forward(self.conv1.forward(x0))  # (2b, D, H/2, W/2)
         x2 = self.conv4.forward(self.conv3.forward(x1))  # (4b, D, H/4, W/4)
-        y = T.add(x1, self.up5.forward(x2))
-        del x1, x2
-        y = T.add(x0, self.up6.forward(y))
+        # each skip add runs once the input of its upsampling is dropped
+        y = self.up5.forward(x2)
+        del x2
+        y = T.add(x1, y)
+        del x1
+        y = self.up6.forward(y)
+        y = T.add(x0, y)
         del x0
         logits = self.prob.forward(y)                    # (1, D, H', W')
         if pad_h or pad_w:

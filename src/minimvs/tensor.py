@@ -40,6 +40,8 @@ window matrix within `_TILE_BYTES` (one row where a row is larger), so no
 whole window matrix is ever built, and each band's stays in cache for its
 GEMMs. A 3D band unfolds the (kh, kw) windows of each padded depth slice it
 reads once, halo slices included, and runs one GEMM per depth tap on them.
+No padded input or output gradient is ever whole either: the bands
+unfold blocks of padded input rows, as many bands as fit the same budget.
 Bilinear grid sampling runs on chunks of sample points within
 the same `_TILE_BYTES` budget. Given a reference map, it correlates each
 chunk with it group by group as it samples (the cost layer's group-wise
@@ -51,8 +53,9 @@ needs no setup, and threads never share a buffer. The tile and chunk splits
 depend on shapes only, never on the thread count.
 
 Edge replication along depth is a convolution padding mode
-(`ConvParams.replicate_depth`), not an operator: the conv builds its
-depth-replicated, zero-padded input in one copy and records only its input.
+(`ConvParams.replicate_depth`), not an operator: each block of padded rows
+holds the replicated edge slices inside its zeros, the conv records only its
+input, and its backward folds the edges' gradients back onto the end slices.
 """
 
 from __future__ import annotations
@@ -529,34 +532,52 @@ class ConvParams:
 
 def _per_axis(value, n, name, low):
     """`value` as `n` ints, each >= `low`; a scalar applies to every axis."""
-    value = (int(value),) * n if np.ndim(value) == 0 else tuple(int(v) for v in value)
+    # a tuple or int is told apart without np.ndim, which costs more than the rest
+    scalar = not isinstance(value, tuple) and (isinstance(value, int) or np.ndim(value) == 0)
+    value = (int(value),) * n if scalar else tuple(map(int, value))
     if len(value) != n or min(value) < low:
         raise ParameterError(f"{name} must be {n} integers >= {low}, got {value}")
     return value
 
 
-def _pad(a, pad, edge=0):
-    """Zero-pad the spatial axes of (C, *spatial) by `pad` per axis, into a fresh array.
+def _padded_rows(a, pad, edge, top, stop):
+    """Rows [top, stop) of (C, *spatial) `a` zero-padded by `pad` per axis.
 
-    Inside the zeros, the first spatial axis grows by `edge` copies of its
-    first and last slices at either end.
+    Rows count in padded coordinates, and every other axis is whole. Inside
+    the zeros, the depth axis of a 3D grid grows by `edge` copies of its
+    first and last slices at either end. A fresh array, or a view of a
+    C-contiguous `a` where nothing pads (as a copy would be laid out): read
+    it, never write it.
     """
-    grown = (a.shape[1] + 2 * edge, *a.shape[2:])
-    ap = np.zeros((a.shape[0], *(n + 2 * p for n, p in zip(grown, pad))))
-    inner = ap[(slice(None), *(slice(p, p + n) for p, n in zip(pad, grown)))]
-    inner[:, edge:edge + a.shape[1]] = a
-    if edge:
-        inner[:, :edge] = a[:, :1]
-        inner[:, -edge:] = a[:, -1:]
-    return ap
+    if not (edge or any(pad)) and a.flags.c_contiguous:
+        return a[..., top:stop, :]
+    *lead, ph, pw = pad
+    *planes, h, w = a.shape[1:]
+    shape = (a.shape[0], *(n + 2 * (p + edge) for n, p in zip(planes, lead)), stop - top,
+             w + 2 * pw)
+    block = np.zeros(shape) if any(pad) else np.empty(shape)  # unpadded, every entry is written
+    first, last = max(top, ph), min(stop, ph + h)  # the padded rows that are rows of `a`
+    if last > first:
+        src = a[..., first - ph:last - ph, :]
+        at = (slice(first - top, last - top), slice(pw, pw + w))
+        depth = [slice(p + edge, p + edge + n) for n, p in zip(planes, lead)]
+        block[(slice(None), *depth, *at)] = src
+        if edge:
+            d = depth[0]
+            block[(slice(None), slice(d.start - edge, d.start), *at)] = src[:, :1]
+            block[(slice(None), slice(d.stop, d.stop + edge), *at)] = src[:, -1:]
+    return block
 
 
-def _fold_edges(dx, edge):
-    """Adjoint of `_pad`'s edge replication: (C, n + 2 * edge, ...) -> (C, n, ...)."""
-    out = dx[:, edge:-edge].copy()
-    out[:, 0] += dx[:, :edge].sum(axis=1)
-    out[:, -1] += dx[:, -edge:].sum(axis=1)
-    return out
+def _fold_edges(ext, edge):
+    """Adjoint of the depth edge replication, in place on (C, n + 2 * edge, ...) `ext`.
+
+    Adds the sum of the `edge` slices at either end onto the first and last
+    of the middle n slices, and returns those n (a view).
+    """
+    ext[:, edge] += ext[:, :edge].sum(axis=1)
+    ext[:, -edge - 1] += ext[:, -edge:].sum(axis=1)
+    return ext[:, edge:-edge]
 
 
 def _unfold(windows, rows):
@@ -564,11 +585,18 @@ def _unfold(windows, rows):
 
     It is (C * kh * kw, [span *] n * W): a band of a 3D grid unfolds all
     `span` padded depth slices it reads. A copy of the band's windows, or a
-    view of the padded input where they are already contiguous (a 1x1 kernel
-    at stride 1): read it, never write it.
+    view of the block of padded rows they come from where they are already
+    contiguous (a 1x1 kernel at stride 1): read it, never write it.
     """
     cols = windows[..., rows, :]
     return cols.reshape(math.prod(cols.shape[:3]), -1)
+
+
+def _block_rows(rows, fit, h):
+    """The output rows of a block that starts at band `rows`: as many whole
+    bands as `fit` rows allow, one at least, and none past row `h`."""
+    n = rows.stop - rows.start
+    return range(rows.start, min(h, rows.start + n * max(1, fit // n)))
 
 
 def _tile_grid(k_rows, small, halo=0):
@@ -587,43 +615,68 @@ def _tile_grid(k_rows, small, halo=0):
         yield (*(slice(0, n) for n in lead), slice(r, min(r + rows, h)), slice(0, w))
 
 
-def _tile_gemms(ap, kshape, stride, small, wmat=None, a=None):
-    """The two GEMMs on the window matrix of the padded (C, *spatial) `ap`, one band at a time.
+def _tile_gemms(x, pad, kshape, stride, small, wmat=None, a=None, edge=0, fold=0):
+    """The two GEMMs on the window matrix of (C, *spatial) `x` padded by `pad`, band by band.
 
     Returns `wmat @ cols` as (rows, *small) and `a @ cols.T` for an
-    (A, prod(small)) `a`, as (A, C, *k); either is None when its operand is.
+    (A, *small) `a`, as (A, C, *k); either is None when its operand is.
     `cols`, the whole (C * prod(k), prod(small)) window matrix, is never
-    built. Per band of output rows (`_tile_grid`), `_unfold` copies the
-    (kh, kw) windows of each padded depth slice the band reads once; depth
-    tap j reads its D slices of that copy, so each GEMM splits into one per
-    depth tap, summed in tap order. A 2D grid is one slice with one tap.
+    built, nor is the whole padded `x`: `_padded_rows` builds a block of
+    the padded rows that whole bands of output rows (`_tile_grid`) read, as
+    many bands as fit `_TILE_BYTES` and one at least, with `edge` replicated
+    depth slices inside the zeros. Per band, `_unfold` copies the (kh, kw)
+    windows of each padded depth slice of the block once; depth tap j reads
+    its slices of that copy, so each GEMM splits into one per depth tap,
+    summed in tap order. A 2D grid is one slice with one tap. The windows
+    and GEMMs are those of the whole padded `x`, so the bits are too.
+
+    `fold` > 0 says `small`'s depth is `a`'s grown by `fold` replicated edge
+    slices at either end: `a` is grown so in blocks of whole bands' rows
+    within the same budget, and each band of the result is folded back
+    (`_fold_edges`), which makes the result (rows, depth - 2 * fold, ...).
     """
-    c = ap.shape[0]
+    c = x.shape[0]
     lead = len(small) - 2  # 1 when there is a depth axis to split
     kd, sd, depth = (kshape[0], stride[0], small[0]) if lead else (1, 1, 1)
-    span = (depth - 1) * sd + kd  # the padded depth slices the output reads
-    plane = ap.strides[1 + lead:]
-    windows = np.lib.stride_tricks.as_strided(  # a view: entry (c, kh, kw, [slice,] row, col)
-        ap, shape=(c, *kshape[lead:], *(span,) * lead, *small[lead:]),
-        strides=(ap.strides[0], *plane, *ap.strides[1:1 + lead],
-                 *(s * st for s, st in zip(plane, stride[lead:]))))
-    k_rows = c * math.prod(kshape[lead:])
-    taps = [slice(j, j + (depth - 1) * sd + 1, sd) for j in range(kd)]
+    kh, sh = kshape[-2], stride[-2]
     h, w = small[-2:]
+    k_rows = c * math.prod(kshape[lead:])
     y = acc = None
     if wmat is not None:
         # (kd, rows, C * kh * kw): the weight's columns for each depth tap
         wtaps = wmat.reshape(len(wmat), c, kd, -1).transpose(2, 0, 1, 3)
         wtaps = wtaps.reshape(kd, len(wmat), -1)
-        y = np.empty((len(wmat), depth * h * w))
+        y = np.empty((len(wmat), (depth - 2 * fold) * h * w))
     if a is not None:
         acc = np.zeros((len(a), c, kd, k_rows // c))
+        acols = a.reshape(len(a), -1)
+        a_fit = _TILE_BYTES // (8 * len(a) * depth * w)  # output rows of `a`, grown, per block
+        a_rows = range(0)
+    span = (depth - 1) * sd + kd  # the padded depth slices the output reads
+    taps = [slice(j, j + (depth - 1) * sd + 1, sd) for j in range(kd)]
+    # a block holds the padded input rows of whole bands: as many as fit the budget, one at least
+    padded_row = 8 * c * (x.shape[-1] + 2 * pad[-1])
+    if lead:
+        padded_row *= x.shape[1] + 2 * (pad[0] + edge)
+    fit = (_TILE_BYTES // padded_row - kh) // sh + 1  # output rows
+    block_rows = range(0)
     for tile in _tile_grid(k_rows, small, span - depth):
         rows = tile[-2]
-        cols = _unfold(windows, rows).reshape(k_rows, span, -1)
+        if rows.stop > block_rows.stop:
+            block_rows = _block_rows(rows, fit, h)
+            block = _padded_rows(x, pad, edge, block_rows.start * sh,
+                                 (block_rows.stop - 1) * sh + kh)
+            plane = block.strides[1 + lead:]
+            windows = np.lib.stride_tricks.as_strided(  # entry (c, kh, kw, [slice,] row, col)
+                block, shape=(c, *kshape[lead:], *(span,) * lead, len(block_rows), w),
+                strides=(block.strides[0], *plane, *block.strides[1:1 + lead],
+                         *(s * st for s, st in zip(plane, stride[lead:]))))
+        first = rows.start - block_rows.start
+        cols = _unfold(windows, slice(first, first + rows.stop - rows.start))
+        cols = cols.reshape(k_rows, span, -1)
         tap_cols = [cols[:, t].reshape(k_rows, -1) for t in taps]
         # on a 2D grid, or holding every row, a band is one run of the flattened columns
-        run = depth == 1 or rows.stop - rows.start == h
+        run = not fold and (depth == 1 or rows.stop - rows.start == h)
         at = slice(rows.start * depth * w, rows.stop * depth * w)
         if y is not None:
             band = y[:, at] if run else np.empty((len(y), tap_cols[0].shape[1]))
@@ -633,13 +686,21 @@ def _tile_gemms(ap, kshape, stride, small, wmat=None, a=None):
                 np.matmul(wj, cj, out=part)
                 band += part
             if not run:
-                y.reshape(-1, depth, h, w)[:, :, rows] = band.reshape(len(y), depth, -1, w)
+                band = band.reshape(len(y), depth, -1, w)
+                y.reshape(len(y), -1, h, w)[:, :, rows] = _fold_edges(band, fold) if fold else band
         if acc is not None:
-            band = (a[:, at] if run
-                    else a.reshape(len(a), depth, h, w)[:, :, rows].reshape(len(a), -1))
+            if run:
+                band = acols[:, at]
+            else:
+                if rows.stop > a_rows.stop:
+                    a_rows = _block_rows(rows, a_fit, h)
+                    a_block = _padded_rows(a, (0,) * len(small), fold, a_rows.start, a_rows.stop)
+                first = rows.start - a_rows.start
+                band = a_block[..., first:first + rows.stop - rows.start, :].reshape(len(a), -1)
             for j, cj in enumerate(tap_cols):
                 acc[:, :, j] += (band @ cj.T).reshape(len(a), c, -1)
-    return (None if y is None else y.reshape(-1, *small),
+    grid = (depth - 2 * fold, h, w) if fold else small
+    return (None if y is None else y.reshape(len(y), *grid),
             None if acc is None else acc.reshape(-1, c, *kshape))
 
 
@@ -657,17 +718,20 @@ def _flip_swap(a):
     return np.flip(a, axis=tuple(range(2, a.ndim))).swapaxes(0, 1)
 
 
-def _stride1_grads(g, w, big, pad, want_dx=True, x=None):
+def _stride1_grads(g, w, big, pad, want_dx=True, x=None, fold=0):
     """Stride-1 gradients of a direct convolution with weight (C_out, C_in, *k): (dx, dw).
 
-    `g` is zero-padded by k - 1 - p per axis (cropped by p - k + 1 where
-    p >= k: those outputs see only padding), so that its windows line up
-    with the input grid `big`. With the kernel flipped and its channel axes
-    swapped (`_flip_swap`), the input gradient is `w' @ gcols` and, given
-    the input `x`, the weight gradient is `x @ gcols.T`, from the same bands.
-    Either is None when not asked for. The one place the stride-1 input
-    gradient is computed, so a transposed convolution stays equal to the
-    direct convolution's input gradient bit for bit.
+    The windows of `g` zero-padded by k - 1 - p per axis (cropped by
+    p - k + 1 where p >= k: those outputs see only padding) line up with the
+    input grid `big`; `_tile_gemms` pads each band's rows. With the kernel
+    flipped and its channel axes swapped (`_flip_swap`), the input gradient
+    is `w' @ gcols` and, given the input `x`, the weight gradient is
+    `x @ gcols.T`, from the same bands. Either is None when not asked for.
+    With `fold` > 0, `big` is `x`'s grid with depth grown by `fold`
+    replicated slices at either end, and dx comes folded back onto `x`'s.
+    The one place the stride-1 input gradient is computed, so a transposed
+    convolution stays equal to the direct convolution's input gradient bit
+    for bit.
     """
     _, c_in, *kshape = w.shape
     small = g.shape[1:]
@@ -675,26 +739,30 @@ def _stride1_grads(g, w, big, pad, want_dx=True, x=None):
     g = g[(slice(None), *(slice(e, n - e) for e, n in zip(cut, small)))]
     grow = tuple(max(k - 1 - p, 0) for p, k in zip(pad, kshape))
     wmat = _flip_swap(w).reshape(c_in, -1) if want_dx else None
-    xmat = None if x is None else x.reshape(c_in, -1)
-    dx, dw = _tile_gemms(_pad(g, grow), kshape, (1,) * len(kshape), big, wmat, xmat)
+    dx, dw = _tile_gemms(g, grow, kshape, (1,) * len(kshape), big, wmat, x, fold=fold)
     return dx, None if dw is None else _flip_swap(dw)
 
 
-def _input_grad(g, w, big, pad, stride):
+def _input_grad(g, w, big, pad, stride, fold=0):
     """Input gradient (C_in, *big) of a direct convolution with weight (C_out, C_in, *k).
 
     At stride 1 it is `_stride1_grads`. A larger stride takes, tile by
     tile, the transposed GEMM of the output gradient and `_scatter`s its
-    window columns onto the padded input grid, which it then crops.
+    window columns onto the padded input grid, which it returns cropped: a
+    view, whose padding is a border of the result, not a copy. The layout
+    stays that of a crop because reductions over the result (batch norm's
+    statistics of a transposed conv's output) sum in an order that depends
+    on it. `fold` is `_stride1_grads`', and folds in place.
     """
     c_out, c_in, *kshape = w.shape
     if all(s == 1 for s in stride):
-        return _stride1_grads(g, w, big, pad)[0]
+        return _stride1_grads(g, w, big, pad, fold=fold)[0]
     wmat_t = w.reshape(c_out, -1).T
     out = np.zeros((c_in, *(n + 2 * p for n, p in zip(big, pad))))
     for tile in _tile_grid(wmat_t.shape[0], g.shape[1:]):
         _scatter(wmat_t @ g[(slice(None), *tile)].reshape(c_out, -1), out, kshape, stride, tile)
-    return out[(slice(None), *(slice(p, p + n) for p, n in zip(pad, big)))]
+    out = out[(slice(None), *(slice(p, p + n) for p, n in zip(pad, big)))]
+    return _fold_edges(out, fold) if fold else out
 
 
 def _conv(x, params, nsp, op, transposed=False):
@@ -702,21 +770,22 @@ def _conv(x, params, nsp, op, transposed=False):
 
     Every GEMM runs on output tiles (`_tile_grid`), bands of output rows
     that span every depth slice, so no whole window matrix exists, forward
-    or backward. A direct convolution maps a big grid to a small one: `_pad`
-    once, then per band `_unfold` the (kh, kw) windows of its padded depth
-    slices once and apply the weight, one GEMM per depth tap
-    (`_tile_gemms`). Its backward keeps no window matrix: at stride 1 the
-    bands of the padded output gradient give both the input and the weight
-    gradient (`_stride1_grads`); at stride > 1 the weight gradient
-    unfolds the input again, band by band, and the input gradient is the
-    tiled transposed GEMM and `_scatter` (`_input_grad`). A transposed
-    convolution is that input gradient as an operator, so its forward is
-    `_input_grad` and its backward unfolds the padded output gradient's
-    bands for both GEMMs.
+    or backward, nor a whole padded input. A direct convolution
+    maps a big grid to a small one: per block of padded input rows, per
+    band `_unfold` the (kh, kw) windows of its padded depth slices once and
+    apply the weight, one GEMM per depth tap (`_tile_gemms`). Its backward
+    keeps no window matrix: at stride 1 the bands of the padded output
+    gradient give both the input and the weight gradient
+    (`_stride1_grads`); at stride > 1 the weight gradient unfolds the input
+    again, band by band, and the input gradient is the tiled transposed
+    GEMM and `_scatter` (`_input_grad`). A transposed convolution is that
+    input gradient as an operator, so its forward is `_input_grad` and its
+    backward unfolds the padded output gradient's bands for both GEMMs.
 
-    `replicate_depth` edges are built in the same `_pad` copy; the backward
-    folds the input gradient over that extended grid (`_fold_edges`) and
-    rebuilds the extended input for the weight gradient.
+    `replicate_depth` edges sit inside the zeros of each block of padded
+    rows. The stride-1 backward grows each band of the input by them for
+    the weight gradient and folds each band of the input gradient back
+    (`_fold_edges`); the strided one folds its input gradient in place.
     """
     x = _as_tensor(x)
     w = params.weight
@@ -752,7 +821,7 @@ def _conv(x, params, nsp, op, transposed=False):
     if transposed:
         y = _input_grad(x.data, wd, big, pad, stride)
     else:
-        y, _ = _tile_gemms(_pad(x.data, pad, edge), kshape, stride, small, wmat)
+        y, _ = _tile_gemms(x.data, pad, kshape, stride, small, wmat, edge=edge)
     if b is not None:
         y += b.data.reshape(c_out, *(1,) * nsp)
     want_dx = x.requires_grad
@@ -761,28 +830,20 @@ def _conv(x, params, nsp, op, transposed=False):
     want_db = has_bias and b.requires_grad
 
     def bwd(g):
-        gmat = g.reshape(c_out, -1)
         xd = _restored(kept_x)
         dx = dw = None
         if transposed:
-            dx, dw = _tile_gemms(_pad(g, pad), kshape, stride, small,
-                                 wmat if want_dx else None,
-                                 None if xd is None else xd.reshape(c_in, -1))
+            dx, dw = _tile_gemms(g, pad, kshape, stride, small, wmat if want_dx else None, xd)
         elif all(s == 1 for s in stride):
-            xe = None
-            if xd is not None:
-                xe = _pad(xd, (0,) * nsp, edge) if edge else xd
-            dx, dw = _stride1_grads(g, wd, big, pad, want_dx, xe)
+            dx, dw = _stride1_grads(g, wd, big, pad, want_dx, xd, edge)
         else:
             if xd is not None:
-                _, dw = _tile_gemms(_pad(xd, pad, edge), kshape, stride, small, a=gmat)
+                _, dw = _tile_gemms(xd, pad, kshape, stride, small, a=g, edge=edge)
             if want_dx:
-                dx = _input_grad(g, wd, big, pad, stride)
-        if edge and dx is not None:
-            dx = _fold_edges(dx, edge)
+                dx = _input_grad(g, wd, big, pad, stride, edge)
         if not has_bias:
             return dx, dw
-        return dx, dw, gmat.sum(axis=1) if want_db else None
+        return dx, dw, g.reshape(c_out, -1).sum(axis=1) if want_db else None
 
     return _result(y, parents, bwd, op)
 

@@ -1,6 +1,12 @@
 """Shared fixtures: cameras, calibrated pairs, plane-induced homographies,
 warp validity masks, textured plane scenes, parameter-free photometric
-matching features, and loop-based references for vectorized kernels."""
+matching features, loop-based references for vectorized kernels, and a
+per-call memory trace of the tensor operators."""
+
+import inspect
+import tracemalloc
+from collections import namedtuple
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -294,3 +300,68 @@ def unfused_bn_relu(x, gamma, beta, mean=None, var=None):
     mask = bn.data > 0.0
     relu = T._result(np.where(mask, bn.data, 0.0), (bn,), lambda g: (g * mask,), "clamp_min")
     return relu, mean, var
+
+
+Call = namedtuple("Call", "op shape live peak left")
+
+# public functions of the tensor module that put nothing on the tape
+_NOT_OPERATORS = {"no_grad", "backward", "bilinear_taps", "resize_bilinear"}
+
+
+@contextmanager
+def traced_calls():
+    """Trace the memory of every tensor operator and backward closure run in the block.
+
+    Yields a list that receives one `Call(op, shape, live, peak, left)` per
+    call as it returns: the operator's name, "<name> backward" for the
+    backward closure of a result it recorded; the shape of the operator's
+    first argument (None for a list of tensors); and the traced bytes live
+    at the call's entry, their peak while it ran and those live at its
+    return, which include what it returns. Each call resets tracemalloc's
+    peak on entry and hands it back to the call around it on return, so a
+    row's peak covers that call alone, its inner calls included. tracemalloc
+    runs only inside the block.
+    """
+    rows, outer = [], []  # outer: per open call, the highest peak before its inner calls reset it
+
+    def traced(op, fn, shape):
+        def call(*args, **kwargs):
+            live, peak = tracemalloc.get_traced_memory()
+            if outer:
+                outer[-1] = max(outer[-1], peak)
+            outer.append(live)
+            tracemalloc.reset_peak()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                left, peak = tracemalloc.get_traced_memory()
+                peak = max(outer.pop(), peak)
+                if outer:
+                    outer[-1] = max(outer[-1], peak)
+                rows.append(Call(op, shape(args), live, peak, left))
+        return call
+
+    def first_shape(args):
+        return getattr(args[0], "shape", None)
+
+    operators = {name: fn for name, fn in vars(T).items()
+                 if inspect.isfunction(fn) and fn.__module__ == T.__name__
+                 and not name.startswith("_") and name not in _NOT_OPERATORS}
+    result = T._result
+
+    def recorded(data, parents, backward_fn, op, rebuild=None):
+        shape = parents[0].shape
+        return result(data, parents, traced(f"{op} backward", backward_fn, lambda _: shape), op,
+                      rebuild)
+
+    tracemalloc.start()
+    try:
+        for name, fn in operators.items():
+            setattr(T, name, traced(name, fn, first_shape))
+        T._result = recorded
+        yield rows
+    finally:
+        T._result = result
+        for name, fn in operators.items():
+            setattr(T, name, fn)
+        tracemalloc.stop()
