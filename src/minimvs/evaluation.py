@@ -221,14 +221,6 @@ def threshold_metrics(recon, gt, tau):
     return ThresholdReport(precision, recall, fscore, float(tau))
 
 
-def scene_mean(values):
-    """Arithmetic mean of per-scene scores."""
-    values = np.asarray(list(values), dtype=np.float64)
-    if values.size == 0:
-        raise ParameterError("scene_mean of no scenes")
-    return float(values.mean())
-
-
 # ---------------------------------------------------------------------------
 # report emission
 # ---------------------------------------------------------------------------

@@ -124,8 +124,8 @@ def read_pfm(path):
         scale = float(cur.line())
     except ValueError as exc:
         raise cur.error("bad scale line") from exc
-    if scale == 0:
-        raise cur.error("zero scale")
+    if scale == 0 or not np.isfinite(scale):
+        raise cur.error(f"scale {scale} is not a finite nonzero number")
     payload = cur.take(w * h * 4, "payload")
     data = np.frombuffer(payload, dtype="<f4" if scale < 0 else ">f4").reshape(h, w)
     finite = np.isfinite(data)

@@ -42,8 +42,9 @@ GEMMs. A 3D band unfolds the (kh, kw) windows of each padded depth slice it
 reads once, halo slices included, and runs one GEMM per depth tap on them.
 No padded input or output gradient is ever whole either: the bands
 unfold blocks of padded input rows, as many bands as fit the same budget.
-Bilinear grid sampling runs on chunks of sample points within
-the same `_TILE_BYTES` budget. Given a reference map, it correlates each
+Bilinear grid sampling runs on chunks of sample points, each a run of
+columns in one depth slice, within the same `_TILE_BYTES` budget. Given a
+reference map, it correlates each
 chunk with it group by group as it samples (the cost layer's group-wise
 correlation), so no whole warped volume is built; a recorded call keeps
 only its sample coordinates and recomputes each chunk's corners and
@@ -630,10 +631,11 @@ def _tile_gemms(x, pad, kshape, stride, small, wmat=None, a=None, edge=0, fold=0
     summed in tap order. A 2D grid is one slice with one tap. The windows
     and GEMMs are those of the whole padded `x`, so the bits are too.
 
-    `fold` > 0 says `small`'s depth is `a`'s grown by `fold` replicated edge
-    slices at either end: `a` is grown so in blocks of whole bands' rows
-    within the same budget, and each band of the result is folded back
-    (`_fold_edges`), which makes the result (rows, depth - 2 * fold, ...).
+    `a` lies on the output grid, so each band reads only its own rows of
+    `a` (`_padded_rows`). `fold` > 0 says `small`'s depth is `a`'s grown by
+    `fold` replicated edge slices at either end: each band of `a` is grown
+    so, and each band of the result is folded back (`_fold_edges`), which
+    makes the result (rows, depth - 2 * fold, ...).
     """
     c = x.shape[0]
     lead = len(small) - 2  # 1 when there is a depth axis to split
@@ -650,8 +652,6 @@ def _tile_gemms(x, pad, kshape, stride, small, wmat=None, a=None, edge=0, fold=0
     if a is not None:
         acc = np.zeros((len(a), c, kd, k_rows // c))
         acols = a.reshape(len(a), -1)
-        a_fit = _TILE_BYTES // (8 * len(a) * depth * w)  # output rows of `a`, grown, per block
-        a_rows = range(0)
     span = (depth - 1) * sd + kd  # the padded depth slices the output reads
     taps = [slice(j, j + (depth - 1) * sd + 1, sd) for j in range(kd)]
     # a block holds the padded input rows of whole bands: as many as fit the budget, one at least
@@ -692,11 +692,8 @@ def _tile_gemms(x, pad, kshape, stride, small, wmat=None, a=None, edge=0, fold=0
             if run:
                 band = acols[:, at]
             else:
-                if rows.stop > a_rows.stop:
-                    a_rows = _block_rows(rows, a_fit, h)
-                    a_block = _padded_rows(a, (0,) * len(small), fold, a_rows.start, a_rows.stop)
-                first = rows.start - a_rows.start
-                band = a_block[..., first:first + rows.stop - rows.start, :].reshape(len(a), -1)
+                band = _padded_rows(a, (0,) * len(small), fold, rows.start, rows.stop)
+                band = band.reshape(len(a), -1)
             for j, cj in enumerate(tap_cols):
                 acc[:, :, j] += (band @ cj.T).reshape(len(a), c, -1)
     grid = (depth - 2 * fold, h, w) if fold else small
@@ -752,11 +749,12 @@ def _input_grad(g, w, big, pad, stride, fold=0):
     view, whose padding is a border of the result, not a copy. The layout
     stays that of a crop because reductions over the result (batch norm's
     statistics of a transposed conv's output) sum in an order that depends
-    on it. `fold` is `_stride1_grads`', and folds in place.
+    on it. `fold` > 0, at stride > 1 only, folds the gradients of that many
+    replicated depth slices at either end back in place (`_fold_edges`).
     """
     c_out, c_in, *kshape = w.shape
     if all(s == 1 for s in stride):
-        return _stride1_grads(g, w, big, pad, fold=fold)[0]
+        return _stride1_grads(g, w, big, pad)[0]
     wmat_t = w.reshape(c_out, -1).T
     out = np.zeros((c_in, *(n + 2 * p for n, p in zip(big, pad))))
     for tile in _tile_grid(wmat_t.shape[0], g.shape[1:]):
@@ -926,9 +924,8 @@ def grid_sample_bilinear(src, coords, ref=None, groups=1):
     The points run in chunks of at most `_TILE_BYTES // (8 * C)`, the conv
     tile budget, so a chunk's (C, n) gather and its per-point index and
     weight temporaries stay cache-sized. A chunk is a run of columns within
-    one depth slice of the output, or whole slices where a slice fits the
-    budget, so its part of `ref` is a column slice, broadcast over its
-    slices, never a gather. Each chunk writes its own columns of the output.
+    one depth slice of the output, so its part of `ref` is a column slice,
+    never a gather. Each chunk writes its own columns of the output.
     Every value is computed point by point, so the chunk split changes no
     bit. A recorded call keeps only `coords` (and the input each gradient
     reads); its backward recomputes each chunk's taps, sums `ref`'s gradient
@@ -970,27 +967,24 @@ def grid_sample_bilinear(src, coords, ref=None, groups=1):
     step = max(1, _TILE_BYTES // (8 * c))
     per_slice = max(1, per_slice)
     n_slices = xs.size // per_slice
-    slices_per_chunk = max(1, step // per_slice)
 
     def chunks():
-        """Each chunk's points, its depth-slice count m and its columns within
-        those slices, and its taps: m whole slices, or a run of one slice's columns."""
-        for first in range(0, n_slices, slices_per_chunk):
-            m = min(slices_per_chunk, n_slices - first)
+        """Each chunk's points, its columns within their depth slice, and its
+        taps: a run of at most `step` columns of one slice."""
+        for first in range(0, xs.size, per_slice):
             for start in range(0, per_slice, step):
                 stop = min(start + step, per_slice)
-                at = slice(first * per_slice + start, (first + m - 1) * per_slice + stop)
+                at = slice(first + start, first + stop)
                 idx, wts, _ = bilinear_taps(xs[at], ys[at], h, w)
-                yield at, m, slice(start, stop), idx, wts
+                yield at, slice(start, stop), idx, wts
 
     out = np.empty((rows, xs.size))
-    for at, m, cols, idx, wts in chunks():
+    for at, cols, idx, wts in chunks():
         if not correlate:
             _gather(flat, idx, wts, out[:, at])
             continue
         prod = _gather(flat, idx, wts)
-        per_depth = prod.reshape(c, m, -1)
-        per_depth *= rflat[:, None, cols]
+        prod *= rflat[:, cols]
         parts = prod.reshape(rows, k, -1)
         dst = out[:, at]
         dst[...] = 0.0  # each group sums from 0.0 in channel order, as numpy's mean does
@@ -1013,7 +1007,7 @@ def grid_sample_bilinear(src, coords, ref=None, groups=1):
             idx_all = np.empty((4, xs.size), dtype=np.int64)
             wts_all = np.empty((4, xs.size))
         dref = None if samples_of is None else np.zeros((c, per_slice))
-        for at, m, cols, idx, wts in chunks():
+        for at, cols, idx, wts in chunks():  # depth slices in order
             if want_src:
                 for j in range(4):
                     idx_all[j, at] = idx[j]
@@ -1022,9 +1016,7 @@ def grid_sample_bilinear(src, coords, ref=None, groups=1):
                 prod = _gather(samples_of, idx, wts)
                 parts = prod.reshape(rows, k, -1)
                 parts *= g[:, None, at]
-                per_depth = prod.reshape(c, m, -1)
-                for j in range(m):  # depth slices in order
-                    dref[:, cols] += per_depth[:, j]
+                dref[:, cols] += prod
         dsrc = None
         if want_src:
             # one bincount per channel over the corners in order, corner-major:

@@ -180,6 +180,11 @@ def assert_close(got, want):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def scene_mean(values):
+    """Arithmetic mean of per-scene scores, as the paper's tables average them."""
+    return float(np.mean(np.asarray(values, dtype=np.float64)))
+
+
 def scatter_input_grad(g, w, big, pad, stride):
     """Input gradient of a direct conv, the transposed-GEMM-and-scatter way.
 

