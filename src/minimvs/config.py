@@ -82,8 +82,9 @@ class SynthSettings:
     def validate(self):
         if self.scenes < 1 or self.views < 2:
             raise ParameterError("synth needs >= 1 scene and >= 2 views")
-        if self.height % STAGE_SCALES[0] or self.width % STAGE_SCALES[0]:
-            raise ParameterError("synth.height and synth.width must be divisible by "
+        if (min(self.height, self.width) < 1 or self.height % STAGE_SCALES[0]
+                or self.width % STAGE_SCALES[0]):
+            raise ParameterError("synth.height and synth.width must be positive multiples of "
                                  f"{STAGE_SCALES[0]}")
         if self.style not in ("objects", "plane"):
             raise ParameterError("synth.style must be 'objects' or 'plane'")
@@ -122,12 +123,14 @@ class PipelineConfig:
                 raise ParameterError(f"pipeline.depths: stage {k}'s {d} hypotheses span more "
                                      "than the depth range")
         for g, c in zip(self.groups, self.feature_channels):
-            if g < 1 or c % g:
+            if g < 1 or c < 1 or c % g:
                 raise ParameterError(
-                    f"group count {g} must divide its stage's feature channels {c}"
+                    f"group count {g} must divide its stage's feature channels {c}, both >= 1"
                 )
-        if self.temperature <= 0:
-            raise ParameterError("pipeline.temperature must be > 0")
+        # the weights scale scores by 1 / temperature, which must be finite
+        if self.temperature <= 0 or math.isinf(1.0 / self.temperature):
+            raise ParameterError("pipeline.temperature must be > 0 with a finite inverse, "
+                                 f"got {self.temperature}")
         if not (0 <= self.guidance_coarse <= 8 and 0 <= self.guidance_fine <= 8):
             raise ParameterError("guidance channel counts must be in [0, 8]")
         if self.attention_reduction < 1:

@@ -15,11 +15,11 @@ def warp_and_correlate(ref_feats, src_feats, ref_cam, src_cams, hyp, groups):
     Channels split into `groups` equal groups; each correlation entry is the
     group mean of the elementwise product. With groups == C this degenerates
     to the plain elementwise product. Samples landing outside a source image
-    contribute exact zeros. Each source is one `grid_sample_bilinear` call in
-    its correlation mode, which samples, multiplies with the reference and
-    averages each group chunk by chunk, so no (C, D, H, W) warped volume or
-    product is ever built; the result stacks the sources' (G, D, H, W)
-    correlations into the (V, G, D, H, W) correlation.
+    contribute exact zeros. Each source is one `grid_sample_bilinear` call,
+    which samples, multiplies with the reference and averages each group
+    chunk by chunk, so no (C, D, H, W) warped volume or product is ever
+    built; the result stacks the sources' (G, D, H, W) correlations into the
+    (V, G, D, H, W) correlation.
     """
     if not src_feats:
         raise ParameterError("correlation needs at least one source view")

@@ -16,7 +16,7 @@ resolution pixel (i * f, j * f).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,11 +106,12 @@ class HypothesisSet:
 
     `values` is (D,) for the uniform stage-0 sweep or (D, H, W) per pixel for
     refined stages; strictly increasing along D, spacing in scene units.
+    Every value lies in `depth_range`, the (lo, hi) that refined windows stay in.
     """
 
     values: np.ndarray
     spacing: float
-    depth_range: tuple = field(default=None)
+    depth_range: tuple
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -118,10 +119,9 @@ class HypothesisSet:
             raise ParameterError(f"hypothesis values must be (D,) or (D,H,W), got {self.values.shape}")
         if np.any(np.diff(self.values, axis=0) <= 0):
             raise ParameterError("hypothesis values must be strictly increasing along D")
-        if self.depth_range is not None:
-            lo, hi = self.depth_range
-            if self.values.min() < lo - 1e-9 or self.values.max() > hi + 1e-9:
-                raise ParameterError("hypothesis values outside the depth range")
+        lo, hi = self.depth_range
+        if self.values.min() < lo - 1e-9 or self.values.max() > hi + 1e-9:
+            raise ParameterError("hypothesis values outside the depth range")
 
     @property
     def num_depths(self):

@@ -116,9 +116,7 @@ _CASES = {
                                  [_param(2, 3, 5, 6), _param(3, 2, 3, 3, 3)]),
     "conv_transpose3d": (_conv(T.conv_transpose3d, (1, 2, 2), (0, 1, 1), (0, 1, 1)),
                          [_param(3, 2, 3, 4), _param(3, 2, 1, 3, 3), _param(2)]),
-    "grid_sample_bilinear": (T.grid_sample_bilinear,
-                             [_param(2, 5, 6), _const(2, 3, 4, span=(-0.5, 5.5))]),
-    # correlation mode: both inputs take gradients, coordinates run past every border
+    # both inputs take gradients, coordinates run past every border
     "grid_sample_correlate": (lambda s, xy, r: T.grid_sample_bilinear(s, xy, r, 2),
                               [_param(4, 5, 6), _const(2, 3, 4, 5, span=(-0.7, 6.5)),
                                _param(4, 4, 5)]),

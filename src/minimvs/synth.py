@@ -378,9 +378,6 @@ def make_dataset(out_dir, n_scenes, views_per_scene, height, width, seed=0,
         rng = np.random.default_rng(master.integers(0, 2 ** 63))
         scene = random_scene(rng, with_flat_patch=(si % 4 == 3), style=style)
         scene_dir = os.path.join(out_dir, f"scene_{si:04d}")
-        for sub in ("images", "cams", "depths"):
-            os.makedirs(os.path.join(scene_dir, sub), exist_ok=True)
-
         cams = arc_cameras(views_per_scene, height, width, radius, span_deg, focal_factor)
         images, depths, valids = [], [], []
         for cam in cams:
@@ -389,6 +386,10 @@ def make_dataset(out_dir, n_scenes, views_per_scene, height, width, seed=0,
             depths.append(dep)
             valids.append(val)
         all_d = np.concatenate([d[v] for d, v in zip(depths, valids)])
+        if not all_d.size:
+            raise ParameterError(f"{scene_dir}: no view sees a surface of the scene")
+        for sub in ("images", "cams", "depths"):
+            os.makedirs(os.path.join(scene_dir, sub), exist_ok=True)
         mid = (float(all_d.min()) + float(all_d.max())) / 2.0
         half = max((float(all_d.max()) - float(all_d.min())) / 2.0, 1e-3 * mid)
         dmin = max(mid - half * range_margin, 0.05 * mid)

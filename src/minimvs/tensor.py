@@ -43,15 +43,16 @@ reads once, halo slices included, and runs one GEMM per depth tap on them.
 No padded input or output gradient is ever whole either: the bands
 unfold blocks of padded input rows, as many bands as fit the same budget.
 Bilinear grid sampling runs on chunks of sample points, each a run of
-columns in one depth slice, within the same `_TILE_BYTES` budget. Given a
-reference map, it correlates each
-chunk with it group by group as it samples (the cost layer's group-wise
-correlation), so no whole warped volume is built; a recorded call keeps
-only its sample coordinates and recomputes each chunk's corners and
-weights in its backward. A tile's window matrix belongs to its call and
-dies with the tile, so the engine keeps no per-thread state: a new thread
-needs no setup, and threads never share a buffer. The tile and chunk splits
-depend on shapes only, never on the thread count.
+columns in one depth slice, within the same `_TILE_BYTES` budget. It has
+one mode, the cost layer's group-wise correlation: it correlates each chunk
+with a reference map group by group as it samples, so no whole warped
+volume is built. One channel per group against a reference of ones gives
+the plain samples. A recorded call keeps only its sample coordinates and
+recomputes each chunk's corners and weights in its backward. A tile's
+window matrix belongs to its call and dies with the tile, so the engine
+keeps no per-thread state: a new thread needs no setup, and threads never
+share a buffer. The tile and chunk splits depend on shapes only, never on
+the thread count.
 
 Edge replication along depth is a convolution padding mode
 (`ConvParams.replicate_depth`), not an operator: each block of padded rows
@@ -891,13 +892,13 @@ def bilinear_taps(x, y, h, w):
     return idx, wts, inside
 
 
-def _gather(flat, idx, wts, out=None):
+def _gather(flat, idx, wts):
     """(C, n) bilinear samples of a (C, H*W) map at one chunk's taps; corner
     terms accumulate left to right: ((c00 + c01) + c10) + c11. The taps are
     in range, so mode "clip" changes no index; it only skips the bounds
     check and the buffered copy that mode "raise" makes."""
     term = np.take(flat, idx[0], axis=1, mode="clip")
-    out = np.multiply(term, wts[0], out=out)
+    out = term * wts[0]
     for i, wt in zip(idx[1:], wts[1:]):
         np.take(flat, i, axis=1, out=term, mode="clip")
         term *= wt
@@ -905,20 +906,19 @@ def _gather(flat, idx, wts, out=None):
     return out
 
 
-def grid_sample_bilinear(src, coords, ref=None, groups=1):
-    """Bilinear sampling of (C, H, W) at continuous pixel coordinates, alone or
-    correlated group-wise with a reference.
+def grid_sample_bilinear(src, coords, ref, groups):
+    """Group-wise correlation of a bilinearly sampled (C, H, W) source with a
+    (C, H', W') reference: the cost layer's correlation.
 
-    `coords` is a (2, *out) array holding (x, y) in source pixel units where
-    integer values hit pixel centers exactly. Corners and weights come from
-    `bilinear_taps`, so samples whose center falls outside [0, W-1] x [0, H-1]
-    return exactly 0. Without `ref` the result is the (C, *out) samples.
-
-    With a (C, H', W') `ref` and (2, D, H', W') `coords`, the result is the
-    (G, D, H', W') correlation over `groups` = G equal channel groups: per
-    point, each sample times the reference at its (H', W') pixel, averaged
-    over its group's channels (summed in channel order from 0.0, then divided
-    by the group size, as numpy's `mean` over the channel axis does).
+    `coords` is a (2, D, H', W') array holding (x, y) in source pixel units
+    where integer values hit pixel centers exactly. Corners and weights come
+    from `bilinear_taps`, so samples whose center falls outside
+    [0, W-1] x [0, H-1] are exactly 0. The result is the (G, D, H', W')
+    correlation over `groups` = G equal channel groups: per point, each
+    sample times the reference at its (H', W') pixel, averaged over its
+    group's channels (summed in channel order from 0.0, then divided by the
+    group size, as numpy's `mean` over the channel axis does). With G = C
+    against a reference of ones the result is the samples themselves.
     Gradients flow to `src` and `ref`; coordinates are treated as constants.
 
     The points run in chunks of at most `_TILE_BYTES // (8 * C)`, the conv
@@ -933,37 +933,27 @@ def grid_sample_bilinear(src, coords, ref=None, groups=1):
     `bincount` per channel.
     """
     src = _as_tensor(src)
+    ref = _as_tensor(ref)
     cd = np.asarray(coords, dtype=np.float64)
-    if cd.ndim == 0 or cd.shape[0] != 2:
-        raise DimensionError(f"coords must be (2, ...), got {cd.shape}")
     if src.ndim != 3:
         raise DimensionError(f"src must be (C, H, W), got {src.shape}")
     c, h, w = src.shape
     if c == 0:
         raise DimensionError(f"src has no channels: {src.shape}")
+    if ref.ndim != 3 or ref.shape[0] != c:
+        raise DimensionError(f"ref must be ({c}, H, W) to match src {src.shape}, "
+                             f"got {ref.shape}")
+    if cd.ndim != 4 or cd.shape[0] != 2 or cd.shape[2:] != ref.shape[1:]:
+        raise DimensionError(f"coords must be (2, D, {ref.shape[1]}, {ref.shape[2]}) "
+                             f"to match ref, got {cd.shape}")
+    if groups <= 0 or c % groups:
+        raise ParameterError(f"channel count {c} not divisible by {groups} groups")
     xs = cd[0].ravel()
     ys = cd[1].ravel()
     flat = src.data.reshape(c, h * w)
-    if ref is None:
-        if groups != 1:
-            raise ParameterError(f"{groups} groups need a reference to correlate with")
-        parents, rows, per_slice, rflat = (src,), c, xs.size, None
-    else:
-        ref = _as_tensor(ref)
-        if ref.ndim != 3 or ref.shape[0] != c:
-            raise DimensionError(f"ref must be ({c}, H, W) to match src {src.shape}, "
-                                 f"got {ref.shape}")
-        if cd.ndim != 4 or cd.shape[2:] != ref.shape[1:]:
-            raise DimensionError(f"coords must be (2, D, {ref.shape[1]}, {ref.shape[2]}) "
-                                 f"to match ref, got {cd.shape}")
-        if groups <= 0 or c % groups:
-            raise ParameterError(f"channel count {c} not divisible by {groups} groups")
-        # the backward sweep enters the last parent's graph first; src before
-        # ref fixes the order in which shared parameters add up their gradients
-        parents, rows, per_slice = (ref, src), groups, ref.shape[1] * ref.shape[2]
-        rflat = ref.data.reshape(c, per_slice)
-    correlate = ref is not None
-    k = c // rows  # channels per group
+    k = c // groups  # channels per group
+    per_slice = ref.shape[1] * ref.shape[2]
+    rflat = ref.data.reshape(c, per_slice)
     step = max(1, _TILE_BYTES // (8 * c))
     per_slice = max(1, per_slice)
     n_slices = xs.size // per_slice
@@ -978,31 +968,26 @@ def grid_sample_bilinear(src, coords, ref=None, groups=1):
                 idx, wts, _ = bilinear_taps(xs[at], ys[at], h, w)
                 yield at, slice(start, stop), idx, wts
 
-    out = np.empty((rows, xs.size))
+    out = np.empty((groups, xs.size))
     for at, cols, idx, wts in chunks():
-        if not correlate:
-            _gather(flat, idx, wts, out[:, at])
-            continue
         prod = _gather(flat, idx, wts)
         prod *= rflat[:, cols]
-        parts = prod.reshape(rows, k, -1)
+        parts = prod.reshape(groups, k, -1)
         dst = out[:, at]
         dst[...] = 0.0  # each group sums from 0.0 in channel order, as numpy's mean does
         for j in range(k):
             dst += parts[:, j]
         dst /= k
-    out = out.reshape((rows, *cd.shape[1:]))
+    out = out.reshape((groups, *cd.shape[1:]))
 
     want_src = src.requires_grad
-    ref_shape = (c, *cd.shape[2:])
+    ref_shape = ref.shape
     # each input is read only for the other's gradient
-    samples_of = flat if correlate and ref.requires_grad else None
+    samples_of = flat if ref.requires_grad else None
     ref_of = rflat if want_src else None
 
     def bwd(g):
-        g = g.reshape(rows, -1)
-        if correlate:
-            g = g / k  # a group mean's gradient, shared by its channels
+        g = g.reshape(groups, -1) / k  # a group mean's gradient, shared by its channels
         if want_src:
             idx_all = np.empty((4, xs.size), dtype=np.int64)
             wts_all = np.empty((4, xs.size))
@@ -1014,32 +999,30 @@ def grid_sample_bilinear(src, coords, ref=None, groups=1):
                     wts_all[j, at] = wts[j]
             if dref is not None:
                 prod = _gather(samples_of, idx, wts)
-                parts = prod.reshape(rows, k, -1)
+                parts = prod.reshape(groups, k, -1)
                 parts *= g[:, None, at]
                 dref[:, cols] += prod
         dsrc = None
         if want_src:
             # one bincount per channel over the corners in order, corner-major:
             # each pixel receives the same additions in the same order as a
-            # scatter-add per corner
+            # scatter-add per corner; a sample's gradient is its group mean's
+            # times the reference
             idx_all = idx_all.ravel()
             vals = np.empty_like(wts_all)
-            grad_at = np.empty((n_slices, per_slice)) if correlate else None
+            grad_at = np.empty((n_slices, per_slice))
             dsrc = np.empty((c, h * w))
             for ch in range(c):
-                if correlate:  # a sample's gradient is its group mean's times the reference
-                    point_grad = np.multiply(g[ch // k].reshape(n_slices, per_slice), ref_of[ch],
-                                             out=grad_at).ravel()
-                else:
-                    point_grad = g[ch]
+                point_grad = np.multiply(g[ch // k].reshape(n_slices, per_slice), ref_of[ch],
+                                         out=grad_at).ravel()
                 np.multiply(wts_all, point_grad, out=vals)  # each corner's weight times it
                 dsrc[ch] = np.bincount(idx_all, vals.ravel(), minlength=h * w)
             dsrc = dsrc.reshape(c, h, w)
-        if not correlate:
-            return (dsrc,)
         return (None if dref is None else dref.reshape(ref_shape), dsrc)
 
-    return _result(out, parents, bwd, "grid_sample")
+    # the backward sweep enters the last parent's graph first; src before
+    # ref fixes the order in which shared parameters add up their gradients
+    return _result(out, (ref, src), bwd, "grid_sample")
 
 
 @lru_cache(maxsize=None)

@@ -218,6 +218,19 @@ def window_matrix(a, kshape, pad, stride, small):
     return np.stack(slabs, axis=1).reshape(a.shape[0] * len(slabs), -1)
 
 
+def sample(src, coords):
+    """Plain bilinear samples of (C, H, W) `src` at (2, *out) `coords`, as (C, *out).
+
+    The correlation with one channel per group against a reference of ones:
+    each sample times 1.0, summed from 0.0 and divided by 1, keeps its bits,
+    except that a sample of -0.0 becomes +0.0, as in numpy's `mean`.
+    """
+    coords = np.asarray(coords, dtype=np.float64)
+    c, n = src.shape[0], coords[0].size
+    out = T.grid_sample_bilinear(src, coords.reshape(2, 1, 1, n), np.ones((c, 1, n)), c)
+    return T.reshape(out, (c, *coords.shape[1:]))
+
+
 def add_at_grid_sample_grad(shape, coords, g):
     """Source gradient of `grid_sample_bilinear` from four `np.add.at` scatters.
 
@@ -261,8 +274,7 @@ def per_source_cost(ref_feats, src_feats, ref_cam, src_cams, hyp, groups, temper
     d = hyp.num_depths
     corrs, weights = [], []
     for feats, cam in zip(src_feats, src_cams, strict=True):
-        flat = warp_coords(ref_cam, cam, hyp, h, w).reshape(2, d * h, w)
-        warped = T.reshape(T.grid_sample_bilinear(feats, flat), (c, d, h, w))
+        warped = sample(feats, warp_coords(ref_cam, cam, hyp, h, w))
         prod = T.mul(T.reshape(ref_feats, (c, 1, h, w)), warped)
         corr = T.mean_axis(T.reshape(prod, (groups, c // groups, d, h, w)), 1)
         corrs.append(corr)

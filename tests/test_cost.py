@@ -127,9 +127,10 @@ _WHOLE_SLICES = {32: (6, 8), 16: (6, 8), 8: (6, 8)}
 
 
 class TestCorrelationMatchesComposition:
-    """`grid_sample_bilinear`'s correlation mode equals sampling, `mul` with
-    the reference and `mean_axis` over each group (`per_source_cost`), byte
-    for byte: the forward recorded and under `no_grad`, and both gradients.
+    """`grid_sample_bilinear`'s correlation equals plain sampling (`sample`,
+    the correlation with one channel per group against ones), `mul` with the
+    reference and `mean_axis` over each group (`per_source_cost`), byte for
+    byte: the forward recorded and under `no_grad`, and both gradients.
     Every group count the default feature channels (32, 16, 8, 8) allow, on
     maps whose depth slices split into chunks and on maps whose slices are
     each one chunk."""

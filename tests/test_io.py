@@ -499,6 +499,52 @@ class TestCli:
         assert f"{image}: image is 16x24, the scene's first image is 32x40" in err
         assert os.listdir(out) == []
 
+    @pytest.mark.parametrize("command", ["infer", "train"])
+    @pytest.mark.parametrize("config, zero_images, message", [
+        ("[pipeline]\nfeature_channels = 0 0 0 0\ngroups = 1 1 1 1\n", False,
+         "group count 1 must divide its stage's feature channels 0, both >= 1"),
+        ("", True, "input resolution must be a positive multiple of 8, got 0x0"),
+        ("[pipeline]\ntemperature = 1e-320\n", False,
+         "pipeline.temperature must be > 0 with a finite inverse, got 1e-320"),
+    ], ids=["feature-channels", "image-size", "temperature"])
+    def test_zero_sizes_return_two(self, tmp_path, capsys, command, config, zero_images,
+                                   message):
+        """Zero passes every "multiple of n" rule, so each size rule also asks
+        for one; a subnormal temperature is > 0, but its inverse is inf."""
+        data = tmp_path / "data"
+        out = tmp_path / "out"
+        synth.make_dataset(str(data), 1, 3, 16, 24, seed=5, style="plane")
+        if zero_images:
+            for v in range(3):
+                formats.write_ppm(data / "scene_0000" / "images" / f"{v:04d}.ppm",
+                                  np.zeros((3, 0, 0)))
+                formats.write_pfm(data / "scene_0000" / "depths" / f"{v:04d}.pfm",
+                                  np.zeros((0, 0)))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        assert main([command, "--config", str(cfg), "--data", str(data),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists() or os.listdir(out) == []
+
+    @pytest.mark.parametrize("setting, message", [
+        ("height = 0", "synth.height and synth.width must be positive multiples of 8"),
+        ("width = 0", "synth.height and synth.width must be positive multiples of 8"),
+        ("radius = 100000", "scene_0000: no view sees a surface of the scene"),
+        ("focal_factor = 1e-320", "scene_0000: no view sees a surface of the scene"),
+    ], ids=["height", "width", "radius", "focal-factor"])
+    def test_synth_without_surface_returns_two(self, tmp_path, capsys, setting, message):
+        """A scene no view sees is refused before its directories are made."""
+        out = tmp_path / "data"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[synth]\nscenes = 1\nviews = 3\nheight = 16\nwidth = 24\n"
+                       f"{setting}\n")
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists() or os.listdir(out) == []
+
     def test_failed_first_forward_leaves_out_empty(self, tmp_path, capsys):
         """A scene's directory is made just before its first map is written, so
         a resolution off the stage ladder leaves --out empty."""
@@ -509,7 +555,8 @@ class TestCli:
             image = formats.read_ppm(path)
             formats.write_ppm(path, np.concatenate([image, image[:, :4]], axis=1))
         assert main(["infer", "--data", str(data), "--out", str(out)]) == 2
-        assert "input resolution must be divisible by 8, got 36x40" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "input resolution must be a positive multiple of 8, got 36x40" in err
         assert os.listdir(out) == []
 
     @pytest.mark.parametrize("command", ["infer", "train"])

@@ -11,7 +11,7 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import (add_at_grid_sample_grad, assert_close, scatter_input_grad,
+from conftest import (add_at_grid_sample_grad, assert_close, sample, scatter_input_grad,
                       unfused_bn_relu, window_matrix)
 
 from minimvs import gradcheck, nn
@@ -582,18 +582,20 @@ class TestBilinearTaps:
 
 
 class TestGridSample:
-    """Bilinear sampling; under the default budget every call here is one chunk."""
+    """Plain bilinear sampling through `sample`: the correlation with one
+    channel per group against a reference of ones. Under the default budget
+    every call here is one chunk."""
 
     def test_integer_lattice_identity(self, rng):
         src = rng.standard_normal((2, 4, 5))
         ys, xs = np.meshgrid(np.arange(4.0), np.arange(5.0), indexing="ij")
         coords = np.stack([xs, ys])
-        out = T.grid_sample_bilinear(Tensor(src), coords)
+        out = sample(Tensor(src), coords)
         assert np.array_equal(out.data, src)
 
     def test_linear_interpolation(self):
         src = Tensor(np.array([[[0.0, 10.0]]]))
-        out = T.grid_sample_bilinear(src, np.array([[[0.25]], [[0.0]]]))
+        out = sample(src, np.array([[[0.25]], [[0.0]]]))
         assert abs(out.data.reshape(()) - 2.5) < 1e-12
 
     def test_out_of_bounds_zero_and_mask(self):
@@ -601,7 +603,7 @@ class TestGridSample:
         src = Tensor(np.ones((1, 3, 4)))
         x = np.array([-1.0, -1e-9, 0.0, 3.0, 3.0 + 1e-9, 1.5, 1.5, 1.5, 1.5])
         y = np.array([1.0, 1.0, 1.0, 1.0, 1.0, -1e-9, 0.0, 2.0, 2.0 + 1e-9])
-        out = T.grid_sample_bilinear(src, np.stack([x, y]))
+        out = sample(src, np.stack([x, y]))
         inside = (x >= 0.0) & (x <= 3.0) & (y >= 0.0) & (y <= 2.0)
         assert np.array_equal(out.data[0], inside.astype(np.float64))
 
@@ -617,13 +619,13 @@ class TestGridSample:
                   & (coords[1] >= 0.0) & (coords[1] <= 5.0))
         assert inside.any() and not inside.all()
         g = rng.standard_normal((5, 4, 9, 11))
-        T.backward(T.sum_all(T.mul(T.grid_sample_bilinear(src, coords), g)))
+        T.backward(T.sum_all(T.mul(sample(src, coords), g)))
         assert src.grad.tobytes() == add_at_grid_sample_grad(shape, coords, g).tobytes()
 
     def test_output_within_neighbor_bounds(self, rng):
         src = rng.standard_normal((1, 6, 7))
         coords = np.stack([rng.uniform(0, 6, (30,)), rng.uniform(0, 5, (30,))])
-        out = T.grid_sample_bilinear(Tensor(src), coords).data[0]
+        out = sample(Tensor(src), coords).data[0]
         for k in range(30):
             x, y = coords[0, k], coords[1, k]
             x0, y0 = int(np.floor(x)), int(np.floor(y))
@@ -653,10 +655,10 @@ class TestGridSampleChunks(TestGridSample):
 
         def run():
             src = Tensor(data, requires_grad=True)
-            out = T.grid_sample_bilinear(src, coords)
+            out = sample(src, coords)
             T.backward(T.sum_all(T.mul(out, g)))
             with T.no_grad():
-                assert T.grid_sample_bilinear(src, coords).data.tobytes() == out.data.tobytes()
+                assert sample(src, coords).data.tobytes() == out.data.tobytes()
             return out.data.tobytes(), src.grad.tobytes()
 
         assert T._TILE_BYTES // (8 * shape[0]) < coords[0].size // 10
@@ -725,30 +727,29 @@ class TestGridSampleArguments:
 
     def test_zero_channel_source(self):
         with pytest.raises(DimensionError):
-            T.grid_sample_bilinear(np.zeros((0, 3, 4)), np.zeros((2, 5)))
+            T.grid_sample_bilinear(np.zeros((0, 3, 4)), np.zeros((2, 1, 1, 5)), np.zeros((0, 1, 5)),
+                                   1)
 
     def test_ref_channels_differ_from_src(self):
         with pytest.raises(DimensionError):
-            T.grid_sample_bilinear(np.zeros((4, 3, 4)), np.zeros((2, 2, 3, 4)), np.zeros((2, 3, 4)))
+            T.grid_sample_bilinear(np.zeros((4, 3, 4)), np.zeros((2, 2, 3, 4)), np.zeros((2, 3, 4)),
+                                   1)
 
     def test_ref_size_differs_from_coords(self):
         with pytest.raises(DimensionError):
-            T.grid_sample_bilinear(np.zeros((4, 3, 4)), np.zeros((2, 2, 3, 4)), np.zeros((4, 3, 5)))
+            T.grid_sample_bilinear(np.zeros((4, 3, 4)), np.zeros((2, 2, 3, 4)), np.zeros((4, 3, 5)),
+                                   1)
 
     @pytest.mark.parametrize("shape", [(2, 12), (2, 6, 4), (2, 1, 2, 3, 4), (3, 2, 3, 4)])
     def test_coords_not_per_depth_with_ref(self, shape):
         with pytest.raises(DimensionError):
-            T.grid_sample_bilinear(np.zeros((4, 3, 4)), np.zeros(shape), np.zeros((4, 3, 4)))
+            T.grid_sample_bilinear(np.zeros((4, 3, 4)), np.zeros(shape), np.zeros((4, 3, 4)), 1)
 
     @pytest.mark.parametrize("groups", [0, -2, 3])
     def test_groups_must_divide_channels(self, groups):
         with pytest.raises(ParameterError):
             T.grid_sample_bilinear(np.zeros((4, 3, 4)), np.zeros((2, 2, 3, 4)), np.zeros((4, 3, 4)),
                                    groups)
-
-    def test_groups_need_a_reference(self):
-        with pytest.raises(ParameterError):
-            T.grid_sample_bilinear(np.zeros((4, 3, 4)), np.zeros((2, 5)), groups=2)
 
 
 # ---------------------------------------------------------------------------
