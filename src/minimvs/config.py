@@ -102,7 +102,6 @@ class PipelineConfig:
     guidance_fine: int = 1     # channels compressed from the current stage
     attention_reduction: int = 4
     regularizer_base: int = 8
-    eval_norm: str = "instance"  # statistics outside training: instance | running
     seed: int = 0
     dataset: str = ""
     checkpoint: str = ""
@@ -137,8 +136,6 @@ class PipelineConfig:
             raise ParameterError("pipeline.attention_reduction must be >= 1")
         if self.regularizer_base < 1:
             raise ParameterError("pipeline.regularizer_base must be >= 1")
-        if self.eval_norm not in ("instance", "running"):
-            raise ParameterError("pipeline.eval_norm must be 'instance' or 'running'")
         if self.seed < 0:
             raise ParameterError(f"pipeline.seed must be >= 0, got {self.seed}")
         for name in _SIZES:

@@ -3,6 +3,8 @@ view-weighted aggregation over V, and cross-stage guidance channels."""
 
 from __future__ import annotations
 
+import math
+
 from . import tensor as T
 from .errors import ParameterError, UsageError
 from .geometry import warp_coords
@@ -31,8 +33,8 @@ def warp_and_correlate(ref_feats, src_feats, ref_cam, src_cams, hyp, groups):
 
 def view_weights(corr, temperature):
     """(V, D, H, W) weight fields: per view, softmax over depth of the group-summed score / eps."""
-    if temperature <= 0:
-        raise ParameterError(f"temperature must be > 0, got {temperature}")
+    if temperature <= 0 or math.isinf(1.0 / temperature):
+        raise ParameterError(f"temperature must be > 0 with a finite inverse, got {temperature}")
     score = T.sum_axis(corr, 1)                          # (V, D, H, W)
     return T.softmax_axis(T.mul(score, 1.0 / temperature), 1)
 

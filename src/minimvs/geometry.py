@@ -120,7 +120,9 @@ class HypothesisSet:
         if np.any(np.diff(self.values, axis=0) <= 0):
             raise ParameterError("hypothesis values must be strictly increasing along D")
         lo, hi = self.depth_range
-        if self.values.min() < lo - 1e-9 or self.values.max() > hi + 1e-9:
+        # the window shift may land an ulp of the bound outside it
+        tol = 1e-9 * max(1.0, abs(hi))
+        if self.values.min() < lo - tol or self.values.max() > hi + tol:
             raise ParameterError("hypothesis values outside the depth range")
 
     @property

@@ -1,8 +1,9 @@
 """Layers, parameter containers, and the Adam optimizer.
 
 Modules register parameters and children automatically through attribute
-assignment; `named_parameters` / `named_buffers` walk the tree in insertion
-order so checkpoints and optimizer state are deterministic.
+assignment; `named_parameters` walks the tree in insertion order so
+checkpoints and optimizer state are deterministic. A module's state is its
+parameters alone: no forward pass writes it.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ class Module:
     def __init__(self):
         self.__dict__["_params"] = {}
         self.__dict__["_modules"] = {}
-        self.__dict__["_buffers"] = {}
-        self.__dict__["training"] = True
 
     def __setattr__(self, name, value):
         if isinstance(value, Parameter):
@@ -27,11 +26,6 @@ class Module:
         elif isinstance(value, Module):
             self._modules[name] = value
         object.__setattr__(self, name, value)
-
-    def register_buffer(self, name, array):
-        array = np.asarray(array, dtype=np.float64)
-        self._buffers[name] = array
-        object.__setattr__(self, name, array)
 
     def named_parameters(self, prefix=""):
         for name, p in self._params.items():
@@ -42,36 +36,17 @@ class Module:
     def parameters(self):
         return [p for _, p in self.named_parameters()]
 
-    def named_buffers(self, prefix=""):
-        for name, b in self._buffers.items():
-            yield prefix + name, b
-        for name, m in self._modules.items():
-            yield from m.named_buffers(prefix + name + ".")
-
-    def modules(self):
-        yield self
-        for m in self._modules.values():
-            yield from m.modules()
-
-    def train(self, mode=True):
-        for m in self.modules():
-            object.__setattr__(m, "training", bool(mode))
+    def eval(self):
+        """Return self. A module has no train or eval mode, since batch norm
+        normalizes every sample with its own statistics; this stays for
+        callers that still call it."""
         return self
 
-    def eval(self):
-        return self.train(False)
-
-    def _state_arrays(self):
-        """Name -> live array: parameters, then buffers, in checkpoint order."""
-        state = {name: p.data for name, p in self.named_parameters()}
-        state.update(self.named_buffers())
-        return state
-
     def state_dict(self):
-        return {name: array.copy() for name, array in self._state_arrays().items()}
+        return {name: p.data.copy() for name, p in self.named_parameters()}
 
     def load_state_dict(self, state):
-        arrays = self._state_arrays()
+        arrays = {name: p.data for name, p in self.named_parameters()}
         missing = set(arrays) - set(state)
         unexpected = set(state) - set(arrays)
         if missing or unexpected:
@@ -147,37 +122,22 @@ class Conv(Module):
         return getattr(T, self.op)(x, self.params)
 
 
-BN_MOMENTUM = 0.9  # weight of the old running statistics per update
-
-
 class BatchNorm(Module):
-    """Per-channel normalization ending in the ReLU (`tensor.batch_norm`);
+    """The `gamma` and `beta` of `tensor.batch_norm`, which ends in the ReLU;
     spatial rank is inferred from the input.
 
-    The one place that picks the statistics. Training normalizes with the
-    sample's own and moves the running buffers by `BN_MOMENTUM`; outside it,
-    `eval_stats` "instance" also uses the sample's own (the single-sample
-    training distribution), and "running" uses the buffers unchanged.
+    Every sample is normalized with its own statistics, in training and in
+    inference alike: with one sample per forward pass this is instance
+    normalization, and there are no running averages to keep.
     """
 
     def __init__(self, num_features):
         super().__init__()
         self.gamma = Parameter(np.ones(num_features))
         self.beta = Parameter(np.zeros(num_features))
-        self.register_buffer("running_mean", np.zeros(num_features))
-        self.register_buffer("running_var", np.ones(num_features))
-        self.eval_stats = "instance"
 
     def forward(self, x):
-        own = self.training or self.eval_stats == "instance"
-        stats = () if own else (self.running_mean, self.running_var)
-        y, mean, var = T.batch_norm(x, self.gamma, self.beta, *stats)
-        if self.training:
-            self.running_mean *= BN_MOMENTUM
-            self.running_mean += (1.0 - BN_MOMENTUM) * mean
-            self.running_var *= BN_MOMENTUM
-            self.running_var += (1.0 - BN_MOMENTUM) * var
-        return y
+        return T.batch_norm(x, self.gamma, self.beta)
 
 
 class ConvBnReLU(Module):

@@ -15,7 +15,7 @@ from .cost import VolumeGuidance, aggregate, view_weights, warp_and_correlate
 from .errors import DatasetError
 from .features import FeatureExtractor
 from .geometry import STAGE_COUNT, STAGE_SCALES, initial_hypotheses, refine_hypotheses
-from .nn import BatchNorm, Module, ModuleList
+from .nn import Module, ModuleList
 from .regularizer import VolumeRegularizer, wta_depth
 from .tensor import Tensor
 
@@ -120,9 +120,6 @@ class CascadeNetwork(Module):
                 VolumeRegularizer(cfg.groups[stage] + extra, cfg.regularizer_base, rng=rng)
             )
         self.regularizers = ModuleList(regs)
-        for module in self.modules():
-            if isinstance(module, BatchNorm):
-                module.eval_stats = cfg.eval_norm
 
     def forward_views(self, images, cameras, pyramids=None):
         """Run the full cascade for one reference view (images[0]) and its sources.
@@ -200,16 +197,15 @@ def run_inference(cfg, dataset_dir, checkpoint_path, out_dir, network=None, coll
     a record per view (and the stage outputs when `collect` is set).
 
     Each image's feature pyramid is computed once per scene and shared by
-    every reference view that uses it. In eval mode a pyramid depends on its
-    image alone (batch norm uses the image's own statistics or the fixed
-    running buffers), so the depths equal those of `infer_view` bit for bit.
+    every reference view that uses it. A pyramid depends on its image alone
+    (batch norm uses the image's own statistics), so the depths equal those
+    of `infer_view` bit for bit.
     """
     scenes = load_dataset(dataset_dir, with_gt=False)
     if network is None:
         network = build_network(cfg)
         if checkpoint_path:
             network.load_state_dict(load_checkpoint(checkpoint_path))
-    network.eval()
     records = []
     with T.no_grad():
         for scene in scenes:

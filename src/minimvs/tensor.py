@@ -10,11 +10,10 @@ Gradients are exact analytic adjoints; `gradcheck` verifies every operator
 against central finite differences.
 
 Grad mode is a context variable, so `no_grad` in one thread leaves graph
-recording in every other thread on. Operators never write their arguments
-(batch norm returns the statistics it used and leaves any running average
-to its caller), so threads may run forward passes concurrently, and backward
-passes on graphs that share no leaf tensors: `backward` accumulates into each
-leaf's `.grad` without a lock. Results are bit-identical across repeated
+recording in every other thread on. Operators never write their arguments,
+so threads may run forward passes concurrently, and backward passes on
+graphs that share no leaf tensors: `backward` accumulates into each leaf's
+`.grad` without a lock. Results are bit-identical across repeated
 single-threaded runs.
 
 The tape is made of graph nodes (`_Node`), one per recorded result: its
@@ -1073,14 +1072,13 @@ def resize_bilinear(array, out_hw):
 BN_EPS = 1e-5  # added to the variance before its square root
 
 
-def batch_norm(x, gamma, beta, mean=None, var=None):
+def batch_norm(x, gamma, beta):
     """Per-channel normalization over all spatial axes of (C, *spatial), ending in the ReLU.
 
-    Returns `(y, mean, var)`: y = max(gamma * xhat + beta, 0) by the one
-    ReLU rule (`_floored`), and the per-channel statistics it used. Without
-    `mean` and `var` it normalizes with `x`'s own statistics and the
-    gradient flows through them; given statistics are constants. No
-    argument is written.
+    Returns y = max(gamma * xhat + beta, 0) by the one ReLU rule
+    (`_floored`), where xhat normalizes `x` with its own per-channel mean
+    and variance and the gradient flows through them. No argument is
+    written.
 
     The node keeps `xhat` only. Its backward rebuilds the ReLU's mask from
     `xhat`, `gamma` and `beta` with the forward's arithmetic, and its
@@ -1092,11 +1090,8 @@ def batch_norm(x, gamma, beta, mean=None, var=None):
     x = _as_tensor(x)
     axes = tuple(range(1, x.ndim))
     bshape = (x.shape[0],) + (1,) * (x.ndim - 1)
-    batch_stats = mean is None
-    if batch_stats:
-        mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
-    inv = 1.0 / np.sqrt(var + BN_EPS)
+    mean = x.data.mean(axis=axes)
+    inv = 1.0 / np.sqrt(x.data.var(axis=axes) + BN_EPS)
     xhat = x.data - mean.reshape(bshape)
     xhat *= inv.reshape(bshape)
     gd, bd = gamma.data.reshape(bshape), beta.data.reshape(bshape)
@@ -1123,7 +1118,7 @@ def batch_norm(x, gamma, beta, mean=None, var=None):
         dx = None
         if want_dx:
             gr = gd * inv.reshape(bshape)
-            dx = gr * (gm - gs / n - xhat * gx / n) if batch_stats else gr * gm
+            dx = gr * (gm - gs / n - xhat * gx / n)
         return (dx, gx.reshape(-1) if want_dgamma else None,
                 gs.reshape(-1) if want_dbeta else None)
 
@@ -1131,4 +1126,4 @@ def batch_norm(x, gamma, beta, mean=None, var=None):
     out = _result(affine(None if _records((x, gamma, beta)) else xhat),
                   (x, gamma, beta), bwd, "batch_norm", rebuild)
     _floored(out.data, 0.0, out.data)  # only now: np.maximum would hide a -inf from _result's check
-    return out, mean, var
+    return out

@@ -113,7 +113,6 @@ def train(scenes, cfg, out_dir, log=None):
 
     trace = []
     iteration = 0
-    network.train()
     for epoch in range(tc.epochs):
         order = order_rng.permutation(len(samples))
         for b in range(len(samples) // tc.batch_size):

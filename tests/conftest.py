@@ -287,18 +287,14 @@ def per_source_cost(ref_feats, src_feats, ref_cam, src_cams, hyp, groups, temper
     return corrs, weights, T.div(num, den)
 
 
-def unfused_bn_relu(x, gamma, beta, mean=None, var=None):
+def unfused_bn_relu(x, gamma, beta):
     """Batch norm and the ReLU as two tape ops: `tensor.batch_norm` as it was
     before it ended in the ReLU, then `clamp_min(., 0.0)` as `np.where` with
-    its mask on the tape. A reference for the fused operator; returns
-    `(y, mean, var)` like it."""
+    its mask on the tape. A reference for the fused operator."""
     axes = tuple(range(1, x.ndim))
     bshape = (x.shape[0],) + (1,) * (x.ndim - 1)
-    batch_stats = mean is None
-    if batch_stats:
-        mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
-    inv = 1.0 / np.sqrt(var + T.BN_EPS)
+    mean = x.data.mean(axis=axes)
+    inv = 1.0 / np.sqrt(x.data.var(axis=axes) + T.BN_EPS)
     xhat = (x.data - mean.reshape(bshape)) * inv.reshape(bshape)
     gd = gamma.data.reshape(bshape)
     n = int(np.prod(x.shape[1:]))
@@ -306,17 +302,14 @@ def unfused_bn_relu(x, gamma, beta, mean=None, var=None):
     def bn_bwd(g):
         gr = gd * inv.reshape(bshape)
         gx = (g * xhat).sum(axis=axes, keepdims=True)
-        if batch_stats:
-            dx = gr * (g - g.sum(axis=axes, keepdims=True) / n - xhat * gx / n)
-        else:
-            dx = gr * g
+        dx = gr * (g - g.sum(axis=axes, keepdims=True) / n - xhat * gx / n)
         return dx, gx.reshape(-1), g.sum(axis=axes)
 
     bn = T._result(gd * xhat + beta.data.reshape(bshape), (x, gamma, beta), bn_bwd,
                    "batch_norm")
     mask = bn.data > 0.0
     relu = T._result(np.where(mask, bn.data, 0.0), (bn,), lambda g: (g * mask,), "clamp_min")
-    return relu, mean, var
+    return relu
 
 
 Call = namedtuple("Call", "op shape live peak left")

@@ -82,7 +82,6 @@ class TestAcceptance:
         cfg.seed = 5
         cfg.validate()
         net = pipeline.build_network(cfg)
-        net.train()
         images = [r[0] for r in renders]
         gt = renders[0][1]
         valid = renders[0][2]
@@ -158,7 +157,6 @@ class TestAcceptance:
         held = pipeline.load_dataset(held_dir)[0]
         net = pipeline.build_network(cfg)
         net.load_state_dict(load_checkpoint(ckpt))
-        net.eval()
         with T.no_grad():
             outs = pipeline.infer_view(net, held, HELD_OUT_VIEW, cfg.train.views)
         gt = held.gt_depths[HELD_OUT_VIEW]
@@ -186,7 +184,6 @@ class TestAcceptance:
             cfg.guidance_fine = num
             cfg.validate()
             net = pipeline.build_network(cfg)
-            net.eval()
             with T.no_grad():
                 outs = net.forward_views(images, cams)
             assert np.isfinite(outs[-1].depth).all(), f"channels {num}"

@@ -278,6 +278,11 @@ class TestViewWeights:
         with pytest.raises(ParameterError):
             view_weights(Tensor(rng.standard_normal((1, 1, 4, 2, 2))), 0.0)
 
+    def test_temperature_needs_a_finite_inverse(self, rng):
+        """The rule `PipelineConfig.validate` applies to the same value."""
+        with pytest.raises(ParameterError, match="finite inverse"):
+            view_weights(Tensor(rng.standard_normal((1, 1, 4, 2, 2))), 1e-320)
+
 
 class TestAggregate:
     def test_single_view_identity(self, rng):
@@ -310,7 +315,6 @@ class TestVolumeGuidance:
     def test_channel_count_contract(self, rng):
         for num in range(5):
             guide = VolumeGuidance(2 * 4, 2 * 4, num, num, rng=np.random.default_rng(num))
-            guide.eval()
             prev = Tensor(rng.standard_normal((2, 4, 3, 4)))
             curr = Tensor(rng.standard_normal((2, 4, 6, 8)))
             out = guide.forward(prev, curr)
@@ -327,7 +331,6 @@ class TestVolumeGuidance:
             p.data[...] = 0.0
         guide.conv_coarse.bn.gamma.data[...] = 1.0
         guide.conv_fine.bn.gamma.data[...] = 1.0
-        guide.eval()
         prev = Tensor(rng.standard_normal((2, 4, 3, 4)))
         curr = Tensor(rng.standard_normal((2, 4, 6, 8)))
         out = guide.forward(prev, curr)

@@ -109,7 +109,6 @@ def _extractor(seed):
 class TestFeatureExtractor:
     def test_stage_shapes_and_channels(self, rng):
         net = _extractor(1)
-        net.eval()
         pyr = net.forward(Tensor(rng.uniform(size=(3, 64, 64))))
         assert pyr[0].shape == (32, 8, 8)
         assert pyr[1].shape == (16, 16, 16)
@@ -123,7 +122,6 @@ class TestFeatureExtractor:
 
     def test_offset_images_stay_finite(self, rng):
         net = _extractor(2)
-        net.eval()
         base = rng.uniform(size=(3, 16, 16))
         for offset in (0.0, 0.25):
             pyr = net.forward(Tensor(np.clip(base + offset, 0, 1)))
@@ -132,7 +130,6 @@ class TestFeatureExtractor:
 
     def test_gradient_reaches_first_layer(self, rng):
         net = _extractor(3)
-        net.train()
         img = Tensor(rng.uniform(size=(3, 16, 16)))
         w = net.enc0.conv.weight
 

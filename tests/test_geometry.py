@@ -137,6 +137,23 @@ class TestHypotheses:
         assert np.abs(high.values[-1] - 9.0).max() < 1e-12
         assert np.all(np.diff(low.values, axis=0) > 0)
 
+    def test_refine_at_large_depths(self):
+        """The shift onto a bound may miss it by an ulp (1.5e-8 at 1e8), so
+        the range check's tolerance scales with the bound."""
+        for lo, hi in ((1e8, 9e8), (1e10, 9e10)):
+            prev = initial_hypotheses((lo, hi), 8)
+            # centres within the half window (hi - lo) / 4 of either bound
+            quarter = (hi - lo) / 4
+            center = np.stack([np.linspace(lo, lo + quarter, 64),
+                               np.linspace(hi - quarter, hi, 64)])
+            nxt = refine_hypotheses(prev, center, 8, center.shape)
+            assert np.all(np.diff(nxt.values, axis=0) > 0)
+            assert nxt.values.min() >= lo - 1e-9 * hi
+            assert nxt.values.max() <= hi + 1e-9 * hi
+        # below a bound of 1 the tolerance stays 1e-9
+        with pytest.raises(ParameterError, match="outside the depth range"):
+            HypothesisSet(np.array([0.5 - 2e-9, 0.75]), 0.25, (0.5, 1.0))
+
     def test_spacing_halves_and_stays_in_range(self, rng):
         prev = initial_hypotheses((2.0, 10.0), 8)
         spacing = prev.spacing

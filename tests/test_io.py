@@ -291,6 +291,11 @@ class TestConfig:
         with pytest.raises(ParameterError, match="unknown key 'stage_scales'"):
             parse_config_text("[pipeline]\nstage_scales = 8 4 2 1\n")
 
+    def test_eval_norm_is_not_a_key(self):
+        # batch norm has one statistics rule, the sample's own
+        with pytest.raises(ParameterError, match="unknown key 'eval_norm'"):
+            parse_config_text("[pipeline]\neval_norm = instance\n")
+
     def test_unknown_section_rejected(self):
         with pytest.raises(ParameterError, match="valid sections"):
             parse_config_text("[optimizer]\nlr = 1\n")
@@ -362,10 +367,6 @@ class TestConfig:
         with pytest.raises(ParameterError, match=f"{path}:3: bad value 'x' for key 'epochs'"):
             load_config(path)
 
-    def test_eval_norm_choices(self):
-        assert parse_config_text("[pipeline]\neval_norm = running\n").eval_norm == "running"
-        with pytest.raises(ParameterError):
-            parse_config_text("[pipeline]\neval_norm = layer\n")
 
 
 class TestCli:
@@ -658,6 +659,24 @@ class TestCli:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert ("non-finite value 'nan'" if bad == "config" else str(path)) in err
+
+    def test_checkpoint_with_running_statistics_returns_two(self, tmp_path, capsys):
+        """A checkpoint that still holds batch-norm running averages is refused
+        with its extra records named, not read in part."""
+        data = tmp_path / "data"
+        synth.make_dataset(str(data), 1, 3, 16, 24, seed=5, style="plane")
+        state = pipeline.build_network(PipelineConfig()).state_dict()
+        state["features.enc0.bn.running_mean"] = np.zeros(32)
+        state["features.enc0.bn.running_var"] = np.ones(32)
+        path = tmp_path / "old.bin"
+        save_checkpoint(path, state)
+        out = tmp_path / "out"
+        assert main(["infer", "--data", str(data), "--checkpoint", str(path),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert ("state mismatch: missing [], unexpected ['features.enc0.bn.running_mean', "
+                "'features.enc0.bn.running_var']") in err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_end_to_end_synth_infer_fuse(self, tmp_path):
         data = tmp_path / "data"

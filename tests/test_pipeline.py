@@ -11,7 +11,7 @@ from minimvs import tensor as T
 from minimvs.checkpoint import save_checkpoint
 from minimvs.config import PipelineConfig
 from minimvs.errors import DatasetError
-from minimvs.nn import BatchNorm, Conv
+from minimvs.nn import Conv, Module
 
 
 def _dataset(tmp_path, scenes=1, views=3, h=16, w=24, seed=5):
@@ -20,24 +20,19 @@ def _dataset(tmp_path, scenes=1, views=3, h=16, w=24, seed=5):
     return root
 
 
-def _config(views=3, eval_norm="instance"):
+def _config(views=3):
     cfg = PipelineConfig()
     cfg.train.views = views
-    cfg.eval_norm = eval_norm
     cfg.validate()
     return cfg
 
 
-def _eval_network(cfg):
-    """An eval-mode network; its batch-norm running buffers are not the identity."""
-    net = pipeline.build_network(cfg)
-    rng = np.random.default_rng(11)
-    for module in net.modules():
-        if isinstance(module, BatchNorm):
-            module.running_mean[...] = rng.normal(0.0, 0.5, module.running_mean.shape)
-            module.running_var[...] = rng.uniform(0.5, 2.0, module.running_var.shape)
-    net.eval()
-    return net
+def _modules(module):
+    """`module` and every module below it."""
+    yield module
+    for child in vars(module).values():
+        if isinstance(child, Module):
+            yield from _modules(child)
 
 
 def _assert_same_bits(got, want):
@@ -70,20 +65,17 @@ PARAMETER_NAMES = (
        for name in _block(f"guidance.{i}.{conv}")]
     + [name for i in range(4) for name in _regularizer(f"regularizers.{i}")]
 )
-BUFFER_NAMES = [
-    name.replace(".gamma", f".{b}") for name in PARAMETER_NAMES if name.endswith(".bn.gamma")
-    for b in ("running_mean", "running_var")
-]
 # sha256 of the seed-0 default network's checkpoint: numpy's RNG fills every
 # tensor, so the bytes are the same on every machine
-UNTRAINED_SHA256 = "80abe6bdc379b18c03aa781b46c7caae2a8d31aac3ff495e80b22c99e080ad4d"
+UNTRAINED_SHA256 = "a1d8d5c9871442a52121b594828f9cd26ea00c1dc8a56513e9e760e58008295f"
 
 
 class TestCheckpointLayout:
     def test_parameter_and_buffer_names_in_order(self):
+        """A checkpoint holds the parameters alone: there are no buffers."""
         net = pipeline.build_network(PipelineConfig())
         assert [name for name, _ in net.named_parameters()] == PARAMETER_NAMES
-        assert [name for name, _ in net.named_buffers()] == BUFFER_NAMES
+        assert list(net.state_dict()) == PARAMETER_NAMES
 
     def test_untrained_checkpoint_bytes(self, tmp_path):
         path = tmp_path / "untrained.bin"
@@ -96,7 +88,7 @@ class TestConvGeometry:
 
     GEOMETRIES = sorted({
         (conv.weight.shape[2:], conv.params.stride, conv.op == "conv_transpose3d")
-        for conv in pipeline.build_network(PipelineConfig()).modules() if isinstance(conv, Conv)
+        for conv in _modules(pipeline.build_network(PipelineConfig())) if isinstance(conv, Conv)
     })
 
     def test_the_network_builds_six_geometries(self):
@@ -173,7 +165,6 @@ class TestForward:
         root = _dataset(tmp_path)
         scene = pipeline.load_dataset(root)[0]
         net = pipeline.build_network(_config())
-        net.eval()
         with T.no_grad():
             outs = pipeline.infer_view(net, scene, 0, 3)
         assert len(outs) == 4
@@ -189,7 +180,6 @@ class TestForward:
         root = _dataset(tmp_path, views=2)
         scene = pipeline.load_dataset(root)[0]
         net = pipeline.build_network(_config(views=2))
-        net.eval()
         with T.no_grad():
             outs = pipeline.infer_view(net, scene, 0, 2)
         assert outs[-1].depth.shape == (16, 24)
@@ -204,7 +194,6 @@ class TestForward:
         root = _dataset(tmp_path, h=32, w=40)
         scene = pipeline.load_dataset(root)[0]
         net = pipeline.build_network(_config())
-        net.eval()
         with T.no_grad():
             outs = pipeline.infer_view(net, scene, 0, 3)
         assert [o.depth.shape for o in outs] == [(4, 5), (8, 10), (16, 20), (32, 40)]
@@ -212,11 +201,10 @@ class TestForward:
 
 
 class TestNoGradForward:
-    @pytest.mark.parametrize("eval_norm", ["instance", "running"])
-    def test_matches_the_recorded_forward_bit_for_bit(self, tmp_path, eval_norm):
+    def test_matches_the_recorded_forward_bit_for_bit(self, tmp_path):
         """Guards every inference-only shortcut: skipping the tape must not move a bit."""
         root = _dataset(tmp_path, scenes=2, h=32, w=40)
-        net = _eval_network(_config(eval_norm=eval_norm))
+        net = pipeline.build_network(_config())
         for scene in pipeline.load_dataset(root):
             for ref in range(len(scene.images)):
                 images, cams = pipeline.view_set(scene, ref, 3)
@@ -239,7 +227,6 @@ class TestGuidanceAblation:
         cfg.guidance_fine = 0
         cfg.validate()
         net = pipeline.build_network(cfg)
-        net.eval()
         volumes, reg_inputs = [], []
 
         def aggregate(corr, weights):
@@ -270,7 +257,6 @@ class TestGuidanceAblation:
             cfg.guidance_fine = num
             cfg.validate()
             net = pipeline.build_network(cfg)
-            net.eval()
             with T.no_grad():
                 outs = pipeline.infer_view(net, scene, 0, 3)
             assert np.isfinite(outs[-1].depth).all()
@@ -290,7 +276,6 @@ class TestGuidanceAblation:
         scene = pipeline.load_dataset(root)[0]
         cfg = _config()
         net = pipeline.build_network(cfg)
-        net.eval()
         for guide in net.guidance:
             for p in guide.parameters():
                 p.data[...] = 0.0
@@ -302,7 +287,6 @@ class TestGuidanceAblation:
         cfg0.guidance_fine = 0
         cfg0.validate()
         bypass = pipeline.build_network(cfg0)
-        bypass.eval()
         state = bypass.state_dict()
         donor = net.state_dict()
         for name in state:
@@ -323,11 +307,10 @@ class TestGuidanceAblation:
 
 
 class TestRunInference:
-    @pytest.mark.parametrize("eval_norm", ["instance", "running"])
-    def test_shared_pyramids_match_infer_view(self, tmp_path, eval_norm):
+    def test_shared_pyramids_match_infer_view(self, tmp_path):
         root = _dataset(tmp_path, views=4)
-        cfg = _config(eval_norm=eval_norm)
-        net = _eval_network(cfg)
+        cfg = _config()
+        net = pipeline.build_network(cfg)
         records = pipeline.run_inference(cfg, root, "", os.path.join(str(tmp_path), "out"),
                                          network=net, collect=True)
         scene = pipeline.load_dataset(root)[0]

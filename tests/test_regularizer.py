@@ -14,7 +14,6 @@ from minimvs.tensor import Tensor
 class TestRegularize:
     def test_output_shape_and_normalization(self, rng):
         reg = VolumeRegularizer(4, 8, rng=np.random.default_rng(0))
-        reg.eval()
         vol = Tensor(rng.standard_normal((4, 8, 6, 7)))
         prob = reg.forward(vol)
         assert prob.shape == (8, 6, 7)
@@ -24,7 +23,6 @@ class TestRegularize:
     def test_constant_volume_gives_uniform(self, rng):
         for d in (4, 8):
             reg = VolumeRegularizer(3, 4, rng=np.random.default_rng(d))
-            reg.eval()
             prob = reg.forward(Tensor(np.full((3, d, 5, 6), 0.7)))
             assert np.abs(prob.data - 1.0 / d).max() < 1e-9
 
@@ -40,14 +38,12 @@ class TestRegularize:
 
     def test_odd_spatial_sizes_are_padded(self, rng):
         reg = VolumeRegularizer(2, 4, rng=np.random.default_rng(2))
-        reg.eval()
         prob = reg.forward(Tensor(rng.standard_normal((2, 4, 5, 9))))
         assert prob.shape == (4, 5, 9)
         assert np.abs(prob.data.sum(axis=0) - 1.0).max() < 1e-5
 
     def test_gradient_reaches_first_conv(self, rng):
         reg = VolumeRegularizer(2, 4, rng=np.random.default_rng(3))
-        reg.train()
         vol = Tensor(rng.standard_normal((2, 4, 4, 4)))
         target = Tensor(rng.standard_normal((4, 4, 4)))
 

@@ -1,8 +1,8 @@
 """Source rules checked with `ast`: no unused imports, only the I/O layer
 opens files, one function of the tensor engine builds strided window views,
 only grid sampling and fusion's depth lookup compute bilinear corners, no generator is seeded with a literal, no tensor operator writes its
-arguments, no backward closure reads a tensor it did not bind itself, and
-no definition goes unused."""
+arguments, no forward pass writes module state, no backward closure reads a
+tensor it did not bind itself, and no definition goes unused."""
 
 import ast
 import pathlib
@@ -195,6 +195,58 @@ def test_argument_write_is_found():
                      "    def bwd(g):\n        g += 1\n        a[1] = 0\n    return bwd\n"
                      "def _helper(a):\n    a *= 2\n")
     assert argument_writes(tree) == [("op", 2), ("op", 3), ("op", 7), ("bwd", 9)]
+
+
+def forward_state_writes(tree):
+    """(function, line) of each assignment, augmented assignment or deletion
+    whose target is an attribute or subscript of `self`, inside a function
+    named `forward*`, nested functions included."""
+    found = []
+
+    def root(target):
+        while isinstance(target, (ast.Subscript, ast.Attribute)):
+            target = target.value
+        return target
+
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if not fn.name.startswith("forward"):
+            continue
+        found += [(fn.name, node.lineno) for node in ast.walk(fn)
+                  if isinstance(node, (ast.Attribute, ast.Subscript))
+                  and isinstance(node.ctx, (ast.Store, ast.Del))
+                  and isinstance(root(node), ast.Name) and root(node).id == "self"]
+    return sorted(set(found), key=lambda item: item[1])
+
+
+def test_forward_passes_write_no_module_state():
+    """A forward pass reads its module and returns tensors: it keeps no
+    statistics, caches or counters, so forward passes of one network may
+    run concurrently and a checkpoint holds parameters only."""
+    found = {(path.stem, function, line) for path in sorted(PACKAGE.glob("*.py"))
+             for function, line in forward_state_writes(_parse(path))}
+    assert found == set()
+
+
+def test_forward_state_write_is_found():
+    tree = ast.parse("class M:\n"
+                     "    def forward(self, x):\n"
+                     "        self.stat *= 0.9\n"
+                     "        self.buf[0] = x\n"
+                     "        self.a.b = x\n"
+                     "        y = self.w\n"
+                     "        y[0] = 1\n"
+                     "        return y\n"
+                     "    def forward_views(self, x):\n"
+                     "        def inner():\n"
+                     "            self.cache = x\n"
+                     "        del self.old\n"
+                     "        return inner\n"
+                     "    def build(self):\n"
+                     "        self.w = 1\n")
+    assert forward_state_writes(tree) == [("forward", 3), ("forward", 4), ("forward", 5),
+                                          ("forward_views", 11), ("forward_views", 12)]
 
 
 # attributes through which a closure that kept a Tensor would read it

@@ -839,21 +839,21 @@ class TestBackward:
         """Each operator is FD-checked on 20 freshly seeded instances."""
         worst = {}
         for i in range(20):
-            for name, err, ok in gradcheck.run_op_checks(seed=100 + i, max_entries=10):
+            for name, err, ok in gradcheck.run_op_checks(seed=100 + i):
                 worst[name] = max(worst.get(name, 0.0), err)
                 assert ok, f"{name} (instance {i}): relative error {err}"
         assert max(worst.values()) <= 1e-3
 
     def test_each_case_reads_the_same_alone(self):
         """A case's error does not depend on which other cases run."""
-        full = gradcheck.run_op_checks(max_entries=10)
+        full = gradcheck.run_op_checks()
         for name, err, _ in full:
-            assert gradcheck.run_op_checks([name], max_entries=10)[0][1] == err, name
+            assert gradcheck.run_op_checks([name])[0][1] == err, name
         assert {"reshape", "sum_all"} <= {name for name, _, _ in full}
 
     def test_cases_do_not_depend_on_the_hash_seed(self):
         code = ("from minimvs import gradcheck; "
-                "print(gradcheck.run_op_checks(['add', 'conv3d'], max_entries=4))")
+                "print(gradcheck.run_op_checks(['add', 'conv3d']))")
         src = os.path.dirname(os.path.dirname(gradcheck.__file__))
         listed = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                                  check=True, env=dict(os.environ, PYTHONPATH=src,
@@ -974,22 +974,13 @@ class TestBatchNorm:
     def test_train_mode_normalizes(self, rng):
         # beta 10 keeps every normalized value above the ReLU's kink
         x = rng.standard_normal((2, 16, 16)) * 3.0 + 5.0
-        out, _, _ = T.batch_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.full(2, 10.0)))
+        out = T.batch_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.full(2, 10.0)))
         normalized = out.data - 10.0
         assert np.abs(normalized.mean(axis=(1, 2))).max() < 1e-12
         assert np.abs(normalized.var(axis=(1, 2)) - 1.0).max() < 1e-3
 
-    def test_infer_mode_uses_running(self, rng):
-        x = rng.standard_normal((2, 4, 4))
-        rm = np.array([1.0, -1.0])
-        rv = np.array([4.0, 0.25])
-        out, _, _ = T.batch_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)), rm, rv)
-        want = np.maximum((x - rm[:, None, None]) / np.sqrt(rv + T.BN_EPS)[:, None, None], 0.0)
-        assert np.abs(out.data - want).max() < 1e-12
-
     @pytest.mark.parametrize("spatial", [(5, 6), (3, 4, 5)], ids=["2d", "3d"])
-    @pytest.mark.parametrize("given", [False, True], ids=["batch_stats", "given_stats"])
-    def test_matches_batch_norm_then_relu(self, rng, spatial, given):
+    def test_matches_batch_norm_then_relu(self, rng, spatial):
         """Forward, dx, dgamma and dbeta equal batch norm followed by its own
         ReLU op byte for byte, recorded and under no_grad, with consumers
         that read the output in their backward: the next conv's weight
@@ -1006,9 +997,7 @@ class TestBatchNorm:
         x = rng.permuted(x, axis=1).reshape(3, *spatial)
         gamma = np.array([1.3, 0.7, -0.9])
         beta = np.array([-0.0, rng.standard_normal(), -0.0])
-        stats = (np.array([0.0, 0.2, 0.0]), rng.uniform(0.5, 2.0, 3)) if given else ()
-        mean, var = stats or (x.mean(axis=tuple(range(1, x.ndim))),
-                              x.var(axis=tuple(range(1, x.ndim))))
+        mean, var = x.mean(axis=tuple(range(1, x.ndim))), x.var(axis=tuple(range(1, x.ndim)))
         bshape = (3,) + (1,) * len(spatial)
         xhat = (x - mean.reshape(bshape)) * (1.0 / np.sqrt(var + T.BN_EPS)).reshape(bshape)
         pre = gamma.reshape(bshape) * xhat + beta.reshape(bshape)
@@ -1019,11 +1008,11 @@ class TestBatchNorm:
 
         def run(op):
             leaves = [Parameter(a.copy()) for a in (x, gamma, beta, w)]
-            y, _, _ = op(*leaves[:3], *stats)
+            y = op(*leaves[:3])
             z = conv(y, ConvParams(leaves[3], None, 1, 1))
             T.backward(T.add(T.sum_all(T.mul(z, weights)), T.sum_all(T.mul(y, y))))
             with T.no_grad():
-                y_infer, _, _ = op(*(Tensor(a) for a in (x, gamma, beta)), *stats)
+                y_infer = op(*(Tensor(a) for a in (x, gamma, beta)))
             return [a.tobytes() for a in (y.data, y_infer.data, *(p.grad for p in leaves))]
 
         assert run(T.batch_norm) == run(unfused_bn_relu)
@@ -1035,34 +1024,15 @@ class TestBatchNorm:
         with np.errstate(over="ignore"), pytest.raises(NumericError, match="'batch_norm'"):
             T.batch_norm(x, Tensor([1.5e308]), Tensor([0.0]))
 
-    def test_returns_its_statistics_and_writes_no_argument(self, rng):
+    def test_writes_no_argument(self, rng):
         x = rng.standard_normal((3, 6, 5)) * 2.0 + 1.0
         gamma = Parameter(rng.uniform(0.5, 1.5, 3))
         beta = Parameter(rng.standard_normal(3))
-        given = (rng.standard_normal(3), rng.uniform(0.5, 2.0, 3))
-        before = [a.tobytes() for a in (x, gamma.data, beta.data, *given)]
-        _, mean, var = T.batch_norm(Tensor(x), gamma, beta)
-        assert np.array_equal(mean, x.mean(axis=(1, 2)))
-        assert np.array_equal(var, x.var(axis=(1, 2)))
-        _, mean, var = T.batch_norm(Tensor(x), gamma, beta, *given)
-        assert mean is given[0] and var is given[1]
-        assert [a.tobytes() for a in (x, gamma.data, beta.data, *given)] == before
-
-    def test_running_stats_update(self, rng):
-        """nn.BatchNorm moves its buffers in training and leaves them in eval."""
-        x = rng.standard_normal((3, 6, 5)) * 2.0 + 1.0
-        bn = nn.BatchNorm(3)
-        bn.forward(Tensor(x))
-        assert nn.BN_MOMENTUM == 0.9
-        assert np.allclose(bn.running_mean, 0.1 * x.mean(axis=(1, 2)))
-        assert np.allclose(bn.running_var, 0.9 + 0.1 * x.var(axis=(1, 2)))
-        trained = (bn.running_mean.copy(), bn.running_var.copy())
-        bn.eval()
-        for mode in ("instance", "running"):
-            bn.eval_stats = mode
-            bn.forward(Tensor(x * 3.0 - 2.0))
-            assert np.array_equal(bn.running_mean, trained[0])
-            assert np.array_equal(bn.running_var, trained[1])
+        before = [a.tobytes() for a in (x, gamma.data, beta.data)]
+        T.backward(T.sum_all(T.batch_norm(Tensor(x), gamma, beta)))
+        with T.no_grad():
+            T.batch_norm(Tensor(x), gamma, beta)
+        assert [a.tobytes() for a in (x, gamma.data, beta.data)] == before
 
 
 # ---------------------------------------------------------------------------
@@ -1074,7 +1044,7 @@ class TestCheckpoint:
         state = {
             "net.conv.weight": rng.standard_normal((4, 2, 3, 3)),
             "net.conv.bias": rng.standard_normal(4),
-            "bn.running_mean": rng.standard_normal(4),
+            "bn.gamma": rng.standard_normal(4),
         }
         path = tmp_path / "params.bin"
         save_checkpoint(path, state)

@@ -139,9 +139,8 @@ class TestTrainLoop:
         _, ckpt = training.train(scenes, cfg, str(tmp_path / "out"))
         trained = load_checkpoint(ckpt)
         fresh = pipeline.build_network(cfg).state_dict()
+        assert list(trained) == list(fresh)
         for name, value in fresh.items():
-            if "running" in name:
-                continue  # batch-norm statistics update regardless of lr
             assert np.array_equal(trained[name], value), name
 
     def test_same_seed_identical_traces(self, tmp_path):
@@ -193,7 +192,6 @@ def test_input_gradients_match_scatter_reference(tmp_path, monkeypatch):
     scenes = _tiny_dataset(str(tmp_path))
     cfg = _tiny_config()
     network = pipeline.build_network(cfg)
-    network.train()
     conv = T._conv
     seen, dw_seen = set(), set()
 
@@ -259,7 +257,6 @@ def test_recorded_sample_keeps_no_window_matrices(tmp_path):
     scenes = _tiny_dataset(str(tmp_path))
     cfg = _tiny_config()
     network = pipeline.build_network(cfg)
-    network.train()
     images, cams = pipeline.view_set(scenes[0], 0, cfg.train.views)
     gt = scenes[0].gt_depths[0]
     tracemalloc.start()
@@ -282,7 +279,6 @@ def test_recorded_sample_keeps_one_array_per_block():
     gradient or the features' gated `mul`, the output."""
     cfg = _tiny_config()
     network = pipeline.build_network(cfg)
-    network.train()
     cams, _, renders, _ = fronto_plane_setup(64, 80, 3)
     gt = renders[0][1]
     tracemalloc.start()
@@ -312,7 +308,6 @@ def test_inferred_view_working_set():
     volume and its product with the reference are built whole."""
     cfg = _tiny_config()
     network = pipeline.build_network(cfg)
-    network.eval()
     cams, _, renders, _ = fronto_plane_setup(128, 160, 3)
     images = [r[0] for r in renders]
     with T.no_grad():
@@ -353,13 +348,11 @@ def test_no_window_matrix_exceeds_the_tile_budget(monkeypatch):
     monkeypatch.setattr(T, "_scatter", spy_scatter)
     cfg = _tiny_config()
     network = pipeline.build_network(cfg)
-    network.train()
     cams, _, renders, _ = fronto_plane_setup(64, 80, 3)
     gt = renders[0][1]
     losses = training.stage_losses_for_sample(network, [r[0] for r in renders], cams,
                                               gt, renders[0][2])
     T.backward(training.total_loss(losses, cfg.train.stage_weights))
-    network.eval()
     cams, _, renders, _ = fronto_plane_setup(128, 160, 7)
     with T.no_grad():
         network.forward_views([r[0] for r in renders], cams)
@@ -389,14 +382,12 @@ def test_no_conv_pads_a_whole_input(monkeypatch):
     monkeypatch.setattr(T, "_TILE_BYTES", 1 << 16)
     cfg = _tiny_config()
     network = pipeline.build_network(cfg)
-    network.eval()
     cams, _, renders, _ = fronto_plane_setup(128, 160, 3)
     images = [r[0] for r in renders]
     with T.no_grad():
         pyramids = [network.features.forward(image) for image in images]
         with traced_calls() as view:
             network.forward_views(images, cams, pyramids=pyramids)
-    network.train()
     cams, _, renders, _ = fronto_plane_setup(64, 80, 3)
     gt = renders[0][1]
     with traced_calls() as sample:
@@ -425,7 +416,6 @@ def test_last_regularizer_runs_without_the_stage_volumes(monkeypatch):
     at `conv0`'s entry by `conv0`'s output less the input (5.24 - 3.93 MB)."""
     cfg = _tiny_config()
     network = pipeline.build_network(cfg)
-    network.eval()
     cams, _, renders, _ = fronto_plane_setup(128, 160, 3)
     images = [r[0] for r in renders]
     volumes, alive = [], {}
